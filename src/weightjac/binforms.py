@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import DiscriminantMismatch, InvalidDiscriminant, InvalidForm, ParseError
 from .quadfield import FieldTag, QuadElem, squarefree_part
@@ -214,8 +215,9 @@ def power(form: Form, k: int) -> Form:
     while k:
         if k & 1:
             result = compose(result, base)
-        base = compose(base, base)
         k >>= 1
+        if k:
+            base = compose(base, base)
     return result
 
 
@@ -257,40 +259,17 @@ def enumerate_reduced(D: int) -> list[Form]:
     return list(_enumerate_reduced(D))
 
 
-def class_number(D: int) -> int:
-    return len(_enumerate_reduced(D))
-
-
 @dataclass(frozen=True)
 class ClassGroup:
-    """Form class group of a discriminant with its full composition table."""
+    """Form class group of a discriminant: its reduced forms and invariant factors."""
 
     D: int
     elements: tuple[Form, ...]
     structure: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
 
     @property
     def h(self) -> int:
         return len(self.elements)
-
-    @property
-    def identity_index(self) -> int:
-        return self.elements.index(principal_form(self.D))
-
-    def index_of(self, form: Form) -> int:
-        return self.elements.index(reduce(form))
-
-    def compose_index(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def order_of_index(self, i: int) -> int:
-        e = self.identity_index
-        k, j = 1, i
-        while j != e:
-            j = self.table[j][i]
-            k += 1
-        return k
 
     def to_record(self) -> dict:
         return {
@@ -301,59 +280,38 @@ class ClassGroup:
         }
 
 
-def _invariant_factors(table: tuple[tuple[int, ...], ...], identity: int) -> tuple[int, ...]:
-    """Divisor chain d_1 | d_2 | ... from a finite abelian multiplication table."""
-    n = len(table)
-    coset_of = list(range(n))  # element index -> coset id (starts as singletons)
-    reps = list(range(n))  # coset id -> representative element
-
-    def q_mul(ci: int, cj: int) -> int:
-        return coset_of[table[reps[ci]][reps[cj]]]
-
-    factors = []
-    while len(reps) > 1:
-        e = coset_of[identity]
-        best, best_ord = None, 0
-        for ci in range(len(reps)):
-            k, cj = 1, ci
-            while cj != e:
-                cj = q_mul(cj, ci)
-                k += 1
-            if k > best_ord:
-                best, best_ord = ci, k
-        factors.append(best_ord)
-        # merge cosets along the cyclic subgroup generated by `best`
-        subgroup = [e]
-        cj = best
-        while cj != e:
-            subgroup.append(cj)
-            cj = q_mul(cj, best)
-        merged: dict[int, list[int]] = {}
-        for ci in range(len(reps)):
-            orbit = frozenset(q_mul(ci, s) for s in subgroup)
-            merged.setdefault(min(orbit), []).append(ci)
-        new_reps = []
-        new_id_of_old = {}
-        for new_id, (key, members) in enumerate(sorted(merged.items())):
-            new_reps.append(reps[key])
-            for ci in members:
-                new_id_of_old[ci] = new_id
-        coset_of = [new_id_of_old[coset_of[x]] for x in range(n)]
-        reps = new_reps
-    return tuple(reversed(factors))
-
-
 @lru_cache(maxsize=None)
 def class_group(D: int) -> ClassGroup:
-    """Class group with composition table and invariant-factor structure."""
+    """Class group with its invariant factors d_1 | d_2 | ..., read off element orders.
+
+    For each prime p with p^e || h, every form is raised to h/p^e, which maps the
+    group m-to-one onto its p-part (m = h/p^e), and then p-powered until it reaches
+    the identity. If m*p^s_k forms need at most k p-powerings, the p-part has
+    p^s_k elements killed by p^k, so s_k - s_(k-1) cyclic factors have p-exponent
+    at least k (Cohen, A Course in Computational Algebraic Number Theory, 5.4).
+    """
     elements = _enumerate_reduced(D)
-    index = {f: i for i, f in enumerate(elements)}
-    table = tuple(
-        tuple(index[compose(f, g)] for g in elements) for f in elements
-    )
-    identity = index[principal_form(D)]
-    structure = _invariant_factors(table, identity)
-    return ClassGroup(D=D, elements=elements, structure=structure, table=table)
+    h, identity = len(elements), principal_form(D)
+    factors: list[int] = []  # invariant factors, largest first
+    for p in _prime_factors(h):
+        e = 0
+        while h % p ** (e + 1) == 0:
+            e += 1
+        depth = [0] * (e + 1)  # depth[k]: forms needing exactly k p-powerings
+        for f in elements:
+            g, k = power(f, h // p**e), 0
+            while g != identity:
+                g, k = power(g, p), k + 1
+            depth[k] += 1
+        killed = list(accumulate(depth))  # killed[k] = m * p^s_k
+        for k in range(1, e + 1):
+            grown, i = killed[k] // killed[k - 1], 0  # p^(s_k - s_(k-1))
+            while grown > 1:
+                if i == len(factors):
+                    factors.append(1)
+                factors[i] *= p
+                grown, i = grown // p, i + 1
+    return ClassGroup(D=D, elements=elements, structure=tuple(reversed(factors)))
 
 
 def form_to_lattice(form: Form):

@@ -12,7 +12,9 @@ import argparse
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 import time
 from itertools import combinations
 from pathlib import Path
@@ -115,7 +117,19 @@ class ResultCache:
         self.entries.append(rec)
         if self.rewrite_needed:
             body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.entries)
-            self.path.write_text(body)
+            # write a sibling temp file and rename it over the cache, so a crash
+            # mid-write leaves the old file whole
+            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(body)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                shutil.copymode(self.path, tmp)
+                os.replace(tmp, self.path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
             self.rewrite_needed = False
         else:
             with self.path.open("a") as fh:
@@ -128,8 +142,10 @@ def _open_cache(args) -> ResultCache | None:
 
 
 def _check_prec(args) -> int:
-    if args.prec < 64:
-        raise ParseError(f"--prec must be at least 64 bits, got {args.prec}")
+    if not 64 <= args.prec <= analytic._ESCALATION_CAP:
+        raise ParseError(
+            f"--prec must be between 64 and {analytic._ESCALATION_CAP} bits, got {args.prec}"
+        )
     return args.prec
 
 

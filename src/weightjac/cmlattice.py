@@ -268,10 +268,6 @@ def image_lattice_L(tup: LatticeTuple, m: int) -> list[CMLattice]:
 _LATTICE_RE = re.compile(r"^\s*⟨(?P<g1>[^,⟩]+),(?P<g2>[^,⟩]+)⟩\s*$")
 
 
-def format_lattice(lat: CMLattice) -> str:
-    return str(lat)
-
-
 def parse_lattice(text: str, field: FieldTag | None = None) -> CMLattice:
     """Parse a lattice literal like "<1+0*sqrt(-1), 0+3*sqrt(-1)>" (angle brackets)."""
     m = _LATTICE_RE.match(text)
@@ -291,10 +287,6 @@ def parse_lattice(text: str, field: FieldTag | None = None) -> CMLattice:
     g1 = parse_quadelem(first, field)
     g2 = parse_quadelem(second, field)
     return canonicalize(g1, g2)
-
-
-def format_lattice_tuple(tup: LatticeTuple) -> str:
-    return str(tup)
 
 
 def parse_lattice_tuple(text: str, field: FieldTag | None = None) -> LatticeTuple:

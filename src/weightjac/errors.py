@@ -87,7 +87,3 @@ class LowerHalfPlane(WeightjacError):
 
 class PrecisionExhausted(WeightjacError):
     """Coefficient recognition failed even at the precision-escalation cap."""
-
-
-class CorruptCache(WeightjacError):
-    """Cache file could not be parsed."""

@@ -35,10 +35,6 @@ def parse_rational(text: str) -> BigRational:
     return Fraction(text)
 
 
-def format_rational(q: BigRational) -> str:
-    return str(q)
-
-
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n (n != 0)."""
     n = abs(n)
@@ -120,9 +116,6 @@ class QuadElem:
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def is_rational(self) -> bool:
-        return self.y == 0
 
     def __add__(self, other: "QuadElem") -> "QuadElem":
         self._check(other)

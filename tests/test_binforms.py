@@ -234,14 +234,17 @@ def test_class_group_structures():
 
 
 def test_class_group_structure_matches_element_orders():
-    rng = random.Random(3)
-    for D in rng.sample(all_discriminants(1200), 30):
+    # #{x : x^n = 1} = prod gcd(n, d_i) for every n | h determines a finite
+    # abelian group up to isomorphism; the orders come from repeated compose
+    for D in all_discriminants(1500) + [-308292, -114992]:
         group = class_group(D)
-        exponent = group.structure[-1] if group.structure else 1
         orders = [element_order(f) for f in group.elements]
-        assert max(orders) == exponent
-        for k in orders:
-            assert exponent % k == 0
+        for n in range(1, group.h + 1):
+            if group.h % n == 0:
+                expected = math.prod(math.gcd(n, d) for d in group.structure)
+                assert sum(1 for k in orders if n % k == 0) == expected, (D, n)
+    assert class_group(-308292).structure == (2, 2, 40)
+    assert class_group(-114992).structure == (150,)
 
 
 def _kronecker(a, n):

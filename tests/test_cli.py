@@ -154,6 +154,23 @@ def test_cache_corrupt_recovery(capsys, tmp_path):
     assert len(lines) == 1 and json.loads(lines[0])["D"] == -36
 
 
+def test_cache_recovery_rewrite_is_atomic(capsys, tmp_path, monkeypatch):
+    import os
+
+    cache = tmp_path / "cache.jsonl"
+    old = b'{"D": -4, "forms": [[1, 0, 1]], "hcp": null, "prec": 0, "structure": []}\nnot json\n'
+    cache.write_bytes(old)
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code, _ = run_cli(capsys, "classgroup", "-D", "-36", "--cache", str(cache))
+    assert code == 1
+    assert cache.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+
 def test_classgroup_cache_roundtrip(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cg.jsonl"
     monkeypatch.setenv("WJ_CACHE", str(cache))
@@ -198,9 +215,14 @@ def test_input_errors_exit_two(capsys):
 
 
 def test_low_precision_rejected_as_input_error(capsys):
-    code, record = run_cli(capsys, "jinv", "--lattices", "<1;3*sqrt(-1)>@-1", "--prec", "32")
-    assert code == 2
-    assert record["error"]["type"] == "ParseError"
+    for argv in (
+        ("jinv", "--lattices", "<1;3*sqrt(-1)>@-1", "--prec", "32"),
+        ("jinv", "--lattices", "<1;3*sqrt(-1)>@-1", "--prec", "2000000"),
+        ("hcp", "-D", "-4", "--prec", "65537"),
+    ):
+        code, record = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert record["error"]["type"] == "ParseError"
 
 
 def test_usage_error_exit_two(capsys):
