@@ -1,10 +1,11 @@
 """High-precision j-invariants and Hilbert class polynomials.
 
-j is evaluated as E4^3 / Delta from the q-expansions (Delta as the 24th power
-of the Euler product), after exact fundamental-domain reduction of the period
-ratio; both series have integer coefficients.  Class polynomials come from
-the root product over the reduced forms of the discriminant, with coefficient
-rounding verified and automatic precision escalation.
+j is evaluated as 1728 times Klein's J (mpmath.kleinj, a quotient of Jacobi
+theta-null values summed in fixed point), after fundamental-domain reduction
+of the period ratio, exact for lattices.  Class polynomials come from the root
+product over the reduced forms of the discriminant, starting at Enge's
+a-priori bound on the coefficient size, with coefficient rounding verified
+and automatic precision escalation.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from importlib import resources
 
 import mpmath
@@ -69,26 +69,6 @@ class PrecComplex:
     def __truediv__(self, other):
         return self._binary(other, lambda a, b: a / b)
 
-    def abs(self) -> mpmath.mpf:
-        with MP_LOCK, mp.workprec(self.prec):
-            return abs(self.to_mpc())
-
-    def __str__(self):
-        digits = max(int(self.prec * 0.3013) + 2, 17)
-        return f"{mpmath.nstr(self.re, digits)} + {mpmath.nstr(self.im, digits)}i"
-
-
-@lru_cache(maxsize=None)
-def _sigma3(n: int) -> int:
-    total = 0
-    for i in range(1, math.isqrt(n) + 1):
-        if n % i == 0:
-            total += i ** 3
-            j = n // i
-            if j != i:
-                total += j ** 3
-    return total
-
 
 def fundamental_domain_exact(tau: QuadElem) -> QuadElem:
     """Exact SL2(Z) reduction to |Re| <= 1/2, |tau| >= 1 (upper half-plane).
@@ -114,36 +94,20 @@ def fundamental_domain_exact(tau: QuadElem) -> QuadElem:
     return tau
 
 
-def _series_terms(prec: int, im_tau: float) -> int:
-    return int(math.ceil((prec + 40) * math.log(2) / (2 * math.pi * im_tau))) + 8
-
-
-def _j_series(tau_c, wp: int, nterms: int):
-    """E4(q)^3 / Delta(q) at q = exp(2*pi*i*tau), all at working precision wp."""
-    with MP_LOCK, mp.workprec(wp):
-        q = mpmath.exp(2j * mp.pi * tau_c)
-        e4_sum = mpmath.mpf(_sigma3(nterms))
-        for n in range(nterms - 1, 0, -1):
-            e4_sum = e4_sum * q + _sigma3(n)
-        e4 = 1 + 240 * e4_sum * q
-        euler = mpmath.mpc(1)
-        qn = mpmath.mpc(1)
-        for n in range(1, nterms + 1):
-            qn *= q
-            euler *= 1 - qn
-        delta = q * euler ** 24
-        return e4 ** 3 / delta
+def _klein_j(tau_c, prec: int) -> PrecComplex:
+    """1728 * J(tau_c) for a reduced tau_c given at prec + _GUARD_BITS bits."""
+    with MP_LOCK, mp.workprec(prec + _GUARD_BITS):
+        return PrecComplex.from_mpc(1728 * mpmath.kleinj(tau_c), prec)
 
 
 def j_invariant(tau, prec: int = 128) -> PrecComplex:
     """j(tau) with relative error below 2^(8-prec); Im(tau) must be positive."""
-    wp = prec + _GUARD_BITS
-    with MP_LOCK, mp.workprec(wp):
+    with MP_LOCK, mp.workprec(prec + _GUARD_BITS):
         tau_c = mpmath.mpc(tau.to_mpc() if isinstance(tau, PrecComplex) else tau)
         if tau_c.imag <= 0:
             raise LowerHalfPlane(f"Im(tau) = {tau_c.imag} <= 0")
         # numeric fundamental-domain reduction; the slack below 1 avoids
-        # cycling at boundary points, at a negligible cost in series length
+        # cycling at boundary points
         near_one = 1 - mpmath.mpf(2) ** -20
         while True:
             shift = mpmath.floor(tau_c.real + mpmath.mpf("0.5"))
@@ -151,30 +115,27 @@ def j_invariant(tau, prec: int = 128) -> PrecComplex:
             if abs(tau_c) >= near_one:
                 break
             tau_c = -1 / tau_c
-        value = _j_series(tau_c, wp, _series_terms(prec, float(tau_c.imag)))
-    return PrecComplex.from_mpc(value, prec)
+        return _klein_j(tau_c, prec)
 
 
 def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
-    """j of the homothety class: exact reduction of tau, then the q-series."""
+    """j of the homothety class: exact reduction of tau, then Klein's J."""
     tau = fundamental_domain_exact(lat.tau)
-    wp = prec + _GUARD_BITS
-    im = float(tau.y) * math.sqrt(-lat.field.d)
-    with MP_LOCK, mp.workprec(wp):
-        value = _j_series(tau.embed(wp), wp, _series_terms(prec, im))
-    return PrecComplex.from_mpc(value, prec)
+    return _klein_j(tau.embed(prec + _GUARD_BITS), prec)
 
 
 @dataclass(frozen=True)
 class ClassPolynomial:
     """Monic integer polynomial with the j-invariants of a discriminant as roots.
 
-    Coefficients are listed from the leading 1 down to the constant term.
+    Coefficients are listed from the leading 1 down to the constant term;
+    prec is the precision in bits at which they were recognized.
     Irreducibility over Q holds classically but is not verified here.
     """
 
     D: int
     coefficients: tuple[int, ...]
+    prec: int = field(compare=False)
 
     @property
     def degree(self) -> int:
@@ -189,15 +150,37 @@ class ClassPolynomial:
         return PrecComplex.from_mpc(acc, z.prec)
 
 
+def start_precision(D: int, prec: int = 128) -> int:
+    """First precision of hilbert_class_polynomial(D, prec), in bits.
+
+    The caller's prec is raised to Enge's a-priori bound on the bit size of the
+    coefficients of H_D (Math. Comp. 78, 2009),
+        log2 C(h, h//2) + sum over reduced forms of log2(exp(pi*sqrt|D|/a) + 2079),
+    plus guard bits: below it a coefficient can be a multiple of its ulp, so
+    a wrong value passes the rounding test.
+    """
+    forms = enumerate_reduced(D)
+    h = len(forms)
+    bits = math.log2(math.comb(h, h // 2))
+    for f in forms:
+        x = math.pi * math.sqrt(-D) / f.a
+        # log2(e^x + 2079) without overflowing exp(x)
+        bits += x / math.log(2) + math.log2(1 + 2079 * math.exp(-x))
+    return max(prec, math.ceil(bits) + _GUARD_BITS)
+
+
 def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
     """Expand prod (X - j) over the reduced forms of D and round to integers.
 
-    Each rounded coefficient must sit within 0.25 of its float value;
-    otherwise the precision doubles (cap 2^16 bits) before failing.
+    Starts at start_precision(D, prec).  Each rounded coefficient must sit
+    within 0.25 of its float value; otherwise the precision doubles (cap 2^16
+    bits) before failing.
     """
     validate_discriminant(D)
     forms = enumerate_reduced(D)
-    prec = max(prec, 64)
+    prec = start_precision(D, max(prec, 64))
+    if prec > _ESCALATION_CAP:
+        raise PrecisionExhausted(f"H_{D} needs {prec} bits, above the {_ESCALATION_CAP}-bit cap")
     while True:
         roots = [j_of_lattice(form_to_lattice(f), prec) for f in forms]
         wp = prec + _GUARD_BITS
@@ -217,7 +200,7 @@ def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
                     break
                 rounded.append(n)
         if ok:
-            return ClassPolynomial(D, tuple(rounded))
+            return ClassPolynomial(D, tuple(rounded), prec)
         if prec * 2 > _ESCALATION_CAP:
             raise PrecisionExhausted(f"coefficients of H_{D} not recognized at {prec} bits")
         prec *= 2

@@ -369,7 +369,8 @@ def _cmd_hcp(args):
     _check_prec(args)
     D = validate_discriminant(args.discriminant)
     cache = _open_cache(args)
-    hit = cache.hcp(D, args.prec) if cache else None
+    # entries computed below this request's start precision may be wrong
+    hit = cache.hcp(D, analytic.start_precision(D, args.prec)) if cache else None
     if hit:
         coeffs = [int(c) for c in hit["hcp"]]
     else:
@@ -383,7 +384,7 @@ def _cmd_hcp(args):
                     "forms": [list(f.as_tuple()) for f in group.elements],
                     "structure": list(group.structure),
                     "hcp": coeffs,
-                    "prec": args.prec,
+                    "prec": poly.prec,
                 }
             )
     return (

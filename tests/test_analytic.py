@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import mpmath
@@ -67,11 +68,11 @@ def test_fundamental_domain_exact():
 
 
 def test_golden_j_value_disc_36():
-    val = j_of_lattice(LAT_3I, 256).to_mpc()
-    with mp.workprec(400):
-        expected = 76771008 + 44330496 * mpmath.sqrt(3)
-        assert abs(val - expected) < abs(expected) * mpmath.mpf(2) ** -200
-        assert abs(val.imag) < mpmath.mpf(2) ** -180 * abs(expected)
+    for prec in (128, 256, 1024, 4096):
+        val = j_of_lattice(LAT_3I, prec).to_mpc()
+        with mp.workprec(prec + 64):
+            expected = 76771008 + 44330496 * mpmath.sqrt(3)
+            assert abs(val - expected) < abs(expected) * mpmath.mpf(2) ** (8 - prec), prec
 
 
 def test_j_of_lattice_homothety_invariance():
@@ -106,7 +107,7 @@ def test_hilbert_class_polynomial_values():
     assert hilbert_class_polynomial(-4, 128).coefficients == (1, -1728)
     h36 = hilbert_class_polynomial(-36, 128)
     assert h36.coefficients == (1, -2 * 76771008, 76771008 ** 2 - 3 * 44330496 ** 2)
-    # escalation from a deliberately tight starting precision
+    # a requested precision below Enge's bound is raised to it
     h144 = hilbert_class_polynomial(-144, 64)
     assert h144.degree == 4
     assert h144 == hilbert_class_polynomial(-144, 256)
@@ -151,6 +152,24 @@ def test_hilbert_class_polynomial_exact_expansion_oracle():
         assert hilbert_class_polynomial(D, 256).coefficients == tuple(coeffs), D
 
 
+# sha256 of the comma-joined coefficients, from perfbench/classpoly_digests.json
+# (computed there at Enge's bound + 64 bits and checked 64 bits higher)
+DIGESTS_WRONG_FROM_128_BITS = {
+    -1152: "e5de1376ce3abe96195d6093ce133ea948c64d2d52b35252b968477f25a25e77",
+    -1320: "d5827d747a51cb240c414d669bb4b1f2a3bb44f9f2781d8f2a1dc5617b9853fe",
+    -1363: "82406a6d8ce90fb4058184b40ed23a78c413b80572dfbc134f6884109d2ec77a",
+    -1395: "0bcf736fe48ff41a2a06a0033c4569522ff0db5321d7606057cf1247aece9c94",
+    -1603: "be191b7a83ea078ba4b3bfbe3821779f3486e3c78050437b80ef26d7851f9074",
+}
+
+
+def test_hilbert_class_polynomial_at_default_precision_matches_digests():
+    # coefficients wider than 128 + guard bits used to round to wrong integers
+    for D, expected in DIGESTS_WRONG_FROM_128_BITS.items():
+        coeffs = hilbert_class_polynomial(D, 128).coefficients
+        assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == expected, D
+
+
 def test_hilbert_polynomial_roots_evaluate_small():
     # scale = size of the largest Horner term; the bare coefficients are far
     # smaller than c_k * |j|^(deg-k) and the residual is P'(j) * root error
@@ -174,6 +193,19 @@ def test_hilbert_class_polynomial_precision_exhausted(monkeypatch):
     monkeypatch.setattr(analytic_module, "_ESCALATION_CAP", 64)
     with pytest.raises(PrecisionExhausted):
         analytic_module.hilbert_class_polynomial(-1999, 64)
+
+
+def test_hilbert_class_polynomial_escalates_below_start_bound(monkeypatch):
+    from weightjac.errors import PrecisionExhausted
+
+    # without the start bound, 64 bits cannot resolve H_-144 and the loop doubles
+    monkeypatch.setattr(analytic, "start_precision", lambda D, prec: prec)
+    h144 = hilbert_class_polynomial(-144, 64)
+    assert h144.prec == 128
+    assert h144.coefficients == hilbert_class_polynomial(-144, 256).coefficients
+    monkeypatch.setattr(analytic, "_ESCALATION_CAP", 512)
+    with pytest.raises(PrecisionExhausted, match="not recognized"):
+        hilbert_class_polynomial(-1999, 64)
 
 
 def test_j_is_real_examples():

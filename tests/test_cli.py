@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -142,6 +143,34 @@ def test_hcp_cache_cold_and_warm(capsys, tmp_path):
     assert high["result"]["coefficients"] == cold["result"]["coefficients"]
     lines = [json.loads(line) for line in cache.read_text().splitlines()]
     assert [rec["prec"] for rec in lines] == [128, 256]
+
+
+def test_hcp_cache_ignores_entries_below_start_precision(capsys, tmp_path):
+    # a record written before hcp started at Enge's bound: 128 bits, wrong H_D
+    from weightjac.binforms import class_group
+
+    D = -1320
+    group = class_group(D)
+    stale = {
+        "D": D,
+        "forms": [list(f.as_tuple()) for f in group.elements],
+        "structure": list(group.structure),
+        "hcp": [1] + [0] * group.h,
+        "prec": 128,
+    }
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(stale, sort_keys=True) + "\n")
+    code, report = run_cli(capsys, "hcp", "-D", str(D), "--prec", "128", "--cache", str(cache))
+    assert code == 0
+    coeffs = report["result"]["coefficients"]
+    assert report["result"]["prec"] == 128
+    # digest from perfbench/classpoly_digests.json
+    assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == (
+        "d5827d747a51cb240c414d669bb4b1f2a3bb44f9f2781d8f2a1dc5617b9853fe"
+    )
+    lines = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert lines[0] == stale
+    assert len(lines) == 2 and lines[1]["hcp"] == coeffs and lines[1]["prec"] > 128
 
 
 def test_cache_corrupt_recovery(capsys, tmp_path):
