@@ -10,8 +10,10 @@ and automatic precision escalation.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +24,7 @@ from mpmath import mp
 
 from .binforms import element_order, enumerate_reduced, form_to_lattice, validate_discriminant
 from .cmlattice import CMLattice, ideal_class, parse_lattice
-from .errors import LowerHalfPlane, ParseError, PrecisionExhausted
+from .errors import DivisionByZero, LowerHalfPlane, ParseError, PrecisionExhausted
 from .quadfield import MP_LOCK, QuadElem
 
 _GUARD_BITS = 48
@@ -51,23 +53,6 @@ class PrecComplex:
         # mpc() rounds to the ambient precision, so pin it to the stored one
         with MP_LOCK, mp.workprec(self.prec):
             return mpmath.mpc(self.re, self.im)
-
-    def _binary(self, other, op):
-        prec = min(self.prec, other.prec)
-        with MP_LOCK, mp.workprec(prec):
-            return PrecComplex.from_mpc(op(self.to_mpc(), other.to_mpc()), prec)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
 
 
 def fundamental_domain_exact(tau: QuadElem) -> QuadElem:
@@ -206,111 +191,71 @@ def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
         prec *= 2
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>zeta3|sqrt|cbrt|root4)|(?P<op>[-+*^()·]))"
-)
+_ALPHABET_RE = re.compile(r"(?:[0-9\s]|zeta3|sqrt|cbrt|root4|\*(?!\*)|[-+^()·])*")
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
 
-def _tokenize(expr: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(expr):
-        m = _TOKEN_RE.match(expr, pos)
-        if not m or m.end() == pos:
-            if expr[pos:].strip():
-                raise ParseError(f"bad expression near {expr[pos:pos + 12]!r}")
-            break
-        out.append(m.group("int") or m.group("name") or m.group("op"))
-        pos = m.end()
-    return out
+def _int_literal(node: ast.expr) -> int:
+    """An integer literal with at most one sign (an exponent or a radicand)."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        sign = -1 if isinstance(node.op, ast.USub) else 1
+        node = node.operand
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return sign * node.value
+    raise ParseError(f"expected an integer literal, found {ast.unparse(node)!r}")
 
 
-class _ExprParser:
-    """Recursive descent for: integers, + - * ^, sqrt(n), cbrt(n), root4(n), zeta3."""
-
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ParseError(f"expected {expected!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        value = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"trailing tokens at {self.peek()!r}")
-        return value
-
-    def expr(self):
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        value = sign * self.term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                value += self.term()
-            else:
-                value -= self.term()
-        return value
-
-    def term(self):
-        value = self.factor()
-        while self.peek() in ("*", "·"):
-            self.take()
-            value *= self.factor()
-        return value
-
-    def factor(self):
-        value = self.atom()
-        if self.peek() == "^":
-            self.take()
-            value **= int(self.take())
-        return value
-
-    def atom(self):
-        tok = self.peek()
-        if tok == "(":
-            self.take()
-            value = self.expr()
-            self.take(")")
-            return value
-        if tok == "zeta3":
-            self.take()
-            return (-1 + mpmath.sqrt(3) * 1j) / 2
-        if tok in ("sqrt", "cbrt", "root4"):
-            name = self.take()
-            self.take("(")
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            arg = sign * int(self.take())
-            self.take(")")
-            if name == "sqrt":
-                # negative radicands take the root with positive imaginary part
-                return mpmath.sqrt(mpmath.mpc(arg)) if arg < 0 else mpmath.sqrt(arg)
-            if name == "cbrt":
-                return mpmath.cbrt(arg)
-            return mpmath.root(arg, 4)
-        if tok == "-":
-            self.take()
-            return -self.atom()
-        if tok is not None and tok.isdigit():
-            return mpmath.mpmathify(int(self.take()))
-        raise ParseError(f"unexpected token {tok!r}")
+def _evaluate(node: ast.expr):
+    """Value of a whitelisted expression node at the ambient mpmath precision."""
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Pow):
+            return _evaluate(node.left) ** _int_literal(node.right)
+        op = _BINARY_OPS.get(type(node.op))
+        if op is not None:
+            return op(_evaluate(node.left), _evaluate(node.right))
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        value = _evaluate(node.operand)
+        return -value if isinstance(node.op, ast.USub) else value
+    elif isinstance(node, ast.Constant) and type(node.value) is int:
+        return mpmath.mpmathify(node.value)
+    elif isinstance(node, ast.Name) and node.id == "zeta3":
+        return (-1 + mpmath.sqrt(3) * 1j) / 2
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("sqrt", "cbrt", "root4")
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        n = _int_literal(node.args[0])
+        if node.func.id == "sqrt":
+            # negative radicands take the root with positive imaginary part
+            return mpmath.sqrt(mpmath.mpc(n)) if n < 0 else mpmath.sqrt(n)
+        return mpmath.cbrt(n) if node.func.id == "cbrt" else mpmath.root(n, 4)
+    raise ParseError(f"unsupported expression {ast.unparse(node)!r}")
 
 
 def evaluate_expression(expr: str, prec: int = 128) -> PrecComplex:
-    """Evaluate the algebraic-expression mini-language at the given precision."""
-    tokens = _tokenize(expr)
-    with MP_LOCK, mp.workprec(prec + 16):
-        value = _ExprParser(tokens).parse()
+    """Evaluate an algebraic expression at the given precision.
+
+    The language: integer literals, + - * (also ·), ^ with an integer-literal
+    exponent, unary signs, parentheses, zeta3, and sqrt(n), cbrt(n), root4(n)
+    of a signed integer literal.  Python's parser builds the syntax tree, so
+    precedence is Python's: 2*-3^2 is -18.
+    """
+    if not _ALPHABET_RE.fullmatch(expr):
+        raise ParseError(f"bad character or '**' in expression {expr!r}")
+    # whitespace runs become single spaces: ast.parse rejects a leading indent
+    text = " ".join(expr.split()).replace("^", "**").replace("·", "*")
+    try:
+        tree = ast.parse(text, mode="eval")
+        with MP_LOCK, mp.workprec(prec + 16):
+            value = _evaluate(tree.body)
+    except (SyntaxError, RecursionError) as exc:
+        raise ParseError(f"bad expression {expr!r}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise DivisionByZero(f"zero to a negative power in {expr!r}") from exc
     return PrecComplex.from_mpc(value, prec)
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import DiscriminantMismatch, InvalidDiscriminant, InvalidForm, ParseError
-from .quadfield import FieldTag, QuadElem, squarefree_part
+from .quadfield import FieldTag, QuadElem, factorize, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -131,27 +131,12 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + m1 * t) % l
 
 
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _with_coprime_lead(form: Form, n: int) -> Form:
     """An SL2(Z)-equivalent form whose leading coefficient is coprime to n."""
     if math.gcd(form.a, n) == 1:
         return form
     x0, y0, mod = 1, 0, 1
-    for p in _prime_factors(n):
+    for p in factorize(n):
         if form.a % p:
             xp, yp = 1, 0
         elif form.c % p:
@@ -293,10 +278,7 @@ def class_group(D: int) -> ClassGroup:
     elements = _enumerate_reduced(D)
     h, identity = len(elements), principal_form(D)
     factors: list[int] = []  # invariant factors, largest first
-    for p in _prime_factors(h):
-        e = 0
-        while h % p ** (e + 1) == 0:
-            e += 1
+    for p, e in factorize(h).items():
         depth = [0] * (e + 1)  # depth[k]: forms needing exactly k p-powerings
         for f in elements:
             g, k = power(f, h // p**e), 0
@@ -322,7 +304,6 @@ def form_to_lattice(form: Form):
     from . import cmlattice  # local import; cmlattice depends on this module
 
     D = form.discriminant
-    dK, f = fundamental_decomposition(D)
     d = squarefree_part(D)
     field = FieldTag(d)
     # sqrt(D) = t*sqrt(d) with t = sqrt(D/d)

@@ -269,7 +269,7 @@ _LATTICE_RE = re.compile(r"^\s*⟨(?P<g1>[^,⟩]+),(?P<g2>[^,⟩]+)⟩\s*$")
 
 
 def parse_lattice(text: str, field: FieldTag | None = None) -> CMLattice:
-    """Parse a lattice literal like "<1+0*sqrt(-1), 0+3*sqrt(-1)>" (angle brackets)."""
+    """Parse a lattice literal like "⟨1+0*sqrt(-1), 0+3*sqrt(-1)⟩"."""
     m = _LATTICE_RE.match(text)
     if not m:
         raise ParseError(f"not a lattice literal: {text!r}")

@@ -186,6 +186,3 @@ def parse_hodge(text: str) -> SyntheticHodge:
         raise ParseError(f"bad hodge numbers in {text!r}") from exc
     return SyntheticHodge(int(m.group("m")), numbers, int(m.group("r")))
 
-
-def format_hodge(h: SyntheticHodge) -> str:
-    return str(h)

@@ -35,39 +35,31 @@ def parse_rational(text: str) -> BigRational:
     return Fraction(text)
 
 
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of |n| by trial division (n != 0)."""
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    n = abs(n)
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n (n != 0)."""
-    n = abs(n)
-    if n == 0:
-        return False
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 2
-    return True
+    return n != 0 and all(e == 1 for e in factorize(n).values())
 
 
 def squarefree_part(n: int) -> int:
     """Largest squarefree divisor m of n with n/m a perfect square (sign kept)."""
-    if n == 0:
-        raise ValueError("squarefree part of 0 is undefined")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    m = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                m *= p
-        p += 1 if p == 2 else 2
-    return sign * m * n
+    return (-1 if n < 0 else 1) * math.prod(p for p, e in factorize(n).items() if e % 2)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from weightjac.errors import DivisionByZero, FieldMismatch, ParseError, Rational
 from weightjac.quadfield import (
     FieldTag,
     QuadElem,
+    factorize,
     is_squarefree,
     parse_quadelem,
     parse_rational,
@@ -40,6 +41,13 @@ def test_squarefree_helpers():
     assert squarefree_part(-108) == -3
     assert squarefree_part(-27) == -3
     assert squarefree_part(7) == 7
+    assert not is_squarefree(0)
+    with pytest.raises(ValueError):
+        squarefree_part(0)
+    assert factorize(-360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(1) == {} and factorize(7919**2 * 2) == {2: 1, 7919: 2}
+    for n in range(2, 500):
+        assert math.prod(p**e for p, e in factorize(n).items()) == n
 
 
 def test_rational_parsing():
