@@ -2,10 +2,10 @@
 
 j is evaluated as 1728 times Klein's J (mpmath.kleinj, a quotient of Jacobi
 theta-null values summed in fixed point), after fundamental-domain reduction
-of the period ratio, exact for lattices.  Class polynomials come from the root
-product over the reduced forms of the discriminant, starting at Enge's
-a-priori bound on the coefficient size, with coefficient rounding verified
-and automatic precision escalation.
+of the period ratio, exact for lattices (through binforms.reduce).  Class
+polynomials come from the root product over the reduced forms of the
+discriminant, starting at Enge's a-priori bound on the coefficient size, with
+coefficient rounding verified and automatic precision escalation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from importlib import resources
 import mpmath
 from mpmath import mp
 
-from .binforms import element_order, enumerate_reduced, form_to_lattice, validate_discriminant
+from .binforms import (
+    Form, element_order, enumerate_reduced, form_to_lattice, reduce, validate_discriminant
+)
 from .cmlattice import CMLattice, ideal_class, parse_lattice
 from .errors import DivisionByZero, LowerHalfPlane, ParseError, PrecisionExhausted
 from .quadfield import MP_LOCK, QuadElem
@@ -59,24 +61,16 @@ def fundamental_domain_exact(tau: QuadElem) -> QuadElem:
     """Exact SL2(Z) reduction to |Re| <= 1/2, |tau| >= 1 (upper half-plane).
 
     Boundary convention: Re = +1/2 rather than -1/2, and Re >= 0 on the unit
-    circle; every orbit has exactly one such representative.
+    circle; every orbit has exactly one such representative.  The root of
+    (a, -b, c) is -conj(tau), so the root (-r.b + sqrt(D))/(2 r.a) of its
+    reduced form r, mirrored, is the representative with this convention.
     """
     if tau.y <= 0:
         raise LowerHalfPlane(f"{tau} is not in the upper half-plane")
-    one = QuadElem.from_rational(tau.field, 1)
-    while True:
-        shift = math.floor(tau.x + Fraction(1, 2))
-        if shift:
-            tau = tau - QuadElem.from_rational(tau.field, shift)
-        if tau.norm() >= 1:
-            break
-        # strict inversion: the imaginary part grows, so this terminates
-        tau = -(one / tau)
-    if tau.norm() == 1 and tau.x < 0:
-        tau = -(one / tau)
-    if tau.x == Fraction(-1, 2):
-        tau = tau + one
-    return tau
+    a, b, c = tau.minimal_polynomial()
+    r = reduce(Form(a, -b, c))
+    t = math.isqrt(r.discriminant // tau.field.d)  # sqrt(D) = t*sqrt(d)
+    return QuadElem.make(tau.field, Fraction(r.b, 2 * r.a), Fraction(t, 2 * r.a))
 
 
 def _klein_j(tau_c, prec: int) -> PrecComplex:

@@ -1,6 +1,6 @@
 """Binary quadratic forms of negative discriminant.
 
-Reduction, Gauss composition (united-forms construction), enumeration of the
+Reduction, Gauss composition (Cohen's Algorithm 5.4.7), enumeration of the
 reduced primitive forms of a discriminant, class-group structure, and the
 classical form/lattice dictionary: the form (a, b, c) corresponds to the
 proper ideal (a, (-b+sqrt(D))/2) of the order of discriminant D.
@@ -14,8 +14,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import DiscriminantMismatch, InvalidDiscriminant, InvalidForm, ParseError
+from .errors import (
+    DiscriminantMismatch, DiscriminantTooLarge, InvalidDiscriminant, InvalidForm, ParseError
+)
 from .quadfield import FieldTag, QuadElem, factorize, squarefree_part
+
+# enumerating the reduced forms takes time linear in |D|; larger discriminants
+# fail fast instead of running for hours
+MAX_ABS_DISCRIMINANT = 10**8
 
 
 @dataclass(frozen=True)
@@ -47,9 +53,6 @@ class Form:
     def conjugate(self) -> "Form":
         """The inverse class (a, -b, c)."""
         return Form(self.a, -self.b, self.c)
-
-    def evaluate(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
 
     def is_reduced(self) -> bool:
         a, b, c = self.a, self.b, self.c
@@ -121,41 +124,6 @@ def reduce(form: Form) -> Form:
         return Form(a, b, c)
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    """x = r1 mod m1 and x = r2 mod m2 (solvable by construction here)."""
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        raise ValueError("inconsistent congruences")
-    l = m1 // g * m2
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return (r1 + m1 * t) % l
-
-
-def _with_coprime_lead(form: Form, n: int) -> Form:
-    """An SL2(Z)-equivalent form whose leading coefficient is coprime to n."""
-    if math.gcd(form.a, n) == 1:
-        return form
-    x0, y0, mod = 1, 0, 1
-    for p in factorize(n):
-        if form.a % p:
-            xp, yp = 1, 0
-        elif form.c % p:
-            xp, yp = 0, 1
-        else:
-            # p | a and p | c force p coprime to b by primitivity
-            xp, yp = 1, 1
-        x0, y0, mod = _crt(x0, mod, xp, p), _crt(y0, mod, yp, p), mod * p
-    g = math.gcd(x0, y0)
-    x0, y0 = x0 // g, y0 // g
-    # complete (x0, y0) to an SL2(Z) matrix [[x0, u], [y0, v]]
-    gg, v, neg_u = _ext_gcd(x0, y0)
-    u = -neg_u
-    a2 = form.evaluate(x0, y0)
-    b2 = 2 * (form.a * x0 * u + form.c * y0 * v) + form.b * (x0 * v + y0 * u)
-    c2 = form.evaluate(u, v)
-    return Form(a2, b2, c2)
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
     old_r, r = a, b
@@ -172,22 +140,25 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def compose(f: Form, g: Form) -> Form:
-    """Reduced Gauss composition via united forms.
+    """Reduced Gauss composition (Cohen, A Course in Computational Algebraic
+    Number Theory, Algorithm 5.4.7) of the reduced inputs.
 
-    Brings g to an equivalent form with leading coefficient coprime to f.a,
-    lifts both to a common middle coefficient B and composes concordantly.
+    Cohen's special cases (a1 | a2, d | s) need no branch: _ext_gcd already
+    returns his coefficients there, and any Bezout pair gives the same class.
     """
     if f.discriminant != g.discriminant:
         raise DiscriminantMismatch(
             f"disc {f.discriminant} vs {g.discriminant}"
         )
     D = f.discriminant
-    f = reduce(f)
-    g = _with_coprime_lead(reduce(g), f.a)
-    B = _crt(f.b, 2 * f.a, g.b, 2 * g.a)
-    A = f.a * g.a
-    C = (B * B - D) // (4 * A)
-    return reduce(Form(A, B, C))
+    (a1, b1, _), (a2, b2, c2) = reduce(f).as_tuple(), reduce(g).as_tuple()
+    s = (b1 + b2) // 2
+    d, y1, _ = _ext_gcd(a2, a1)
+    d1, x2, y2 = _ext_gcd(s, d)
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-y1 * y2 * (b2 - s) - x2 * c2) % v1
+    A, B = v1 * v2, b2 + 2 * v2 * r
+    return reduce(Form(A, B, (B * B - D) // (4 * A)))
 
 
 def power(form: Form, k: int) -> Form:
@@ -220,6 +191,8 @@ def element_order(form: Form) -> int:
 @lru_cache(maxsize=None)
 def _enumerate_reduced(D: int) -> tuple[Form, ...]:
     validate_discriminant(D)
+    if -D > MAX_ABS_DISCRIMINANT:
+        raise DiscriminantTooLarge(f"|D| = {-D} is above the {MAX_ABS_DISCRIMINANT} budget")
     out = []
     amax = math.isqrt(-D // 3)
     parity = D % 2

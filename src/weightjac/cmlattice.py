@@ -43,13 +43,9 @@ class Order:
         d = dK if dK % 4 == 1 else dK // 4
         return cls(FieldTag(d), f)
 
-    def generator(self) -> QuadElem:
-        """f * alpha with O_K = Z[alpha], alpha = (dK + sqrt(dK)) / 2."""
-        alpha = (QuadElem.from_rational(self.field, self.field.dK) + self.field.sqrt_dK()) / 2
-        return alpha * self.f
-
     def as_lattice(self) -> "CMLattice":
-        return canonicalize(QuadElem.from_rational(self.field, 1), self.generator())
+        """The order itself, the lattice of its principal form."""
+        return binforms.form_to_lattice(binforms.principal_form(self.discriminant))
 
     def __str__(self):
         return f"O(d={self.field.d}, f={self.f})"

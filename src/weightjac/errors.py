@@ -37,6 +37,10 @@ class InvalidDiscriminant(WeightjacError):
     """Discriminant is not a negative integer congruent to 0 or 1 mod 4."""
 
 
+class DiscriminantTooLarge(WeightjacError):
+    """Discriminant beyond the budget of the algorithms that enumerate its forms."""
+
+
 class DegenerateBasis(WeightjacError):
     """Proposed lattice generators do not span a rank-2 lattice."""
 

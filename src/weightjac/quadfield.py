@@ -77,11 +77,6 @@ class FieldTag:
         """Fundamental discriminant: d when d = 1 mod 4, else 4d."""
         return self.d if self.d % 4 == 1 else 4 * self.d
 
-    def sqrt_dK(self) -> "QuadElem":
-        """sqrt(dK) as an element of the field (= sqrt(d) or 2*sqrt(d))."""
-        y = 1 if self.d % 4 == 1 else 2
-        return QuadElem(self, Fraction(0), Fraction(y))
-
     def __repr__(self):
         return f"FieldTag(d={self.d})"
 

@@ -1,8 +1,11 @@
 import hashlib
 import random
+from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from weightjac import analytic
@@ -54,8 +57,6 @@ def test_modular_invariance_samples():
 
 
 def test_fundamental_domain_exact():
-    from fractions import Fraction as F
-
     t = fundamental_domain_exact(QuadElem.make(GAUSS, 5, 3))
     assert t == QuadElem.make(GAUSS, 0, 3)
     # tau = i/2 inverts to 2i
@@ -65,6 +66,39 @@ def test_fundamental_domain_exact():
     assert t3.norm() >= 1 and abs(t3.x) <= F(1, 2)
     with pytest.raises(LowerHalfPlane):
         fundamental_domain_exact(QuadElem.make(GAUSS, 1, -1))
+
+
+_FIELDS = [FieldTag(d) for d in (-1, -2, -3, -5, -7, -15, -23, -163)]
+
+
+def _upper_half_plane():
+    x = st.builds(F, st.integers(-2000, 2000), st.integers(1, 40))
+    y = st.builds(F, st.integers(1, 800), st.integers(1, 40))
+    return st.builds(QuadElem, st.sampled_from(_FIELDS), x, y)
+
+
+def _in_domain(t):
+    """|Re| <= 1/2 and |t| >= 1, with Re = +1/2 and Re >= 0 on |t| = 1."""
+    half = F(1, 2)
+    return t.y > 0 and -half < t.x <= half and t.norm() >= 1 and (t.norm() > 1 or t.x >= 0)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(tau=_upper_half_plane(), word=st.lists(st.integers(-5, 5), max_size=6))
+# random draws seldom land on the boundary: the unit circle and Re = -1/2
+@example(tau=QuadElem.make(GAUSS, F(-3, 5), F(4, 5)), word=[2, -1])
+@example(tau=QuadElem.make(EISEN, F(-1, 2), F(1, 2)), word=[1])
+@example(tau=QuadElem.make(FieldTag(-5), F(-1, 2), F(1, 2)), word=[])
+def test_fundamental_domain_exact_properties(tau, word):
+    reduced = fundamental_domain_exact(tau)
+    assert _in_domain(reduced)
+    assert fundamental_domain_exact(reduced) == reduced
+    # the word k1, k2, ... applies tau -> -1/(tau + k) once per letter
+    one = QuadElem.from_rational(tau.field, 1)
+    moved = tau
+    for k in word:
+        moved = -(one / (moved + QuadElem.from_rational(tau.field, k)))
+    assert fundamental_domain_exact(moved) == reduced
 
 
 def test_golden_j_value_disc_36():

@@ -19,7 +19,7 @@ from weightjac.binforms import (
     principal_form,
     reduce,
 )
-from weightjac.cmlattice import endomorphism_order, ideal_class
+from weightjac.cmlattice import endomorphism_order, ideal_class, lattice_product
 from weightjac.errors import DiscriminantMismatch, InvalidDiscriminant, InvalidForm
 
 
@@ -175,7 +175,7 @@ def _is_prime(n):
 def test_compose_against_independent_oracle():
     # the classical recipe assumes the gcd solvability that prime
     # discriminants guarantee; composite discriminants are cross-checked
-    # against ideal multiplication in the lattice tests instead
+    # against ideal multiplication in test_compose_matches_ideal_multiplication
     rng = random.Random(20250815)
     primes = [p for p in range(3, 5000, 4) if _is_prime(p)]
     checked = 0
@@ -186,6 +186,39 @@ def test_compose_against_independent_oracle():
         g = elements[rng.randrange(len(elements))]
         assert compose(f, g) == reduce(oracle_compose(f, g)), (D, f, g)
         checked += 1
+
+
+def _scrambled(form, rng):
+    """An SL2(Z)-equivalent, usually unreduced form: a few T^k then S moves."""
+    a, b, c = form.as_tuple()
+    for _ in range(rng.randrange(1, 4)):
+        k = rng.randrange(-3, 4)
+        a, b, c = a * k * k + b * k + c, -(b + 2 * a * k), a
+    return Form(a, b, c)
+
+
+def test_compose_matches_ideal_multiplication():
+    # every ordered pair of reduced forms for |D| <= 300, composite D included:
+    # the lattice product of the two ideals is their product ideal, and it
+    # is symmetric, so one product checks both orders
+    seen_gcd, seen_d_not_dividing_s = False, False
+    for D in all_discriminants(300):
+        forms = enumerate_reduced(D)
+        lattices = [form_to_lattice(f) for f in forms]
+        for i, (f, lf) in enumerate(zip(forms, lattices)):
+            for g, lg in zip(forms[i:], lattices[i:]):
+                expected = ideal_class(lattice_product(lf, lg))[1]
+                assert compose(f, g) == expected == compose(g, f), (f, g)
+                d = math.gcd(f.a, g.a)
+                seen_gcd |= d > 1
+                seen_d_not_dividing_s |= (f.b + g.b) // 2 % d != 0
+    assert seen_gcd and seen_d_not_dividing_s
+    rng = random.Random(20261018)
+    for _ in range(200):
+        D = rng.choice(all_discriminants(300))
+        f, g = (_scrambled(rng.choice(enumerate_reduced(D)), rng) for _ in range(2))
+        expected = ideal_class(lattice_product(form_to_lattice(f), form_to_lattice(g)))[1]
+        assert compose(f, g) == expected, (f, g)
 
 
 def test_enumerate_reduced_paper_tables():

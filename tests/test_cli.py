@@ -228,10 +228,19 @@ def test_hodge_commands(capsys):
     assert report["result"]["ns_rank"] == 9
 
 
-def test_input_errors_exit_two(capsys):
+def test_input_errors_exit_two(capsys, tmp_path):
     code, record = run_cli(capsys, "classgroup", "-D", "-5")
     assert code == 2
     assert record["error"]["type"] == "InvalidDiscriminant"
+    # enumerating the forms of D = -10^12 would take hours; the budget stops it
+    for argv in (
+        ("classgroup", "-D", "-1000000000000"),
+        ("hcp", "-D", "-1000000000000"),
+        ("hcp", "-D", "-1000000000000", "--cache", str(tmp_path / "cache.jsonl")),
+    ):
+        code, record = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert record["error"]["type"] == "DiscriminantTooLarge"
     code, record = run_cli(capsys, "jacobian", "--curves", "(-144:5,4,8)", "-m", "2")
     assert code == 2
     assert record["error"]["type"] == "BadWeight"
