@@ -17,11 +17,13 @@ from itertools import accumulate
 from .errors import (
     DiscriminantMismatch, DiscriminantTooLarge, InvalidDiscriminant, InvalidForm, ParseError
 )
-from .quadfield import FieldTag, QuadElem, factorize, squarefree_part
+from .quadfield import QuadElem, factorize, squarefree_part
 
 # enumerating the reduced forms takes time linear in |D|; larger discriminants
 # fail fast instead of running for hours
 MAX_ABS_DISCRIMINANT = 10**8
+# a weight-m Jacobian of n curves has C(n, m) factors; more fail fast
+MAX_JACOBIAN_FACTORS = 10**4
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def compose(f: Form, g: Form) -> Form:
     """Reduced Gauss composition (Cohen, A Course in Computational Algebraic
-    Number Theory, Algorithm 5.4.7) of the reduced inputs.
+    Number Theory, Algorithm 5.4.7) of two primitive forms of one discriminant.
 
     Cohen's special cases (a1 | a2, d | s) need no branch: _ext_gcd already
     returns his coefficients there, and any Bezout pair gives the same class.
@@ -151,7 +153,7 @@ def compose(f: Form, g: Form) -> Form:
             f"disc {f.discriminant} vs {g.discriminant}"
         )
     D = f.discriminant
-    (a1, b1, _), (a2, b2, c2) = reduce(f).as_tuple(), reduce(g).as_tuple()
+    (a1, b1, _), (a2, b2, c2) = f.as_tuple(), g.as_tuple()
     s = (b1 + b2) // 2
     d, y1, _ = _ext_gcd(a2, a1)
     d1, x2, y2 = _ext_gcd(s, d)
@@ -277,10 +279,9 @@ def form_to_lattice(form: Form):
     from . import cmlattice  # local import; cmlattice depends on this module
 
     D = form.discriminant
-    d = squarefree_part(D)
-    field = FieldTag(d)
+    field = cmlattice.Order.from_discriminant(D).field
     # sqrt(D) = t*sqrt(d) with t = sqrt(D/d)
-    t = math.isqrt(D // d)
+    t = math.isqrt(D // field.d)
     g1 = QuadElem.from_rational(field, form.a)
     g2 = QuadElem.make(field, Fraction(-form.b, 2), Fraction(t, 2))
     return cmlattice.canonicalize(g1, g2)

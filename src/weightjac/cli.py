@@ -26,12 +26,10 @@ from .binforms import Form, parse_form, validate_discriminant
 from .cmlattice import Order
 from .errors import ParseError, WeightjacError
 from .jacobians import CurveClass, ProductAV
-from .quadfield import FieldTag, parse_quadelem
 
 SCHEMA = 1
 
 _CURVE_RE = re.compile(r"\(\s*(-\d+)\s*:\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-_LATTICE_RE = re.compile(r"<\s*([^;>]+?)\s*;\s*([^>]+?)\s*>\s*@\s*(-\d+)")
 
 
 def _parse_curves(text: str) -> list[CurveClass]:
@@ -50,18 +48,20 @@ def _parse_curves(text: str) -> list[CurveClass]:
     return out
 
 
-def _parse_lattices(text: str) -> list[cmlattice.CMLattice]:
-    matches = list(_LATTICE_RE.finditer(text))
-    rest = _LATTICE_RE.sub("", text).replace(",", "").strip()
-    if not matches or rest:
-        raise ParseError(f"lattice list must look like '<g1;g2>@d,...': {text!r}")
-    out = []
-    for m in matches:
-        field = FieldTag(int(m.group(3)))
-        g1 = parse_quadelem(m.group(1), field)
-        g2 = parse_quadelem(m.group(2), field)
-        out.append(cmlattice.canonicalize(g1, g2))
-    return out
+def _product(args) -> tuple[ProductAV, dict]:
+    """The product of the --curves classes, and its echo."""
+    curves = _parse_curves(args.curves)
+    return ProductAV(tuple(curves)), {"curves": [_curve_record(e) for e in curves]}
+
+
+def _lattices(args, count: int) -> tuple[list[cmlattice.CMLattice], dict]:
+    """Exactly count --lattices (one or two), and their echo."""
+    lats = cmlattice.parse_lattices(args.lattices)
+    if len(lats) != count:
+        needs = ("one lattice", "two lattices")[count - 1]
+        raise ParseError(f"{args.command} needs exactly {needs}")
+    echo = [str(lat) for lat in lats]
+    return lats, {"lattice": echo[0]} if count == 1 else {"lattices": echo}
 
 
 def _order_record(order: Order) -> dict:
@@ -198,13 +198,11 @@ def _cmd_compose(args):
 
 
 def _cmd_latprod(args):
-    lats = _parse_lattices(args.lattices)
-    if len(lats) != 2:
-        raise ParseError("latprod needs exactly two lattices")
+    lats, echo = _lattices(args, 2)
     prod = cmlattice.lattice_product(lats[0], lats[1])
     order, form = cmlattice.ideal_class(prod)
     return (
-        {"lattices": [str(lat) for lat in lats]},
+        echo,
         {
             "product": str(prod),
             "order": _order_record(order),
@@ -214,13 +212,11 @@ def _cmd_latprod(args):
 
 
 def _cmd_homothety(args):
-    lats = _parse_lattices(args.lattices)
-    if len(lats) != 2:
-        raise ParseError("homothety needs exactly two lattices")
+    lats, echo = _lattices(args, 2)
     verdict = cmlattice.is_homothetic(lats[0], lats[1])
     classes = [cmlattice.ideal_class(lat) for lat in lats]
     return (
-        {"lattices": [str(lat) for lat in lats]},
+        echo,
         {
             "homothetic": verdict,
             "classes": [
@@ -231,82 +227,62 @@ def _cmd_homothety(args):
 
 
 def _cmd_endring(args):
-    lats = _parse_lattices(args.lattices)
-    if len(lats) != 1:
-        raise ParseError("endring needs exactly one lattice")
-    order, form = cmlattice.ideal_class(lats[0])
-    return (
-        {"lattice": str(lats[0])},
-        {"order": _order_record(order), "class": list(form.as_tuple())},
-    )
-
-
-def _jacobian_result(x: ProductAV, m: int) -> dict:
-    jac = jacobians.m_jacobian(x, m)
-    factors = []
-    for subset, factor in zip(combinations(range(x.n), m), jac.factors):
-        factors.append(
-            {
-                "indices": list(subset),
-                "discriminant": factor.order.discriminant,
-                "form": list(factor.form.as_tuple()),
-            }
-        )
-    return {"weight": m, "factors": factors}
+    (lat,), echo = _lattices(args, 1)
+    order, form = cmlattice.ideal_class(lat)
+    return echo, {"order": _order_record(order), "class": list(form.as_tuple())}
 
 
 def _cmd_jacobian(args):
-    curves = _parse_curves(args.curves)
-    x = ProductAV(tuple(curves))
-    result = _jacobian_result(x, args.weight)
-    return ({"curves": [_curve_record(e) for e in curves], "m": args.weight}, result)
+    x, echo = _product(args)
+    m = args.weight
+    jac = jacobians.m_jacobian(x, m)
+    factors = [
+        {
+            "indices": list(subset),
+            "discriminant": factor.order.discriminant,
+            "form": list(factor.form.as_tuple()),
+        }
+        for subset, factor in zip(combinations(range(x.n), m), jac.factors)
+    ]
+    return {**echo, "m": m}, {"weight": m, "factors": factors}
 
 
 def _cmd_kummer(args):
-    curves = _parse_curves(args.curves)
-    x = ProductAV(tuple(curves))
-    result = _jacobian_result(x, args.weight)
+    echo, result = _cmd_jacobian(args)
     labels = ["kummer-variety"]
-    if x.n == 2 and args.weight == 2:
+    if len(echo["curves"]) == 2 and args.weight == 2:
         labels.append("singular-K3")
-    result = {"labels": labels, **result}
-    return ({"curves": [_curve_record(e) for e in curves], "m": args.weight}, result)
+    return echo, {"labels": labels, **result}
 
 
 def _cmd_decompose(args):
-    curves = _parse_curves(args.curves)
-    x = ProductAV(tuple(curves))
-    dec = jacobians.n_decompose(x)
-    result = dec.to_record()
+    x, echo = _product(args)
+    result = jacobians.n_decompose(x).to_record()
     if x.n == 2:
-        report = jacobians.surface_decompose(curves[0], curves[1])
+        e1, e2 = x.factors
+        report = jacobians.surface_decompose(e1, e2)
         result["surface"] = {
             "big_order": _order_record(report.big_order),
             "jacobian": _curve_record(report.jacobian),
             "primitivity_degree": report.primitivity_degree,
         }
-        if curves[0].order == curves[1].order:
-            result["surface"][
-                "definable_over_jacobian_field"
-            ] = jacobians.product_definable_over_jacobian_field(curves[0], curves[1])
-    return ({"curves": [_curve_record(e) for e in curves]}, result)
+        if e1.order == e2.order:
+            result["surface"]["definable_over_jacobian_field"] = (
+                jacobians.product_definable_over_jacobian_field(e1, e2)
+            )
+    return echo, result
 
 
 def _cmd_orbit(args):
-    curves = _parse_curves(args.curves)
-    x = ProductAV(tuple(curves))
+    x, echo = _product(args)
     orbit = jacobians.jacobian_orbit(x)
-    return (
-        {"curves": [_curve_record(e) for e in curves]},
-        {"length": len(orbit), "orbit": [dec.to_record() for dec in orbit]},
-    )
+    return echo, {"length": len(orbit), "orbit": [dec.to_record() for dec in orbit]}
 
 
 def _cmd_fixedpoint(args):
-    curves = _parse_curves(args.curves)
-    x = ProductAV(tuple(curves))
+    x, echo = _product(args)
     return (
-        {"curves": [_curve_record(e) for e in curves]},
+        echo,
         {
             "fixed_point": jacobians.is_fixed_point(x),
             "decomposition": jacobians.n_decompose(x).to_record(),
@@ -345,15 +321,12 @@ def _cmd_fod(args):
 
 def _cmd_jinv(args):
     _check_prec(args)
-    lats = _parse_lattices(args.lattices)
-    if len(lats) != 1:
-        raise ParseError("jinv needs exactly one lattice")
-    lat = lats[0]
+    (lat,), echo = _lattices(args, 1)
     value = analytic.j_of_lattice(lat, args.prec)
     order, form = cmlattice.ideal_class(lat)
     tau = analytic.fundamental_domain_exact(lat.tau)
     return (
-        {"lattice": str(lat), "prec": args.prec},
+        {**echo, "prec": args.prec},
         {
             "re": _mpf_str(value.re, args.prec),
             "im": _mpf_str(value.im, args.prec),
@@ -470,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if curves:
             p.add_argument("--curves", required=True, help="'(D:a,b,c),(D:a,b,c),...'")
         if lattices:
-            p.add_argument("--lattices", required=True, help="'<g1;g2>@d,...'")
+            p.add_argument("--lattices", required=True, help="'⟨g1, g2⟩,...' or '<g1;g2>@d,...'")
         if weight:
             p.add_argument("-m", "--weight", type=int, default=2)
         if prec:

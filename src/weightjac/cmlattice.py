@@ -18,7 +18,7 @@ from itertools import combinations, product as iter_product
 
 from . import binforms
 from .binforms import Form, fundamental_decomposition
-from .errors import BadWeight, DegenerateBasis, FieldMismatch, NotCM, ParseError
+from .errors import BadWeight, DegenerateBasis, FieldMismatch, JacobianTooLarge, NotCM, ParseError
 from .quadfield import FieldTag, QuadElem, parse_quadelem
 
 
@@ -233,6 +233,15 @@ class LatticeTuple:
         return "[" + ", ".join(str(c) for c in self.components) + "]"
 
 
+def check_weight(n: int, m: int) -> None:
+    """Raise unless 2 <= m <= n and the C(n, m) weight-m factors fit the budget."""
+    if m < 2 or m > n:
+        raise BadWeight(f"need 2 <= m <= {n}, got {m}")
+    k, budget = math.comb(n, m), binforms.MAX_JACOBIAN_FACTORS
+    if k > budget:
+        raise JacobianTooLarge(f"C({n}, {m}) = {k} factors, above the {budget} budget")
+
+
 def image_lattice_L(tup: LatticeTuple, m: int) -> list[CMLattice]:
     """Image of wedge^m of the dual lattice in the antiholomorphic cotangent space.
 
@@ -241,8 +250,7 @@ def image_lattice_L(tup: LatticeTuple, m: int) -> list[CMLattice]:
     homothetic to the lattice product of the corresponding components.
     """
     n = len(tup)
-    if m < 2 or m > n:
-        raise BadWeight(f"need 2 <= m <= {n}, got {m}")
+    check_weight(n, m)
     field = tup.field
     choices = []
     for lat in tup.components:
@@ -261,38 +269,52 @@ def image_lattice_L(tup: LatticeTuple, m: int) -> list[CMLattice]:
     return out
 
 
-_LATTICE_RE = re.compile(r"^\s*⟨(?P<g1>[^,⟩]+),(?P<g2>[^,⟩]+)⟩\s*$")
+# ⟨g1, g2⟩ as printed, field named by the generators, or <g1;g2>@d
+_LATTICE_RE = re.compile(
+    r"⟨\s*(?P<g1>[^,⟩]+?)\s*,\s*(?P<g2>[^,⟩]+?)\s*⟩"
+    r"|<\s*(?P<h1>[^;>]+?)\s*;\s*(?P<h2>[^>]+?)\s*>\s*@\s*(?P<d>-\d+)"
+)
 
 
-def parse_lattice(text: str, field: FieldTag | None = None) -> CMLattice:
-    """Parse a lattice literal like "⟨1+0*sqrt(-1), 0+3*sqrt(-1)⟩"."""
-    m = _LATTICE_RE.match(text)
-    if not m:
+def parse_lattices(text: str) -> list[CMLattice]:
+    """Parse comma-separated lattice literals, each in its own field.
+
+    A literal is written as printed, "⟨1+0*sqrt(-1), 0+3*sqrt(-1)⟩", its field
+    read off the sqrt(d) of its p/q or x+y*sqrt(d) generators, or as
+    "<1;3*sqrt(-1)>@-1" with the field named after the @.
+    """
+    matches = list(_LATTICE_RE.finditer(text))
+    rest = _LATTICE_RE.sub("", text).replace(",", "").strip()
+    if not matches or rest:
+        raise ParseError(f"lattice list must look like '<g1;g2>@d,...': {text!r}")
+    out = []
+    for m in matches:
+        if m["d"] is None:
+            first, second = m["g1"], m["g2"]
+            tag = re.search(r"sqrt\(\s*(-\d+)\s*\)", first + second)
+            field = FieldTag(int(tag[1])) if tag else None
+        else:
+            first, second = m["h1"], m["h2"]
+            field = FieldTag(int(m["d"]))
+        out.append(canonicalize(parse_quadelem(first, field), parse_quadelem(second, field)))
+    return out
+
+
+def parse_lattice(text: str) -> CMLattice:
+    """Parse exactly one lattice literal, in either spelling of parse_lattices."""
+    lats = parse_lattices(text)
+    if len(lats) != 1:
         raise ParseError(f"not a lattice literal: {text!r}")
-    first, second = m.group("g1"), m.group("g2")
-    # a field tag can come from either generator when not supplied
-    if field is None:
-        for part in (first, second):
-            try:
-                field = parse_quadelem(part).field
-                break
-            except ParseError:
-                continue
-        if field is None:
-            raise ParseError(f"no sqrt(d) tag present in {text!r}")
-    g1 = parse_quadelem(first, field)
-    g2 = parse_quadelem(second, field)
-    return canonicalize(g1, g2)
+    return lats[0]
 
 
-def parse_lattice_tuple(text: str, field: FieldTag | None = None) -> LatticeTuple:
+def parse_lattice_tuple(text: str) -> LatticeTuple:
+    """Parse "[L1, L2, ...]", lattice literals over one field, as printed."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(f"not a lattice tuple literal: {text!r}")
     inner = text[1:-1]
-    parts = [p for p in re.split(r"(?<=⟩)\s*,", inner) if p.strip()]
-    lats = [parse_lattice(p, field) for p in parts]
-    if lats and field is None:
-        field = lats[0].field
-        lats = [parse_lattice(p, field) for p in parts]
+    lats = parse_lattices(inner) if inner.strip() else []
+    if any(lat.field != lats[0].field for lat in lats):
+        raise ParseError(f"lattice tuple mixes fields: {text!r}")
     return LatticeTuple(tuple(lats))

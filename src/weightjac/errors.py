@@ -41,6 +41,10 @@ class DiscriminantTooLarge(WeightjacError):
     """Discriminant beyond the budget of the algorithms that enumerate its forms."""
 
 
+class JacobianTooLarge(WeightjacError):
+    """Weight-m Jacobian with more factors than the budget of the routes that build it."""
+
+
 class DegenerateBasis(WeightjacError):
     """Proposed lattice generators do not span a rank-2 lattice."""
 

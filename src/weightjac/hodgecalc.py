@@ -94,6 +94,24 @@ def _twist(h: SyntheticHodge, i: int, m: int) -> SyntheticHodge:
     return SyntheticHodge(m, numbers, 0 if i > 0 else h.rank_image)
 
 
+def _twisted(
+    sections: Mapping[int, SyntheticHodge], twists: range, m: int, role: str
+) -> list[SyntheticHodge]:
+    """The summands H^{m-2i}(-i) of sections for i in twists while m - 2i >= 0."""
+    summands = []
+    for i in twists:
+        w = m - 2 * i
+        if w < 0:
+            break
+        if w not in sections:
+            raise MissingSummand(f"need the weight-{w} data of the {role}")
+        section = sections[w]
+        if section.weight != w:
+            raise MissingSummand(f"entry {w} has weight {section.weight}")
+        summands.append(_twist(section, i, m))
+    return summands
+
+
 def projective_bundle(
     sections: Mapping[int, SyntheticHodge], d: int, m: int
 ) -> SyntheticHodge:
@@ -102,18 +120,7 @@ def projective_bundle(
     Twisted summands contribute no (0, m) part, so the discrepancy equals
     that of the weight-m section.
     """
-    summands = []
-    for i in range(d + 1):
-        w = m - 2 * i
-        if w < 0:
-            break
-        if w not in sections:
-            raise MissingSummand(f"need the weight-{w} data of the base")
-        base = sections[w]
-        if base.weight != w:
-            raise MissingSummand(f"entry {w} has weight {base.weight}")
-        summands.append(_twist(base, i, m))
-    return direct_sum(summands)
+    return direct_sum(_twisted(sections, range(d + 1), m, "base"))
 
 
 def blowup(
@@ -124,19 +131,7 @@ def blowup(
     Adds H^{m-2i}(Y)(-i) for 1 <= i <= d-1; the discrepancy is unchanged and
     the induced map of weight-m Jacobians is an isomorphism.
     """
-    m = ambient.weight
-    summands = [ambient]
-    for i in range(1, d):
-        w = m - 2 * i
-        if w < 0:
-            break
-        if w not in center_sections:
-            raise MissingSummand(f"need the weight-{w} data of the center")
-        base = center_sections[w]
-        if base.weight != w:
-            raise MissingSummand(f"entry {w} has weight {base.weight}")
-        summands.append(_twist(base, i, m))
-    return direct_sum(summands)
+    return direct_sum([ambient] + _twisted(center_sections, range(1, d), ambient.weight, "center"))
 
 
 def split_h0(h: SyntheticHodge) -> tuple[SyntheticHodge, SyntheticHodge]:

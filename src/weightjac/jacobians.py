@@ -18,7 +18,6 @@ from . import binforms, cmlattice
 from .binforms import Form, compose, element_order, form_to_lattice, power, principal_form
 from .cmlattice import CMLattice, LatticeTuple, Order, ideal_class
 from .errors import (
-    BadWeight,
     DegenerateBasis,
     DimensionMismatch,
     DimensionTooSmall,
@@ -137,11 +136,9 @@ def m_jacobian(x: ProductAV, m: int) -> ProductAV:
     The factor for subset S is prod_{i in S} phi_{d_S, f_i}([E_i]) over the
     order of conductor d_S = gcd of the subset conductors.
     """
-    n = x.n
-    if m < 2 or m > n:
-        raise BadWeight(f"need 2 <= m <= {n}, got {m}")
+    cmlattice.check_weight(x.n, m)
     out = []
-    for subset in combinations(range(n), m):
+    for subset in combinations(range(x.n), m):
         curves = [x.factors[i] for i in subset]
         d = math.gcd(*(e.conductor for e in curves))
         form = principal_form(Order(x.field, d).discriminant)

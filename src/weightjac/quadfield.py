@@ -12,6 +12,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -52,8 +53,9 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def is_squarefree(n: int) -> bool:
-    """True iff no prime square divides n (n != 0)."""
+    """True iff no prime square divides n (n != 0); cached, since every FieldTag checks it."""
     return n != 0 and all(e == 1 for e in factorize(n).values())
 
 

@@ -50,6 +50,29 @@ def test_latprod_worked_example(capsys):
     assert report["result"]["class"] == [4, 0, 9]
 
 
+def test_lattices_read_as_printed(capsys):
+    code, old = run_cli(
+        capsys, "latprod", "--lattices", "<1;1/3+2/3*sqrt(-1)>@-1,<3;1+2*sqrt(-3)>@-3"
+    )
+    assert code == 2 and old["error"]["type"] == "FieldMismatch"
+    code, old = run_cli(
+        capsys, "latprod", "--lattices", "<1;1/3+2/3*sqrt(-1)>@-1,<1;1/3+2/3*sqrt(-1)>@-1"
+    )
+    assert code == 0
+    printed = ", ".join(old["input"]["lattices"])
+    assert printed == "⟨1+0*sqrt(-1), 1/3+2/3*sqrt(-1)⟩, ⟨1+0*sqrt(-1), 1/3+2/3*sqrt(-1)⟩"
+    code, new = run_cli(capsys, "latprod", "--lattices", printed)
+    assert code == 0
+    assert new["input"] == old["input"] and new["result"] == old["result"]
+    code, report = run_cli(capsys, "endring", "--lattices", new["result"]["product"])
+    assert code == 0
+    assert report["input"]["lattice"] == "⟨1/3+0*sqrt(-1), 0+2/9*sqrt(-1)⟩"
+    assert report["result"] == {
+        "order": {"d": -1, "conductor": 6, "discriminant": -144},
+        "class": [4, 0, 9],
+    }
+
+
 def test_homothety_and_endring(capsys):
     code, report = run_cli(
         capsys, "homothety", "--lattices", "<1;1/3+2/3*sqrt(-1)>@-1,<3;1+2*sqrt(-1)>@-1"
@@ -250,6 +273,11 @@ def test_input_errors_exit_two(capsys, tmp_path):
     code, record = run_cli(capsys, "reduce", "--form", "nonsense")
     assert code == 2
     assert record["error"]["type"] == "ParseError"
+    # C(40, 20) ~ 1.4e11 factors would never finish; the factor budget stops it
+    curves = ",".join(["(-144:5,4,8)"] * 40)
+    code, record = run_cli(capsys, "jacobian", "--curves", curves, "-m", "20")
+    assert code == 2
+    assert record["error"]["type"] == "JacobianTooLarge"
 
 
 def test_low_precision_rejected_as_input_error(capsys):

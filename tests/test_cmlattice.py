@@ -22,7 +22,7 @@ from weightjac.cmlattice import (
     parse_lattice,
     parse_lattice_tuple,
 )
-from weightjac.errors import BadWeight, DegenerateBasis, FieldMismatch
+from weightjac.errors import BadWeight, DegenerateBasis, FieldMismatch, ParseError
 from weightjac.quadfield import FieldTag, QuadElem
 
 GAUSS = FieldTag(-1)
@@ -320,6 +320,37 @@ def test_lattice_literal_round_trip():
     assert parse_lattice(str(lam)) == lam
     tup = LatticeTuple((lam, lat(1, 0, 0, 6)))
     assert parse_lattice_tuple(str(tup)) == tup
+    for D in (-4, -3, -8, -7, -56, -144, -108, -23, -1999):
+        lats = [form_to_lattice(f).scaled(F(2, 3)) for f in enumerate_reduced(D)]
+        for L in lats:
+            assert parse_lattice(str(L)) == L
+            assert parse_lattice(f"<{L.g1};{L.g2}>@{L.field.d}") == L
+            assert parse_lattice(f"< {L.g1.x} ; {L.g2} > @ {L.field.d}") == L
+        assert cmlattice.parse_lattices(", ".join(map(str, lats))) == lats
+        assert parse_lattice_tuple(str(LatticeTuple(tuple(lats)))) == LatticeTuple(tuple(lats))
+    i3, e2 = "⟨1+0*sqrt(-1), 0+3*sqrt(-1)⟩", "⟨2+0*sqrt(-3), 1+1*sqrt(-3)⟩"
+    # a list may mix fields, a tuple may not
+    assert [L.field.d for L in cmlattice.parse_lattices(f"{i3}, <1;1*sqrt(-3)>@-3")] == [-1, -3]
+    for parse, text, error in (
+        (parse_lattice, "⟨1+0*sqrt(-1)⟩", ParseError),
+        (parse_lattice, "⟨1, 2⟩", ParseError),
+        (parse_lattice, "⟨1+0*sqrt(-1), 2+0*sqrt(-1)⟩", DegenerateBasis),
+        (parse_lattice, "⟨1+0*sqrt(-1), 0+1*sqrt(-2)⟩", ParseError),
+        (parse_lattice, "⟨1+0*sqrt(-4), 0+1*sqrt(-4)⟩", ParseError),
+        (parse_lattice, "<1;1*sqrt(-2)>@-1", ParseError),
+        (parse_lattice, "garbage", ParseError),
+        (parse_lattice, f"{i3} {e2}", ParseError),
+        (parse_lattice, "⟨1, 2, 3*sqrt(-1)⟩", ParseError),
+        (parse_lattice_tuple, i3, ParseError),
+        (parse_lattice_tuple, "[]", DegenerateBasis),
+        (parse_lattice_tuple, f"[{i3}, {e2}]", ParseError),
+        (parse_lattice_tuple, f"[{i3}, junk]", ParseError),
+        (parse_lattice_tuple, f"[{i3}, ⟨1, 2⟩]", ParseError),
+        (parse_lattice_tuple, f"[{i3}, ⟨1, 0+1*sqrt(-3)⟩]", ParseError),
+        (parse_lattice_tuple, "[,]", ParseError),
+    ):
+        with pytest.raises(error):
+            parse(text)
 
 
 def test_lattice_tuple_field_check():
