@@ -3,9 +3,10 @@
 j is evaluated as 1728 times Klein's J (mpmath.kleinj, a quotient of Jacobi
 theta-null values summed in fixed point), after fundamental-domain reduction
 of the period ratio, exact for lattices (through binforms.reduce).  Class
-polynomials come from the root product over the reduced forms of the
-discriminant, starting at Enge's a-priori bound on the coefficient size, with
-coefficient rounding verified and automatic precision escalation.
+polynomials come from the real root product over conjugate pairs of reduced
+forms of the discriminant, one j per pair, starting at Enge's a-priori bound
+on the coefficient size; every accepted polynomial passes an a-posteriori
+error bound, with automatic precision escalation.
 """
 
 from __future__ import annotations
@@ -103,6 +104,12 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     return _klein_j(tau.embed(prec + _GUARD_BITS), prec)
 
 
+def _is_real(z: PrecComplex) -> bool:
+    """|Im z| < 2^(16-prec) (1 + |z|): real within 2^8 times the j error bound."""
+    with MP_LOCK, mp.workprec(z.prec):
+        return abs(z.im) < mpmath.mpf(2) ** (16 - z.prec) * (1 + abs(z.to_mpc()))
+
+
 @dataclass(frozen=True)
 class ClassPolynomial:
     """Monic integer polynomial with the j-invariants of a discriminant as roots.
@@ -151,38 +158,78 @@ def start_precision(D: int, prec: int = 128) -> int:
 def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
     """Expand prod (X - j) over the reduced forms of D and round to integers.
 
-    Starts at start_precision(D, prec).  Each rounded coefficient must sit
-    within 0.25 of its float value; otherwise the precision doubles (cap 2^16
-    bits) before failing.
+    j is evaluated once per conjugate pair: for 0 < b < a < c the form
+    (a, -b, c) is reduced too and its j is the conjugate of j(a, b, c), which
+    gives the real factor X^2 - 2 Re(j) X + |j|^2; the ambiguous forms (b = 0,
+    b = a or a = c) have real j and give X - Re(j).  Starts at
+    start_precision(D, prec).  A precision is accepted only when every
+    ambiguous j passes the reality test of j_is_real and the a-posteriori
+    bound of _expand_pairs puts every coefficient within 1/16 of its true
+    value; each rounded coefficient must then sit within 0.25 of its float
+    value.  Otherwise the precision doubles (cap 2^16 bits) before failing.
     """
     validate_discriminant(D)
     forms = enumerate_reduced(D)
+    upper = [f for f in forms if f.b >= 0]
+    paired = [0 < f.b < f.a < f.c for f in upper]
     prec = start_precision(D, max(prec, 64))
     if prec > _ESCALATION_CAP:
         raise PrecisionExhausted(f"H_{D} needs {prec} bits, above the {_ESCALATION_CAP}-bit cap")
     while True:
-        roots = [j_of_lattice(form_to_lattice(f), prec) for f in forms]
-        wp = prec + _GUARD_BITS
-        with MP_LOCK, mp.workprec(wp):
-            coeffs = [mpmath.mpc(1)]
-            for root in roots:
-                r = root.to_mpc()
-                coeffs.append(mpmath.mpc(0))
-                for k in range(len(coeffs) - 1, 0, -1):
-                    coeffs[k] = coeffs[k] - r * coeffs[k - 1]
-            rounded = []
-            ok = True
-            for c in coeffs:
-                n = int(mpmath.nint(c.real))
-                if abs(c - n) >= mpmath.mpf("0.25"):
-                    ok = False
-                    break
-                rounded.append(n)
-        if ok:
-            return ClassPolynomial(D, tuple(rounded), prec)
+        roots = [j_of_lattice(form_to_lattice(f), prec) for f in upper]
+        coeffs = _expand_pairs(roots, paired, prec)
+        if coeffs is not None:
+            return ClassPolynomial(D, coeffs, prec)
         if prec * 2 > _ESCALATION_CAP:
             raise PrecisionExhausted(f"coefficients of H_{D} not recognized at {prec} bits")
         prec *= 2
+
+
+def _expand_pairs(
+    roots: list[PrecComplex], paired: list[bool], prec: int
+) -> tuple[int, ...] | None:
+    """Integer coefficients of prod (X - j), or None if prec cannot certify them.
+
+    roots are the j of the reduced forms with b >= 0 at prec bits, paired
+    marks those whose conjugate is a root too, and h = len(roots) +
+    sum(paired) is the degree.  Each j carries an error |dr| <= eps (1 + |r|)
+    with eps = 2^(8-prec), so every coefficient is off by at most
+    ((1+eps)^h - 1) prod(1 + |r_i|) <= 2 h eps prod(1 + |r_i|) over all h
+    roots.  mag(prod) + ceil(log2 h) + 12 < prec puts that at or below 1/16,
+    so the nearest integer is the true coefficient and the 0.25 rounding test
+    only checks consistency; the slack below 1/4 covers the 53-bit product.
+    Enge's start (bound + 48 bits) always clears this test.  The expansion at
+    prec + 48 bits adds its own rounding error of about
+    4 h 2^(-prec-48) prod(1 + |r_i|), 2^-55 of the root error term.
+    """
+    h = len(roots) + sum(paired)
+    with MP_LOCK:
+        size = mpmath.mpf(1)
+        with mp.workprec(53):
+            for r, pair in zip(roots, paired):
+                factor = 1 + mpmath.hypot(r.re, r.im)
+                size *= factor * factor if pair else factor
+        if mpmath.mag(size) + (h - 1).bit_length() + 12 >= prec:
+            return None
+        with mp.workprec(prec + _GUARD_BITS):
+            coeffs = [mpmath.mpf(1)]
+            for r, pair in zip(roots, paired):
+                if pair:
+                    s, p = 2 * r.re, r.re * r.re + r.im * r.im
+                    coeffs += [0, 0]
+                    for k in range(len(coeffs) - 1, 1, -1):
+                        coeffs[k] += p * coeffs[k - 2] - s * coeffs[k - 1]
+                    coeffs[1] -= s
+                elif _is_real(r):
+                    coeffs.append(0)
+                    for k in range(len(coeffs) - 1, 0, -1):
+                        coeffs[k] -= r.re * coeffs[k - 1]
+                else:
+                    return None
+            rounded = tuple(int(mpmath.nint(c)) for c in coeffs)
+            if any(abs(c - n) >= 0.25 for c, n in zip(coeffs, rounded)):
+                return None
+    return rounded
 
 
 _ALPHABET_RE = re.compile(r"(?:[0-9\s]|zeta3|sqrt|cbrt|root4|\*(?!\*)|[-+^()·])*")
@@ -269,9 +316,7 @@ def verify_exact(lat: CMLattice, expr: str, prec: int = 128) -> bool:
 
 def j_is_real(lat: CMLattice, prec: int = 128) -> bool:
     """Numeric reality test; agrees with 'class order at most 2' classically."""
-    value = j_of_lattice(lat, prec)
-    with MP_LOCK, mp.workprec(prec):
-        return abs(value.im) < mpmath.mpf(2) ** (16 - prec) * (1 + abs(value.to_mpc()))
+    return _is_real(j_of_lattice(lat, prec))
 
 
 def appendix_fixtures() -> list[dict]:

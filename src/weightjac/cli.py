@@ -9,6 +9,7 @@ JSON-lines file selected by --cache or the WJ_CACHE environment variable.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import re
@@ -16,6 +17,7 @@ import shutil
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
@@ -76,8 +78,50 @@ def _mpf_str(x, prec: int) -> str:
     return mpmath.nstr(x, max(int(prec * 0.30103) + 2, 17))
 
 
+@contextmanager
+def _locked(path: Path, mode: str, operation: int):
+    """path opened in mode and held under flock(operation).
+
+    Reopens until the lock is on the file path names: a corrupt-line rewrite
+    renames a new file over it.
+    """
+    while True:
+        fh = path.open(mode)
+        try:
+            fcntl.flock(fh, operation)
+            if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
+                break
+        except BaseException:
+            fh.close()
+            raise
+        fh.close()
+    with fh:
+        yield fh
+
+
+def _parse_records(text: str) -> tuple[list[dict], bool]:
+    """The valid records of a cache file, and whether it had corrupt lines."""
+    entries, corrupt = [], False
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or not isinstance(rec.get("D"), int):
+                raise ValueError("bad record")
+        except Exception:
+            corrupt = True
+            continue
+        entries.append(rec)
+    return entries, corrupt
+
+
 class ResultCache:
-    """Append-only JSON-lines cache keyed by discriminant."""
+    """Append-only JSON-lines cache keyed by discriminant.
+
+    Readers hold a shared flock and writers an exclusive one, so concurrent
+    processes never see or write a partial record.
+    """
 
     def __init__(self, path: str):
         self.path = Path(path)
@@ -86,20 +130,13 @@ class ResultCache:
         self._load()
 
     def _load(self) -> None:
-        if not self.path.exists():
+        try:
+            with _locked(self.path, "r", fcntl.LOCK_SH) as fh:
+                text = fh.read()
+        except FileNotFoundError:
             return
-        for line in self.path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict) or not isinstance(rec.get("D"), int):
-                    raise ValueError("bad record")
-            except Exception:
-                # corrupt line: recompute what is asked and rewrite the file
-                self.rewrite_needed = True
-                continue
-            self.entries.append(rec)
+        # corrupt lines: recompute what is asked and rewrite the file
+        self.entries, self.rewrite_needed = _parse_records(text)
 
     def classgroup(self, D: int) -> dict | None:
         for rec in reversed(self.entries):
@@ -115,25 +152,29 @@ class ResultCache:
 
     def put(self, rec: dict) -> None:
         self.entries.append(rec)
-        if self.rewrite_needed:
-            body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.entries)
+        line = json.dumps(rec, sort_keys=True) + "\n"
+        if not self.rewrite_needed:
+            with _locked(self.path, "ab", fcntl.LOCK_EX) as fh:
+                fh.write(line.encode())
+            return
+        with _locked(self.path, "r", fcntl.LOCK_EX) as fh:
+            # reread under the lock to keep records other writers appended
+            entries, _ = _parse_records(fh.read())
+            body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in entries) + line
             # write a sibling temp file and rename it over the cache, so a crash
             # mid-write leaves the old file whole
             fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".")
             try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(body)
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                with os.fdopen(fd, "w") as out:
+                    out.write(body)
+                    out.flush()
+                    os.fsync(out.fileno())
                 shutil.copymode(self.path, tmp)
                 os.replace(tmp, self.path)
             except BaseException:
                 os.unlink(tmp)
                 raise
-            self.rewrite_needed = False
-        else:
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        self.rewrite_needed = False
 
 
 def _open_cache(args) -> ResultCache | None:

@@ -251,6 +251,11 @@ def image_lattice_L(tup: LatticeTuple, m: int) -> list[CMLattice]:
     """
     n = len(tup)
     check_weight(n, m)
+    products, budget = math.comb(n, m) << m, binforms.MAX_JACOBIAN_FACTORS
+    if products > budget:
+        raise JacobianTooLarge(
+            f"C({n}, {m})*2^{m} = {products} generator products, above the {budget} budget"
+        )
     field = tup.field
     choices = []
     for lat in tup.components:

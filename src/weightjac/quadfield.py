@@ -200,27 +200,35 @@ _PURE_SQRT_RE = re.compile(
 )
 
 
+def _rational(literal: str, text: str) -> Fraction:
+    """Fraction(literal) for a p/q matched in text, refusing q = 0."""
+    try:
+        return Fraction(literal)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
+
+
 def parse_quadelem(text: str, field: FieldTag | None = None) -> QuadElem:
     """Parse "x+y*sqrt(d)", "x", or "y*sqrt(d)" (x, y as p/q rationals)."""
     m = _PURE_SQRT_RE.match(text)
     if m:
         d = int(m.group("d"))
         tag = _resolve_field(d, field, text)
-        y = Fraction(m.group("y"))
+        y = _rational(m.group("y"), text)
         if m.group("sign") == "-":
             y = -y
         return QuadElem(tag, Fraction(0), y)
     m = _ELEM_RE.match(text)
     if not m:
         raise ParseError(f"not a quadratic element literal: {text!r}")
-    x = Fraction(m.group("x"))
+    x = _rational(m.group("x"), text)
     if m.group("y") is None:
         if field is None:
             raise ParseError(f"no field tag available for rational literal {text!r}")
         return QuadElem(field, x, Fraction(0))
     d = int(m.group("d"))
     tag = _resolve_field(d, field, text)
-    y = Fraction(m.group("y"))
+    y = _rational(m.group("y"), text)
     if m.group("sign") == "-":
         y = -y
     return QuadElem(tag, x, y)

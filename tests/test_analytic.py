@@ -20,7 +20,7 @@ from weightjac.analytic import (
     verify_appendix,
     verify_exact,
 )
-from weightjac.binforms import element_order, enumerate_reduced, form_to_lattice
+from weightjac.binforms import Form, element_order, enumerate_reduced, form_to_lattice
 from weightjac.cmlattice import ideal_class, parse_lattice
 from weightjac.errors import DivisionByZero, LowerHalfPlane, ParseError
 from weightjac.quadfield import FieldTag, QuadElem
@@ -202,6 +202,43 @@ def test_hilbert_class_polynomial_at_default_precision_matches_digests():
     for D, expected in DIGESTS_WRONG_FROM_128_BITS.items():
         coeffs = hilbert_class_polynomial(D, 128).coefficients
         assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == expected, D
+
+
+def test_hilbert_class_polynomial_evaluates_one_j_per_conjugate_pair(monkeypatch):
+    calls = []
+
+    def counting_j(lat, prec=128):
+        calls.append(lat)
+        return j_of_lattice(lat, prec)
+
+    monkeypatch.setattr(analytic, "j_of_lattice", counting_j)
+    D = -1603
+    coeffs = hilbert_class_polynomial(D, 128).coefficients
+    forms = enumerate_reduced(D)
+    assert len(calls) == sum(f.b >= 0 for f in forms) < len(forms)
+    assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == (
+        DIGESTS_WRONG_FROM_128_BITS[D]
+    )
+
+
+def test_hilbert_class_polynomial_rejects_nonreal_ambiguous_j(monkeypatch):
+    from weightjac.errors import PrecisionExhausted
+
+    # the real expansion reads only Re j of an ambiguous form, so its reality
+    # test is the one place a spurious imaginary part can show
+    ambiguous = form_to_lattice(Form(1, 0, 36))
+
+    def perturbed_j(lat, prec=128):
+        value = j_of_lattice(lat, prec)
+        if lat == ambiguous:
+            with mp.workprec(prec):
+                value = PrecComplex.from_mpc(value.to_mpc() + 1j * mpmath.mpf(2) ** -20, prec)
+        return value
+
+    monkeypatch.setattr(analytic, "j_of_lattice", perturbed_j)
+    monkeypatch.setattr(analytic, "_ESCALATION_CAP", analytic.start_precision(-144, 128))
+    with pytest.raises(PrecisionExhausted, match="not recognized"):
+        hilbert_class_polynomial(-144, 128)
 
 
 def test_hilbert_polynomial_roots_evaluate_small():

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weightjac
 from weightjac.cli import main
 
 
@@ -206,9 +211,50 @@ def test_cache_corrupt_recovery(capsys, tmp_path):
     assert len(lines) == 1 and json.loads(lines[0])["D"] == -36
 
 
-def test_cache_recovery_rewrite_is_atomic(capsys, tmp_path, monkeypatch):
-    import os
+_APPEND_WORKER = """
+import sys
+from weightjac.cli import ResultCache
 
+cache = ResultCache(sys.argv[1])
+tag = int(sys.argv[2])
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(50):
+    cache.put({"D": -(1000 * tag + i), "forms": None, "hcp": None, "prec": 0, "pad": "x" * 20000})
+"""
+
+
+def test_cache_concurrent_appends_stay_whole(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    src = str(Path(weightjac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    workers = [
+        subprocess.Popen(
+            [sys.executable, "-c", _APPEND_WORKER, str(cache), str(tag)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        for tag in (1, 2)
+    ]
+    try:
+        for w in workers:
+            assert w.stdout.readline() == "ready\n"
+        for w in workers:  # release both at once
+            w.stdin.write("go\n")
+            w.stdin.flush()
+        for w in workers:
+            assert w.wait(timeout=60) == 0
+    finally:
+        for w in workers:
+            w.kill()
+            w.communicate()
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    expected = [-(1000 * t + i) for t in (1, 2) for i in range(50)]
+    assert sorted(r["D"] for r in records) == sorted(expected)
+    assert all(r["pad"] == "x" * 20000 for r in records)
+
+
+def test_cache_recovery_rewrite_is_atomic(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache.jsonl"
     old = b'{"D": -4, "forms": [[1, 0, 1]], "hcp": null, "prec": 0, "structure": []}\nnot json\n'
     cache.write_bytes(old)
@@ -271,6 +317,9 @@ def test_input_errors_exit_two(capsys, tmp_path):
     assert code == 2
     assert record["error"]["type"] == "DiscriminantMismatch"
     code, record = run_cli(capsys, "reduce", "--form", "nonsense")
+    assert code == 2
+    assert record["error"]["type"] == "ParseError"
+    code, record = run_cli(capsys, "latprod", "--lattices", "<1;1/0*sqrt(-1)>@-1,<1;sqrt(-1)>@-1")
     assert code == 2
     assert record["error"]["type"] == "ParseError"
     # C(40, 20) ~ 1.4e11 factors would never finish; the factor budget stops it

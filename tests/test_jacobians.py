@@ -12,6 +12,7 @@ from weightjac.errors import (
     DimensionMismatch,
     DimensionTooSmall,
     FieldMismatch,
+    JacobianTooLarge,
     NotADivisor,
     OrderMismatch,
     PrimitivityViolation,
@@ -164,6 +165,14 @@ def test_m_jacobian_agrees_with_lattice_route():
         x = random_product(rng, 1200, 4)
         for m in range(2, x.n + 1):
             assert m_jacobian(x, m) == m_jacobian_lattice_route(x, m)
+
+
+def test_lattice_route_budget_counts_generator_products():
+    # one factor, but 2^14 generator products: counting C(n, m) alone let it run for seconds
+    x = ProductAV(tuple([GEN_144] * 14))
+    with pytest.raises(JacobianTooLarge, match="generator products"):
+        m_jacobian_lattice_route(x, 14)
+    assert m_jacobian(x, 14).n == 1
 
 
 def test_kummer_passthrough():
