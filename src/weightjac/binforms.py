@@ -22,9 +22,6 @@ from .quadfield import QuadElem, factorize, squarefree_part
 # enumerating the reduced forms takes time linear in |D|; larger discriminants
 # fail fast instead of running for hours
 MAX_ABS_DISCRIMINANT = 10**8
-# a weight-m Jacobian of n curves has C(n, m) factors, and the lattice route
-# builds 2^m generator products for each; more fail fast
-MAX_JACOBIAN_FACTORS = 10**4
 
 
 @dataclass(frozen=True)

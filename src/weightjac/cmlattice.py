@@ -4,17 +4,19 @@ A CMLattice is a rank-2 Z-module inside Q(sqrt(d)), stored in a canonical
 Hermite-normalized basis <p/den, (q + r*sqrt(d))/den>.  Every such lattice has
 complex multiplication, its endomorphism ring is an order, and homothety
 classes correspond to reduced binary quadratic forms.  The lattice product
-(additive span of pairwise element products) and the wedge-image computation
-give two independent routes to higher-weight Jacobians.
+(additive span of pairwise element products), folded over wedge-image duals,
+is the lattice route to higher-weight Jacobians; until a forms-only phi lands,
+the class route shares lattice_product and ideal_class with it through phi.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations
 
 from . import binforms
 from .binforms import Form, fundamental_decomposition
@@ -233,45 +235,37 @@ class LatticeTuple:
         return "[" + ", ".join(str(c) for c in self.components) + "]"
 
 
+# a weight-m Jacobian of n curves has C(n, m) factors of m curves each; both
+# routes spend about the same time per curve slot, and more slots fail fast
+MAX_JACOBIAN_SLOTS = 10**4
+
+
 def check_weight(n: int, m: int) -> None:
-    """Raise unless 2 <= m <= n and the C(n, m) weight-m factors fit the budget."""
+    """Raise unless 2 <= m <= n and the C(n, m)*m curve slots fit the budget."""
     if m < 2 or m > n:
         raise BadWeight(f"need 2 <= m <= {n}, got {m}")
-    k, budget = math.comb(n, m), binforms.MAX_JACOBIAN_FACTORS
-    if k > budget:
-        raise JacobianTooLarge(f"C({n}, {m}) = {k} factors, above the {budget} budget")
+    slots, budget = math.comb(n, m) * m, MAX_JACOBIAN_SLOTS
+    if slots > budget:
+        raise JacobianTooLarge(f"C({n}, {m})*{m} = {slots} curve slots, above the {budget} budget")
 
 
 def image_lattice_L(tup: LatticeTuple, m: int) -> list[CMLattice]:
     """Image of wedge^m of the dual lattice in the antiholomorphic cotangent space.
 
     Component for indices i1 < ... < im is spanned by the 2^m products of
-    {-eps_j * tau_j, eps_j} with eps_j = 1/(conj(tau_j) - tau_j); it comes out
-    homothetic to the lattice product of the corresponding components.
+    {-eps_j * tau_j, eps_j} with eps_j = 1/(conj(tau_j) - tau_j), which by
+    bilinearity is the lattice product of the duals <-eps_j * tau_j, eps_j>,
+    a fold of m - 1 products.  It comes out homothetic to the lattice product
+    of the corresponding components.
     """
-    n = len(tup)
-    check_weight(n, m)
-    products, budget = math.comb(n, m) << m, binforms.MAX_JACOBIAN_FACTORS
-    if products > budget:
-        raise JacobianTooLarge(
-            f"C({n}, {m})*2^{m} = {products} generator products, above the {budget} budget"
-        )
-    field = tup.field
-    choices = []
+    check_weight(len(tup), m)
+    one = QuadElem.from_rational(tup.field, 1)
+    duals = []
     for lat in tup.components:
         tau = lat.tau
-        eps = QuadElem.from_rational(field, 1) / (tau.conj() - tau)
-        choices.append((-(eps * tau), eps))
-    out = []
-    for subset in combinations(range(n), m):
-        gens = []
-        for picks in iter_product(*(choices[j] for j in subset)):
-            g = QuadElem.from_rational(field, 1)
-            for factor in picks:
-                g = g * factor
-            gens.append(g)
-        out.append(from_generators(field, gens))
-    return out
+        eps = one / (tau.conj() - tau)
+        duals.append(canonicalize(-(eps * tau), eps))
+    return [functools.reduce(lattice_product, subset) for subset in combinations(duals, m)]
 
 
 # ⟨g1, g2⟩ as printed, field named by the generators, or <g1;g2>@d

@@ -4,8 +4,9 @@ Everything is computed on isomorphism classes: a CurveClass is (order,
 reduced form), a ProductAV is a tuple of classes over one field.  The
 m-Jacobian of a product is the product over m-subsets of the composed,
 conductor-transferred classes; the same object is computable from lattices
-through cmlattice.image_lattice_L, which the test suite uses as an
-independent oracle.
+through cmlattice.image_lattice_L, which the test suite uses as an oracle.
+The two routes still share lattice_product and ideal_class through phi,
+until a forms-only phi lands.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def m_jacobian(x: ProductAV, m: int) -> ProductAV:
 def m_jacobian_lattice_route(x: ProductAV, m: int) -> ProductAV:
     """Same object computed from period lattices via the wedge-image formula.
 
-    Independent of the class-group route; the two must agree componentwise.
+    The two routes must agree componentwise.  They share lattice_product and
+    ideal_class through phi, until a forms-only phi lands.
     """
     tup = LatticeTuple(tuple(e.lattice() for e in x.factors))
     comps = cmlattice.image_lattice_L(tup, m)

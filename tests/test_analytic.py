@@ -260,10 +260,20 @@ def test_hilbert_class_polynomial_precision_exhausted(monkeypatch):
     from weightjac import analytic as analytic_module
     from weightjac.errors import PrecisionExhausted
 
-    # h(-1999) is large enough that 64 bits cannot resolve the coefficients
+    # Enge's bound puts H_-1999 far above a 64-bit cap: it fails before any j
+    # is evaluated (the "not recognized" tests cover failures after evaluation)
     monkeypatch.setattr(analytic_module, "_ESCALATION_CAP", 64)
-    with pytest.raises(PrecisionExhausted):
+    calls = []
+    real_j = analytic_module.j_of_lattice
+
+    def counted_j(*args):
+        calls.append(args)
+        return real_j(*args)
+
+    monkeypatch.setattr(analytic_module, "j_of_lattice", counted_j)
+    with pytest.raises(PrecisionExhausted, match="above the 64-bit cap"):
         analytic_module.hilbert_class_polynomial(-1999, 64)
+    assert calls == []
 
 
 def test_hilbert_class_polynomial_escalates_below_start_bound(monkeypatch):

@@ -327,6 +327,11 @@ def test_input_errors_exit_two(capsys, tmp_path):
     code, record = run_cli(capsys, "jacobian", "--curves", curves, "-m", "20")
     assert code == 2
     assert record["error"]["type"] == "JacobianTooLarge"
+    # C(200, 199) = 200 factors but 39,800 curve slots: the budget counts the slots
+    curves = ",".join(["(-144:5,4,8)"] * 200)
+    code, record = run_cli(capsys, "jacobian", "--curves", curves, "-m", "199")
+    assert code == 2
+    assert record["error"]["type"] == "JacobianTooLarge"
 
 
 def test_low_precision_rejected_as_input_error(capsys):

@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightjac import binforms, cmlattice
 from weightjac.binforms import Form, compose, enumerate_reduced, form_to_lattice
@@ -295,6 +298,83 @@ def test_image_lattice_matches_products_randomly():
                 for j in subset[1:]:
                     expected = lattice_product(expected, lats[j])
                 assert is_homothetic(comp, expected)
+
+
+def span_of_generator_products(tup, m):
+    """image_lattice_L by its definition: the span of the 2^m products of
+    {-eps_j * tau_j, eps_j}, eps_j = 1/(conj(tau_j) - tau_j), per m-subset."""
+    one = QuadElem.from_rational(tup.field, 1)
+    choices = []
+    for lam in tup.components:
+        tau = lam.tau
+        eps = one / (tau.conj() - tau)
+        choices.append((-(eps * tau), eps))
+    return [
+        from_generators(tup.field, [math.prod(picks, start=one) for picks in product(*subset)])
+        for subset in combinations(choices, m)
+    ]
+
+
+def test_image_lattice_equals_span_of_generator_products():
+    # exact equality of canonical bases, not just homothety
+    rng = random.Random(53)
+    for _ in range(30):
+        field = FieldTag(rng.choice([-1, -2, -3, -7, -15, -23]))
+        lats = []
+        for _ in range(rng.randint(2, 4)):
+            forms = enumerate_reduced(Order(field, rng.randint(1, 6)).discriminant)
+            lam = form_to_lattice(forms[rng.randrange(len(forms))])
+            if rng.random() < 0.5:
+                scale = q(F(rng.randint(-5, 5), rng.randint(1, 5)), F(rng.randint(1, 5), 3), field)
+                lam = lam.scaled(scale)
+            lats.append(lam)
+        tup = LatticeTuple(tuple(lats))
+        for m in range(2, len(tup) + 1):
+            assert image_lattice_L(tup, m) == span_of_generator_products(tup, m)
+
+
+FIELDS = st.sampled_from([GAUSS, EISEN, FieldTag(-2), FieldTag(-7), FieldTag(-15)])
+# integer coordinates (x, y) of (x + y*sqrt(d))/den
+COORDS = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+@st.composite
+def generators(draw, field):
+    """A rank-2 generator list: p, x + y*sqrt(d) with p, y nonzero, then extras."""
+    den = draw(st.integers(1, 6))
+    rows = [(draw(st.integers(1, 9)), 0), (draw(st.integers(-9, 9)), draw(st.integers(1, 9)))]
+    rows += draw(st.lists(COORDS, max_size=2))
+    return [q(F(x, den), F(y, den), field) for x, y in rows]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(data=st.data(), field=FIELDS)
+def test_from_generators_ignores_unimodular_changes(data, field):
+    gens = data.draw(generators(field))
+    lam = from_generators(field, gens)
+    # elementary moves g_i += k*g_j, swaps and sign flips generate GL_n(Z)
+    moved = list(gens)
+    index = st.integers(0, len(gens) - 1)
+    steps = st.tuples(index, index, st.integers(-4, 4))
+    for i, j, k in data.draw(st.lists(steps, max_size=6)):
+        if i == j:
+            moved[i] = -moved[i]
+        elif k == 0:
+            moved[i], moved[j] = moved[j], moved[i]
+        else:
+            moved[i] = moved[i] + moved[j] * q(k, 0, field)
+    assert from_generators(field, moved) == lam
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(gens), max_size=len(gens)))
+    combo = sum((g * q(c, 0, field) for g, c in zip(gens, coeffs)), q(0, 0, field))
+    assert from_generators(field, gens + [combo]) == lam
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(data=st.data(), field=FIELDS)
+def test_lattice_product_commutes_and_associates_exactly(data, field):
+    a, b, c = (from_generators(field, data.draw(generators(field))) for _ in range(3))
+    assert lattice_product(a, b) == lattice_product(b, a)
+    assert lattice_product(lattice_product(a, b), c) == lattice_product(a, lattice_product(b, c))
 
 
 def test_image_lattice_scale_invariance():

@@ -167,12 +167,19 @@ def test_m_jacobian_agrees_with_lattice_route():
             assert m_jacobian(x, m) == m_jacobian_lattice_route(x, m)
 
 
-def test_lattice_route_budget_counts_generator_products():
-    # one factor, but 2^14 generator products: counting C(n, m) alone let it run for seconds
+def test_lattice_route_folds_one_product_per_curve():
+    # one factor of 14 curves: the lattice route folds 13 lattice products
     x = ProductAV(tuple([GEN_144] * 14))
-    with pytest.raises(JacobianTooLarge, match="generator products"):
-        m_jacobian_lattice_route(x, 14)
+    assert m_jacobian_lattice_route(x, 14) == m_jacobian(x, 14)
     assert m_jacobian(x, 14).n == 1
+
+
+def test_jacobian_budget_counts_curve_slots():
+    # only C(200, 199) = 200 factors, but 39,800 curve slots: both routes refuse at once
+    x = ProductAV(tuple([GEN_144] * 200))
+    for route in (m_jacobian, m_jacobian_lattice_route):
+        with pytest.raises(JacobianTooLarge, match="39800 curve slots"):
+            route(x, 199)
 
 
 def test_kummer_passthrough():
