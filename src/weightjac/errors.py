@@ -45,6 +45,10 @@ class JacobianTooLarge(WeightjacError):
     """Weight-m Jacobian with more factors than the budget of the routes that build it."""
 
 
+class HodgeTooLarge(WeightjacError):
+    """Hodge numbers with more digits than the budget for building and printing them."""
+
+
 class DegenerateBasis(WeightjacError):
     """Proposed lattice generators do not span a rank-2 lattice."""
 

@@ -1,16 +1,20 @@
 """Higher-weight Jacobians of products of CM elliptic curves.
 
 Everything is computed on isomorphism classes: a CurveClass is (order,
-reduced form), a ProductAV is a tuple of classes over one field.  The
-m-Jacobian of a product is the product over m-subsets of the composed,
-conductor-transferred classes; the same object is computable from lattices
-through cmlattice.image_lattice_L, which the test suite uses as an oracle.
+reduced form), a ProductAV is a tuple of classes over one field.  One
+kernel lifts a set of classes to the order of their gcd conductor and
+composes them: the m-Jacobian applies it to every m-subset, and the
+canonical decomposition is the conductor chain plus the kernel on all n
+curves (the weight-n Jacobian).  The m-Jacobian is also computable from
+lattices through cmlattice.image_lattice_L, which the test suite uses as an
+oracle.
 The two routes still share lattice_product and ideal_class through phi,
 until a forms-only phi lands.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -118,6 +122,16 @@ def phi(cls: CurveClass, c: int) -> CurveClass:
     return CurveClass(order, form)
 
 
+def _compose_lifts(curves, lift) -> CurveClass:
+    """Lift curves over one field to the order of conductor d = gcd and compose.
+
+    lift is phi, or a per-call cache of it when one curve recurs in many sets.
+    """
+    d = math.gcd(*(e.conductor for e in curves))
+    form = functools.reduce(compose, (lift(e, d).form for e in curves))
+    return CurveClass(Order(curves[0].field, d), form)
+
+
 def brauer_jacobian_pair(e1: CurveClass, e2: CurveClass) -> CurveClass:
     """Class of the weight-2 Jacobian of E1 x E2.
 
@@ -126,27 +140,21 @@ def brauer_jacobian_pair(e1: CurveClass, e2: CurveClass) -> CurveClass:
     """
     if e1.field != e2.field:
         raise FieldMismatch("curves with CM by different fields")
-    c = math.gcd(e1.conductor, e2.conductor)
-    form = compose(phi(e1, c).form, phi(e2, c).form)
-    return CurveClass(Order(e1.field, c), form)
+    return _compose_lifts((e1, e2), phi)
 
 
 def m_jacobian(x: ProductAV, m: int) -> ProductAV:
     """The weight-m Jacobian: one factor per m-subset of the curve factors.
 
     The factor for subset S is prod_{i in S} phi_{d_S, f_i}([E_i]) over the
-    order of conductor d_S = gcd of the subset conductors.
+    order of conductor d_S = gcd of the subset conductors.  phi is cached for
+    the call, so each curve is lifted once per target conductor.
     """
     cmlattice.check_weight(x.n, m)
-    out = []
-    for subset in combinations(range(x.n), m):
-        curves = [x.factors[i] for i in subset]
-        d = math.gcd(*(e.conductor for e in curves))
-        form = principal_form(Order(x.field, d).discriminant)
-        for e in curves:
-            form = compose(form, phi(e, d).form)
-        out.append(CurveClass(Order(x.field, d), form))
-    return ProductAV(tuple(out))
+    lift = functools.cache(phi)
+    return ProductAV(
+        tuple(_compose_lifts(subset, lift) for subset in combinations(x.factors, m))
+    )
 
 
 def m_jacobian_lattice_route(x: ProductAV, m: int) -> ProductAV:
@@ -246,41 +254,24 @@ class Decomposition:
         }
 
 
-def _pair_rule(e1: CurveClass, e2: CurveClass) -> tuple[CurveClass, CurveClass]:
-    """Replace {E1, E2} by {principal at lcm, composed class at gcd}."""
-    big = CurveClass.principal(Order(e1.field, math.lcm(e1.conductor, e2.conductor)))
-    return big, brauer_jacobian_pair(e1, e2)
-
-
 def n_decompose(x: ProductAV) -> Decomposition:
-    """Canonical decomposition of Lemma-4.13 type via repeated pair reduction.
+    """Canonical decomposition of Lemma-4.13 type from the conductor chain.
 
-    Applies the surface rule to the lexicographically first pair whose
-    conductors are incomparable under divisibility, then sweeps the class
-    data down to the smallest conductor.  The result is independent of the
-    factor order.
+    The chain r_1 | ... | r_n is the invariant-factor chain of the
+    conductors: a gcd/lcm compare-exchange over all pairs sorts the exponent
+    of every prime, which is where the surface rule applied pair by pair
+    ends up.  The terminal class is the weight-n Jacobian, the composed
+    lifts of all n classes to the order of conductor r_1.  The result is
+    independent of the factor order.
     """
     n = x.n
     if n < 2:
         raise DimensionTooSmall("decomposition needs n >= 2")
-    work = list(x.factors)
-    while True:
-        hit = None
-        for i, j in combinations(range(n), 2):
-            fi, fj = work[i].conductor, work[j].conductor
-            if fi % fj and fj % fi:
-                hit = (i, j)
-                break
-        if hit is None:
-            break
-        i, j = hit
-        work[i], work[j] = _pair_rule(work[i], work[j])
-    work.sort(key=lambda e: -e.conductor)
-    for k in range(n - 1):
-        work[k], work[k + 1] = _pair_rule(work[k], work[k + 1])
-    chain = tuple(e.conductor for e in reversed(work))
+    chain = list(x.conductors())
+    for i, j in combinations(range(n), 2):
+        chain[i], chain[j] = math.gcd(chain[i], chain[j]), math.lcm(chain[i], chain[j])
     primitivity = chain[1] // chain[0] if n == 2 else None
-    return Decomposition(chain, work[-1], primitivity)
+    return Decomposition(tuple(chain), _compose_lifts(x.factors, phi), primitivity)
 
 
 def is_isomorphic(x: ProductAV, y: ProductAV) -> bool:

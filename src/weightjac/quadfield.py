@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .errors import DivisionByZero, FieldMismatch, ParseError, RationalInput
+from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseError, RationalInput
 
 BigRational = Fraction
 
@@ -36,14 +36,27 @@ def parse_rational(text: str) -> BigRational:
     return Fraction(text)
 
 
+# trial division stops here: a cofactor above MAX_TRIAL_DIVISOR**2 left
+# without a factor would take minutes, so it is refused instead
+MAX_TRIAL_DIVISOR = 10**6
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of |n| by trial division (n != 0)."""
+    """Prime factorization {p: e} of |n| by trial division (n != 0).
+
+    Raises DiscriminantTooLarge when the part left unfactored would need a
+    trial divisor above MAX_TRIAL_DIVISOR.
+    """
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:
+        if p > MAX_TRIAL_DIVISOR:
+            raise DiscriminantTooLarge(
+                f"{n} has no prime factor up to {MAX_TRIAL_DIVISOR} and is too large to factor"
+            )
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

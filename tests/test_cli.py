@@ -295,6 +295,9 @@ def test_hodge_commands(capsys):
     code, report = run_cli(capsys, "hodge", "--abelian", "3,2")
     assert code == 0
     assert report["result"]["ns_rank"] == 9
+    code, report = run_cli(capsys, "hodge", "--abelian", "10000,2")
+    assert code == 0
+    assert report["result"]["ns_rank"] == 10000**2
 
 
 def test_input_errors_exit_two(capsys, tmp_path):
@@ -310,6 +313,21 @@ def test_input_errors_exit_two(capsys, tmp_path):
         code, record = run_cli(capsys, *argv)
         assert code == 2, argv
         assert record["error"]["type"] == "DiscriminantTooLarge"
+    # 10^18 + 3 has no prime factor below 10^6: trial division would run for minutes
+    for argv in (
+        ("decompose", "--curves", "(-4000000000000000012:1,0,1000000000000000003),"
+         "(-4000000000000000012:1,0,1000000000000000003)"),
+        ("endring", "--lattices", "<1;sqrt(-1000000000000000003)>@-1000000000000000003"),
+    ):
+        code, record = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert record["error"]["type"] == "DiscriminantTooLarge"
+    # C(20000, 5000) has about 4900 digits: building the Hodge numbers took 15 s
+    # and printing them failed; the digit budget refuses before any binomial
+    for pair in ("10000,5000", "1000000,500000"):
+        code, record = run_cli(capsys, "hodge", "--abelian", pair)
+        assert code == 2, pair
+        assert record["error"]["type"] == "HodgeTooLarge"
     code, record = run_cli(capsys, "jacobian", "--curves", "(-144:5,4,8)", "-m", "2")
     assert code == 2
     assert record["error"]["type"] == "BadWeight"

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from weightjac import cmlattice, jacobians
-from weightjac.binforms import Form, compose, enumerate_reduced, power, principal_form
+from weightjac.binforms import Form, compose, enumerate_reduced, power
 from weightjac.cmlattice import LatticeTuple, Order, canonicalize
 from weightjac.errors import (
     BadWeight,
@@ -265,21 +265,74 @@ def test_n_decompose_matches_surface_for_pairs():
         assert dec.primitivity_degree == rep.primitivity_degree
 
 
-def test_n_decompose_terminal_is_phi_product():
+def decompose_by_pair_rule(x: ProductAV):
+    """Reference decomposition by the surface rule applied pair by pair.
+
+    Replaces the first pair with conductors incomparable under divisibility
+    by (principal class at the lcm, composed lifts at the gcd) until the
+    conductors form a chain, then sweeps the class data down it.
+    """
+
+    def pair_rule(e1, e2):
+        c = math.gcd(e1.conductor, e2.conductor)
+        big = CurveClass.principal(Order(e1.field, math.lcm(e1.conductor, e2.conductor)))
+        return big, CurveClass(Order(e1.field, c), compose(phi(e1, c).form, phi(e2, c).form))
+
+    work = list(x.factors)
+    while True:
+        hit = next(
+            (
+                (i, j)
+                for i, j in combinations(range(x.n), 2)
+                if work[i].conductor % work[j].conductor and work[j].conductor % work[i].conductor
+            ),
+            None,
+        )
+        if hit is None:
+            break
+        i, j = hit
+        work[i], work[j] = pair_rule(work[i], work[j])
+    work.sort(key=lambda e: -e.conductor)
+    for k in range(x.n - 1):
+        work[k], work[k + 1] = pair_rule(work[k], work[k + 1])
+    return tuple(e.conductor for e in reversed(work)), work[-1]
+
+
+def test_n_decompose_matches_pair_rule():
+    # conductors from the divisors of 60 and 72, so chains mix several primes
     rng = random.Random(97)
-    for _ in range(40):
-        x = random_product(rng, 1500, 4)
+    divisors = sorted({k for k in range(1, 73) if 60 % k == 0 or 72 % k == 0})
+    for _ in range(60):
+        field = FieldTag(rng.choice([-1, -2, -3, -7]))
+        factors = []
+        for _ in range(rng.randint(2, 6)):
+            order = Order(field, rng.choice(divisors))
+            forms = enumerate_reduced(order.discriminant)
+            factors.append(CurveClass(order, forms[rng.randrange(len(forms))]))
+        x = ProductAV(tuple(factors))
         dec = n_decompose(x)
-        d = math.gcd(*x.conductors())
-        form = principal_form(Order(x.field, d).discriminant)
-        for e in x.factors:
-            form = compose(form, phi(e, d).form)
-        assert dec.terminal_class.form == form
-        assert dec.terminal_class.conductor == d
-        # divisor chain
+        assert (dec.conductors, dec.terminal_class) == decompose_by_pair_rule(x)
         for small, big in zip(dec.conductors, dec.conductors[1:]):
             assert big % small == 0
-        assert dec.conductors[-1] == math.lcm(*x.conductors())
+
+
+def test_m_jacobian_lifts_each_curve_once_per_conductor(monkeypatch):
+    rng = random.Random(109)
+    factors = []
+    for _ in range(12):
+        order = Order(GAUSS, rng.choice([1, 2, 3, 6]))
+        forms = enumerate_reduced(order.discriminant)
+        factors.append(CurveClass(order, forms[rng.randrange(len(forms))]))
+    x = ProductAV(tuple(factors))
+    expected = m_jacobian(x, 6)
+    calls = []
+    monkeypatch.setattr(jacobians, "phi", lambda cls, c: calls.append(c) or phi(cls, c))
+    # one lift per (curve, target conductor), not one per (subset, curve)
+    assert m_jacobian(x, 6) == expected
+    assert len(calls) <= 12 * 4 < math.comb(12, 6) * 6
+    calls.clear()
+    n_decompose(x)
+    assert len(calls) <= x.n
 
 
 def test_n_decompose_order_independent():
