@@ -3,7 +3,11 @@
 A CMLattice is a rank-2 Z-module inside Q(sqrt(d)), stored in a canonical
 Hermite-normalized basis <p/den, (q + r*sqrt(d))/den>.  Every such lattice has
 complex multiplication, its endomorphism ring is an order, and homothety
-classes correspond to reduced binary quadratic forms.  The lattice product
+classes correspond to reduced binary quadratic forms.  The basis data are
+integers, so the lattice product and the Hermite normal form (Cohen, A Course
+in Computational Algebraic Number Theory, 2.4.2) run on integer rows (x, y)
+standing for (x + y*sqrt(d))/den; rational generators are first cleared to
+such rows over the lcm of their denominators.  The lattice product
 (additive span of pairwise element products), folded over wedge-image duals,
 is the lattice route to higher-weight Jacobians; until a forms-only phi lands,
 the class route shares lattice_product and ideal_class with it through phi.
@@ -153,9 +157,17 @@ def from_generators(field: FieldTag, gens: list[QuadElem]) -> CMLattice:
         if g.field != field:
             raise FieldMismatch(f"{g} not in Q(sqrt({field.d}))")
         den = math.lcm(den, g.x.denominator, g.y.denominator)
-    rows = [(int(g.x * den), int(g.y * den)) for g in gens]
+    rows = [
+        (g.x.numerator * (den // g.x.denominator), g.y.numerator * (den // g.y.denominator))
+        for g in gens
+    ]
+    return _from_rows(field, den, rows)
+
+
+def _from_rows(field: FieldTag, den: int, rows: list[tuple[int, int]]) -> CMLattice:
+    """Canonical lattice spanned by the (x + y*sqrt(d))/den for integer rows (x, y)."""
     p, q, r = _hnf_pairs(rows)
-    g = math.gcd(math.gcd(p, q), math.gcd(r, den))
+    g = math.gcd(p, q, r, den)
     return CMLattice(field, den // g, p // g, q // g, r // g)
 
 
@@ -167,13 +179,22 @@ def canonicalize(g1: QuadElem, g2: QuadElem) -> CMLattice:
 def lattice_product(lat1: CMLattice, lat2: CMLattice) -> CMLattice:
     """Additive span of pairwise products; again a lattice for CM inputs.
 
-    The endomorphism order of the result has conductor gcd(f1, f2).
+    The endomorphism order of the result has conductor gcd(f1, f2).  The four
+    products of <p/den, (q + r*sqrt(d))/den> generators are integer rows over
+    den1*den2, so no rational arithmetic is needed.
     """
     if lat1.field != lat2.field:
         raise FieldMismatch(f"{lat1.field} vs {lat2.field}")
-    v1, w1 = lat1.generators()
-    v2, w2 = lat2.generators()
-    return from_generators(lat1.field, [v1 * v2, v1 * w2, w1 * v2, w1 * w2])
+    d = lat1.field.d
+    p1, q1, r1 = lat1.p, lat1.q, lat1.r
+    p2, q2, r2 = lat2.p, lat2.q, lat2.r
+    rows = [
+        (p1 * p2, 0),
+        (p1 * q2, p1 * r2),
+        (q1 * p2, r1 * p2),
+        (q1 * q2 + d * r1 * r2, q1 * r2 + r1 * q2),
+    ]
+    return _from_rows(lat1.field, lat1.den * lat2.den, rows)
 
 
 def ideal_class(lat: CMLattice) -> tuple[Order, Form]:

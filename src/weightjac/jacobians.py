@@ -31,7 +31,7 @@ from .errors import (
     OrderMismatch,
     PrimitivityViolation,
 )
-from .quadfield import FieldTag
+from .quadfield import FieldTag, factorize
 
 
 @dataclass(frozen=True)
@@ -258,18 +258,21 @@ def n_decompose(x: ProductAV) -> Decomposition:
     """Canonical decomposition of Lemma-4.13 type from the conductor chain.
 
     The chain r_1 | ... | r_n is the invariant-factor chain of the
-    conductors: a gcd/lcm compare-exchange over all pairs sorts the exponent
-    of every prime, which is where the surface rule applied pair by pair
-    ends up.  The terminal class is the weight-n Jacobian, the composed
-    lifts of all n classes to the order of conductor r_1.  The result is
-    independent of the factor order.
+    conductors: r_k carries the k-th smallest exponent of every prime, which
+    is where the surface rule applied pair by pair ends up.  The terminal
+    class is the weight-n Jacobian, the composed lifts of all n classes to
+    the order of conductor r_1.  The result is independent of the factor
+    order.
     """
     n = x.n
     if n < 2:
         raise DimensionTooSmall("decomposition needs n >= 2")
-    chain = list(x.conductors())
-    for i, j in combinations(range(n), 2):
-        chain[i], chain[j] = math.gcd(chain[i], chain[j]), math.lcm(chain[i], chain[j])
+    conductors = x.conductors()
+    factored = {f: factorize(f) for f in set(conductors)}
+    chain = [1] * n
+    for p in set().union(*factored.values()):
+        for k, e in enumerate(sorted(factored[f].get(p, 0) for f in conductors)):
+            chain[k] *= p**e
     primitivity = chain[1] // chain[0] if n == 2 else None
     return Decomposition(tuple(chain), _compose_lifts(x.factors, phi), primitivity)
 

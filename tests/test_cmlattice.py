@@ -377,6 +377,45 @@ def test_lattice_product_commutes_and_associates_exactly(data, field):
     assert lattice_product(lattice_product(a, b), c) == lattice_product(a, lattice_product(b, c))
 
 
+def reference_from_generators(field, gens):
+    """Canonical lattice by Fraction arithmetic and 2x2 minors, sharing no code with the HNF.
+
+    The span over den projects onto r*Z in the sqrt(d) coordinate, its
+    covolume p*r is the gcd of the 2x2 minors, and q is the rational
+    coordinate of a row combination whose sqrt(d) coordinate is r.
+    """
+    den = math.lcm(*(c.denominator for g in gens for c in (g.x, g.y)))
+    rows = [(int(g.x * den), int(g.y * den)) for g in gens]
+    q0 = r = 0
+    for x, y in rows:
+        if y == 0:
+            continue
+        g = math.gcd(r, y)
+        t = pow(y // g, -1, r // g) if r else (1 if y > 0 else -1)
+        s = (g - t * y) // r if r else 0
+        q0, r = s * q0 + t * x, g
+    minors = math.gcd(*(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(rows, 2)))
+    p = minors // r
+    q0 %= p
+    g = math.gcd(p, q0, r, den)
+    return CMLattice(field, den // g, p // g, q0 // g, r // g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data(), field=FIELDS)
+def test_integer_kernel_matches_rational_products(data, field):
+    gens_a, gens_b = data.draw(generators(field)), data.draw(generators(field))
+    a, b = from_generators(field, gens_a), from_generators(field, gens_b)
+    assert a == reference_from_generators(field, gens_a)
+    assert b == reference_from_generators(field, gens_b)
+    # the integer rows of lattice_product against QuadElem products of the generators
+    (v1, w1), (v2, w2) = a.generators(), b.generators()
+    products = [v1 * v2, v1 * w2, w1 * v2, w1 * w2]
+    prod = lattice_product(a, b)
+    assert prod == from_generators(field, products)
+    assert prod == reference_from_generators(field, products)
+
+
 def test_image_lattice_scale_invariance():
     l1 = lat(3, 0, 1, 2)
     l2 = lat(1, 0, 0, 6)

@@ -316,6 +316,27 @@ def test_n_decompose_matches_pair_rule():
             assert big % small == 0
 
 
+def chain_by_compare_exchange(conductors):
+    """Reference chain: gcd/lcm compare-exchange over all pairs, a selection sort per prime."""
+    chain = list(conductors)
+    for i, j in combinations(range(len(chain)), 2):
+        chain[i], chain[j] = math.gcd(chain[i], chain[j]), math.lcm(chain[i], chain[j])
+    return tuple(chain)
+
+
+def test_n_decompose_chain_matches_compare_exchange():
+    # conductors up to 2^3 * 3^2 * 5 * 7 = 2520, so chains mix four primes
+    rng = random.Random(113)
+    for _ in range(40):
+        field = FieldTag(rng.choice([-1, -2, -3, -7]))
+        conductors = [
+            2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2) * rng.choice([1, 5]) * rng.choice([1, 7])
+            for _ in range(rng.randint(2, 40))
+        ]
+        x = ProductAV(tuple(CurveClass.principal(Order(field, f)) for f in conductors))
+        assert n_decompose(x).conductors == chain_by_compare_exchange(conductors)
+
+
 def test_m_jacobian_lifts_each_curve_once_per_conductor(monkeypatch):
     rng = random.Random(109)
     factors = []
