@@ -1,8 +1,8 @@
 """High-precision j-invariants and Hilbert class polynomials.
 
 j is evaluated as 1728 times Klein's J (mpmath.kleinj, a quotient of Jacobi
-theta-null values summed in fixed point), after fundamental-domain reduction
-of the period ratio, exact for lattices (through binforms.reduce).  Class
+theta-null values summed in fixed point), after exact fundamental-domain
+reduction of a lattice's period ratio (through binforms.reduce).  Class
 polynomials come from the real root product over conjugate pairs of reduced
 forms of the discriminant, one j per pair, starting at Enge's a-priori bound
 on the coefficient size; every accepted polynomial passes an a-posteriori
@@ -74,34 +74,11 @@ def fundamental_domain_exact(tau: QuadElem) -> QuadElem:
     return QuadElem.make(tau.field, Fraction(r.b, 2 * r.a), Fraction(t, 2 * r.a))
 
 
-def _klein_j(tau_c, prec: int) -> PrecComplex:
-    """1728 * J(tau_c) for a reduced tau_c given at prec + _GUARD_BITS bits."""
-    with MP_LOCK, mp.workprec(prec + _GUARD_BITS):
-        return PrecComplex.from_mpc(1728 * mpmath.kleinj(tau_c), prec)
-
-
-def j_invariant(tau, prec: int = 128) -> PrecComplex:
-    """j(tau) with relative error below 2^(8-prec); Im(tau) must be positive."""
-    with MP_LOCK, mp.workprec(prec + _GUARD_BITS):
-        tau_c = mpmath.mpc(tau.to_mpc() if isinstance(tau, PrecComplex) else tau)
-        if tau_c.imag <= 0:
-            raise LowerHalfPlane(f"Im(tau) = {tau_c.imag} <= 0")
-        # numeric fundamental-domain reduction; the slack below 1 avoids
-        # cycling at boundary points
-        near_one = 1 - mpmath.mpf(2) ** -20
-        while True:
-            shift = mpmath.floor(tau_c.real + mpmath.mpf("0.5"))
-            tau_c -= shift
-            if abs(tau_c) >= near_one:
-                break
-            tau_c = -1 / tau_c
-        return _klein_j(tau_c, prec)
-
-
 def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
-    """j of the homothety class: exact reduction of tau, then Klein's J."""
-    tau = fundamental_domain_exact(lat.tau)
-    return _klein_j(tau.embed(prec + _GUARD_BITS), prec)
+    """j of the homothety class: exact reduction of tau, then 1728 times Klein's J."""
+    tau = fundamental_domain_exact(lat.tau).embed(prec + _GUARD_BITS)
+    with MP_LOCK, mp.workprec(prec + _GUARD_BITS):
+        return PrecComplex.from_mpc(1728 * mpmath.kleinj(tau), prec)
 
 
 def _is_real(z: PrecComplex) -> bool:

@@ -26,7 +26,7 @@ import mpmath
 from . import analytic, binforms, cmlattice, hodgecalc, jacobians
 from .binforms import Form, parse_form, validate_discriminant
 from .cmlattice import Order
-from .errors import ParseError, WeightjacError
+from .errors import CacheUnusable, ParseError, WeightjacError
 from .jacobians import CurveClass, ProductAV
 
 SCHEMA = 1
@@ -83,10 +83,17 @@ def _locked(path: Path, mode: str, operation: int):
     """path opened in mode and held under flock(operation).
 
     Reopens until the lock is on the file path names: a corrupt-line rewrite
-    renames a new file over it.
+    renames a new file over it.  A path that cannot be opened, such as a
+    directory or a file in a missing directory, is a CacheUnusable input error.
     """
     while True:
-        fh = path.open(mode)
+        try:
+            fh = path.open(mode)
+        except OSError as exc:
+            # to a reader a missing file is an empty cache
+            if mode == "r" and isinstance(exc, FileNotFoundError):
+                raise
+            raise CacheUnusable(f"cannot open cache file {str(path)!r}: {exc.strerror}") from None
         try:
             fcntl.flock(fh, operation)
             if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):

@@ -219,16 +219,11 @@ def is_homothetic(lat1: CMLattice, lat2: CMLattice) -> bool:
 
 
 def conjugate_lattice(lat: CMLattice) -> CMLattice:
-    """Elementwise complex conjugate."""
-    return canonicalize(lat.g1.conj(), lat.g2.conj())
+    """Elementwise complex conjugate, a representative of the inverse class.
 
-
-def inverse_class(lat: CMLattice) -> CMLattice:
-    """A representative of the inverse class: the conjugate lattice.
-
-    lattice_product(L, inverse_class(L)) is homothetic to End(L).
+    lattice_product(L, conjugate_lattice(L)) is homothetic to End(L).
     """
-    return conjugate_lattice(lat)
+    return canonicalize(lat.g1.conj(), lat.g2.conj())
 
 
 @dataclass(frozen=True)
@@ -251,9 +246,6 @@ class LatticeTuple:
 
     def __len__(self):
         return len(self.components)
-
-    def __str__(self):
-        return "[" + ", ".join(str(c) for c in self.components) + "]"
 
 
 # a weight-m Jacobian of n curves has C(n, m) factors of m curves each; both
@@ -326,15 +318,3 @@ def parse_lattice(text: str) -> CMLattice:
     if len(lats) != 1:
         raise ParseError(f"not a lattice literal: {text!r}")
     return lats[0]
-
-
-def parse_lattice_tuple(text: str) -> LatticeTuple:
-    """Parse "[L1, L2, ...]", lattice literals over one field, as printed."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"not a lattice tuple literal: {text!r}")
-    inner = text[1:-1]
-    lats = parse_lattices(inner) if inner.strip() else []
-    if any(lat.field != lats[0].field for lat in lats):
-        raise ParseError(f"lattice tuple mixes fields: {text!r}")
-    return LatticeTuple(tuple(lats))

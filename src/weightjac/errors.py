@@ -99,3 +99,7 @@ class LowerHalfPlane(WeightjacError):
 
 class PrecisionExhausted(WeightjacError):
     """Coefficient recognition failed even at the precision-escalation cap."""
+
+
+class CacheUnusable(WeightjacError):
+    """The result-cache path cannot be opened for reading or appending."""

@@ -23,7 +23,6 @@ from . import binforms, cmlattice
 from .binforms import Form, compose, element_order, form_to_lattice, power, principal_form
 from .cmlattice import CMLattice, LatticeTuple, Order, ideal_class
 from .errors import (
-    DegenerateBasis,
     DimensionMismatch,
     DimensionTooSmall,
     FieldMismatch,
@@ -184,24 +183,12 @@ class TwoMaximalReport:
 def is_two_maximal(components) -> TwoMaximalReport:
     """Whether a tuple of lattices underlies a 2-maximal complex torus.
 
-    Accepts a LatticeTuple, an iterable of CMLattice, or raw generator pairs.
-    True iff there are at least two components and all endomorphism orders
-    sit in one imaginary quadratic field; then NS rank is n^2 and the image
-    lattice in weight 2 has rank n^2 - n.
+    Accepts a LatticeTuple or an iterable of CMLattice.  True iff there are
+    at least two components and all endomorphism orders sit in one imaginary
+    quadratic field; then NS rank is n^2 and the image lattice in weight 2
+    has rank n^2 - n.
     """
-    if isinstance(components, LatticeTuple):
-        lats = list(components.components)
-    else:
-        lats = []
-        for item in components:
-            if isinstance(item, CMLattice):
-                lats.append(item)
-            else:
-                g1, g2 = item
-                try:
-                    lats.append(cmlattice.canonicalize(g1, g2))
-                except DegenerateBasis:
-                    return TwoMaximalReport(False, "degenerate basis", None, None)
+    lats = list(components.components if isinstance(components, LatticeTuple) else components)
     n = len(lats)
     if n < 2:
         return TwoMaximalReport(False, "dim X > 1 required", None, None)
@@ -314,36 +301,6 @@ def jacobian_orbit(x: ProductAV) -> list[Decomposition]:
             return seen
         seen.append(dec)
         current = m_jacobian(current, current.n - 1)
-
-
-def product_report(x: ProductAV) -> dict:
-    """JSON-ready summary of a product: classes, decomposition, all Jacobians.
-
-    Key names are stable and versioned by the schema field.
-    """
-    record = {
-        "schema": 1,
-        "input": [
-            {"discriminant": e.order.discriminant, "form": list(e.form.as_tuple())}
-            for e in x.factors
-        ],
-        "field_d": x.field.d,
-        "conductors": list(x.conductors()),
-        "classes": [list(e.form.as_tuple()) for e in x.factors],
-        "decomposition": n_decompose(x).to_record() if x.n >= 2 else None,
-        "jacobians_by_weight": {
-            str(m): [
-                {"discriminant": e.order.discriminant, "form": list(e.form.as_tuple())}
-                for e in m_jacobian(x, m).factors
-            ]
-            for m in range(2, x.n + 1)
-        },
-        "predicates": {
-            "two_maximal": x.n >= 2,
-            "fixed_point_of_previous_weight": is_fixed_point(x) if x.n >= 3 else None,
-        },
-    }
-    return record
 
 
 def same_field_of_definition(e1: CurveClass, e2: CurveClass) -> bool:

@@ -29,11 +29,14 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> BigRational:
-    """Parse "p" or "p/q" into a rational in lowest terms."""
+    """Parse "p" or "p/q" into a rational in lowest terms, refusing q = 0."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
 
 
 # trial division stops here: a cofactor above MAX_TRIAL_DIVISOR**2 left
@@ -213,35 +216,27 @@ _PURE_SQRT_RE = re.compile(
 )
 
 
-def _rational(literal: str, text: str) -> Fraction:
-    """Fraction(literal) for a p/q matched in text, refusing q = 0."""
-    try:
-        return Fraction(literal)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
-
-
 def parse_quadelem(text: str, field: FieldTag | None = None) -> QuadElem:
     """Parse "x+y*sqrt(d)", "x", or "y*sqrt(d)" (x, y as p/q rationals)."""
     m = _PURE_SQRT_RE.match(text)
     if m:
         d = int(m.group("d"))
         tag = _resolve_field(d, field, text)
-        y = _rational(m.group("y"), text)
+        y = parse_rational(m.group("y"))
         if m.group("sign") == "-":
             y = -y
         return QuadElem(tag, Fraction(0), y)
     m = _ELEM_RE.match(text)
     if not m:
         raise ParseError(f"not a quadratic element literal: {text!r}")
-    x = _rational(m.group("x"), text)
+    x = parse_rational(m.group("x"))
     if m.group("y") is None:
         if field is None:
             raise ParseError(f"no field tag available for rational literal {text!r}")
         return QuadElem(field, x, Fraction(0))
     d = int(m.group("d"))
     tag = _resolve_field(d, field, text)
-    y = _rational(m.group("y"), text)
+    y = parse_rational(m.group("y"))
     if m.group("sign") == "-":
         y = -y
     return QuadElem(tag, x, y)

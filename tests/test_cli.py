@@ -340,6 +340,11 @@ def test_input_errors_exit_two(capsys, tmp_path):
     code, record = run_cli(capsys, "latprod", "--lattices", "<1;1/0*sqrt(-1)>@-1,<1;sqrt(-1)>@-1")
     assert code == 2
     assert record["error"]["type"] == "ParseError"
+    # a cache path that cannot be opened: a file in a missing directory, a directory
+    for cache in (tmp_path / "missing" / "cache.jsonl", tmp_path):
+        code, record = run_cli(capsys, "classgroup", "-D", "-23", "--cache", str(cache))
+        assert code == 2, cache
+        assert record["error"]["type"] == "CacheUnusable"
     # C(40, 20) ~ 1.4e11 factors would never finish; the factor budget stops it
     curves = ",".join(["(-144:5,4,8)"] * 40)
     code, record = run_cli(capsys, "jacobian", "--curves", curves, "-m", "20")

@@ -55,6 +55,8 @@ def test_rational_parsing():
     assert parse_rational("14") == 14
     with pytest.raises(ParseError):
         parse_rational("3.5")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 def test_norm_identity_product():
