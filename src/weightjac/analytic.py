@@ -1,8 +1,10 @@
 """High-precision j-invariants and Hilbert class polynomials.
 
-j is evaluated as 1728 times Klein's J (mpmath.kleinj, a quotient of Jacobi
-theta-null values summed in fixed point), after exact fundamental-domain
-reduction of a lattice's period ratio (through binforms.reduce).  Class
+j is evaluated from the eta quotient (eta(tau)/eta(2 tau))^24, whose two
+pentagonal series, powers and quotient run on fixed-point Gaussian integers,
+after exact fundamental-domain reduction of a lattice's period ratio (through
+binforms.reduce); only q^(+-1) comes from mpmath.libmp, at an explicit
+precision.  The docstring of j_of_lattice proves its error bound.  Class
 polynomials come from the real root product over conjugate pairs of reduced
 forms of the discriminant, one j per pair, starting at Enge's a-priori bound
 on the coefficient size; every accepted polynomial passes an a-posteriori
@@ -22,6 +24,10 @@ from importlib import resources
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (
+    fone, from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul, mpf_pi, mpf_shift,
+    round_nearest, to_fixed, to_float,
+)
 
 from .binforms import (
     Form, element_order, enumerate_reduced, form_to_lattice, reduce, validate_discriminant
@@ -31,6 +37,7 @@ from .errors import DivisionByZero, LowerHalfPlane, ParseError, PrecisionExhaust
 from .quadfield import MP_LOCK, QuadElem
 
 _GUARD_BITS = 48
+_FIXED_GUARD_BITS = 64
 _ESCALATION_CAP = 1 << 16
 
 
@@ -74,20 +81,133 @@ def fundamental_domain_exact(tau: QuadElem) -> QuadElem:
     return QuadElem.make(tau.field, Fraction(r.b, 2 * r.a), Fraction(t, 2 * r.a))
 
 
+def _mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
+    """Product of two Gaussian integers read as fixed point with w fraction bits."""
+    (ar, ai), (br, bi) = a, b
+    return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
+
+
+def _pow24(a: tuple[int, int], w: int) -> tuple[int, int]:
+    a2 = _mul(a, a, w)
+    a4 = _mul(a2, a2, w)
+    a8 = _mul(a4, a4, w)
+    return _mul(_mul(a8, a8, w), a8, w)
+
+
+def _euler(q: tuple[int, int], last: int, w: int) -> tuple[int, int]:
+    """E(q) = 1 + sum over k >= 1 of (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)),
+    over the exponents up to last, in fixed point with w fraction bits."""
+    q2 = _mul(q, q, w)
+    q3 = _mul(q2, q, w)
+    # at step k: a = q^(k(3k-1)/2), b = q^(k(3k+1)/2), and the steps to k + 1
+    a, b, step_a, step_b = q, q2, _mul(q3, q, w), _mul(q3, q2, w)
+    re, im = 1 << w, 0
+    k, g, sign = 1, 1, -1
+    while g <= last:
+        re, im = re + sign * a[0], im + sign * a[1]
+        if g + k <= last:
+            re, im = re + sign * b[0], im + sign * b[1]
+        g += 3 * k + 1
+        if g <= last:
+            a, b = _mul(a, step_a, w), _mul(b, step_b, w)
+            step_a, step_b = _mul(step_a, q3, w), _mul(step_b, q3, w)
+        k, sign = k + 1, -sign
+    return re, im
+
+
 def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
-    """j of the homothety class: exact reduction of tau, then 1728 times Klein's J."""
-    tau = fundamental_domain_exact(lat.tau).embed(prec + _GUARD_BITS)
-    with MP_LOCK, mp.workprec(prec + _GUARD_BITS):
-        return PrecComplex.from_mpc(1728 * mpmath.kleinj(tau), prec)
+    """j of the homothety class, from the eta quotient on fixed-point integers.
+
+    tau is reduced exactly (fundamental_domain_exact), so Im tau >= sqrt(3)/2
+    and q = e^(2 pi i tau) has |q| <= lam = e^(-pi sqrt 3) < 2^-7.85.  With
+    E(q) = prod (1 - q^n) = sum (-1)^k q^(k(3k-1)/2) (Euler's pentagonal
+    series), R = (E(q^2)/E(q))^24 and t = (eta(tau)/eta(2 tau))^24 = 1/(q R),
+        j = (t + 256)^3 / t^2 = q^-1 R^-1 (1 + 256 q R)^3 = q^-1 F,
+        F = U^3 / V,  U = A + 256 q B,  V = A^2 B,  A = E(q)^24,  B = E(q^2)^24.
+    F runs on Gaussian integers scaled by 2^W, W = prec + 64 (u = 2^-W is
+    one ulp); only |q|^(+-1) = e^(-+2 pi Im tau) and the unit e^(2 pi i Re tau)
+    come from mpmath.libmp, at wp = W + e + 8 bits, where 2^e >= 8 Im tau and
+    tau is embedded to W + e bits.  j = q^-1 F is an exact integer product,
+    rounded once to prec bits.
+
+    Lemma.  The result j~ satisfies |j~ - j| <= 2^(1-prec) (1 + |j|), within
+    the 2^(8-prec) (1 + |j|) that _expand_pairs and _is_real assume.
+
+    Proof.  Assume mpf_pi, mpf_exp and mpf_cos_sin_pi are within 16 ulps at
+    wp, and embed within 2^(1-W-e) relative (its docstring).  Errors below
+    are in ulps u; a fixed-point product floors each component, adding < 1
+    per component and < 1.5 in modulus.
+    - 2 pi Im tau is off by < (2 pi Im tau / 2^e) 2^(1-W) (1 + 2^-4) <= 1.7 u,
+      and the angle 2 pi Re tau by < 2 pi 2^(-W-e) <= 0.8 u.  So e^(2 pi Im tau)
+      and its reciprocal are within 1.8 u relative, cos and sin within 0.8 u,
+      q (floored to W bits) within 1.5 u and 256 q (to W + 8 bits) within 6 u,
+      and G = q^-1 within 3 u |q^-1|.
+    - Series.  Every power is computed as a product of two powers of modulus
+      <= lam, each off by < 2 u, so it is off by < 4 lam + 1.5 < 2 u.  The
+      terms past the exponent N are bounded by the tail |q|^(N+1) / (1 - |q|)
+      < 0.51 u, with N chosen so that |q|^(N+1) <= 2^(-W-1).  If E(q) has n
+      terms up to N, E(q) and E(q^2) are off by < (2n + 1) u, and their moduli
+      lie in 1 -+ lam / (1 - lam), i.e. in [0.9956, 1.0044].
+    - The rule |d(xy)| <= |x| |dy| + |y| |dx| + 1.5 u then gives, for the
+      moduli and errors in units of u with c = 2n + 1:
+          A, B  <= 1.11 (and >= 0.90)     27 c + 40
+          U     <= 2.35                   60 c + 100
+          U^3   <= 13                     1020 c + 1705
+          V     in [0.73, 1.37]           100 c + 150
+          F     <= 17.6                   (1020 c + 1705 + 17.6 (100 c + 150)) / 0.73 + 1.5
+      and floor((U^3 conj V) 2^W / |V|^2), exact up to that floor, puts F
+      within 3810 c + 5954 <= 2^13 (n + 2) u.
+    - |q^-1| <= 2^10 (1 + |j|): for Im tau < 1, |q^-1| < e^(2 pi) < 536; for
+      Im tau >= 1, |q| < 0.00187, |R^(+-1)| <= 1.047 and |1 + 256 q R| >= 0.499,
+      so |F| >= 0.118 and |q^-1| = |j| / |F| < 8.5 |j|.
+    - So the exact product G F is off by at most |q^-1| |dF| (1 + 3 u) + 3 u |j|
+      <= 2^24 (n + 2) u (1 + |j|) = 2^(-prec-40) (n + 2) (1 + |j|), and rounding
+      each component to prec bits adds at most 2^-prec |G F|.  n grows like
+      sqrt(prec) (n <= 41 at 4096 bits), so the total is below
+      2^-prec (1 + |j|) (1 + 2^-39 (n + 2)) <= 2^(1-prec) (1 + |j|).
+    """
+    tau = fundamental_domain_exact(lat.tau)
+    w = prec + _FIXED_GUARD_BITS
+    # (8 Im tau)^2 = 64 y^2 |d| <= 2^(2e)
+    e = (math.ceil(64 * tau.y * tau.y * -tau.field.d).bit_length() + 1) // 2
+    wp = w + e + 8
+    z = tau.embed(w + e)
+    t = mpf_mul(mpf_shift(mpf_pi(wp), 1), z.imag._mpf_, wp)
+    big = mpf_exp(t, wp)
+    small = mpf_div(fone, big, wp)
+    cos, sin = mpf_cos_sin_pi(mpf_shift(z.real._mpf_, 1), wp)
+    q_re, q_im = mpf_mul(small, cos, wp), mpf_mul(small, sin, wp)
+    q = to_fixed(q_re, w), to_fixed(q_im, w)
+    q256 = to_fixed(q_re, w + 8), to_fixed(q_im, w + 8)
+    # N: |q| = 2^-L with L = t / ln 2, shrunk so the float stays a lower
+    # bound, and L (N + 1) >= W + 1
+    last = math.ceil((w + 1) / (to_float(t) / math.log(2) * (1 - 2**-30)))
+    a = _pow24(_euler(q, last, w), w)
+    b = _pow24(_euler(_mul(q, q, w), last // 2, w), w)
+    qb = _mul(q256, b, w)
+    u = a[0] + qb[0], a[1] + qb[1]
+    u3 = _mul(_mul(u, u, w), u, w)
+    v = _mul(_mul(a, a, w), b, w)
+    norm = v[0] * v[0] + v[1] * v[1]
+    f_re = ((u3[0] * v[0] + u3[1] * v[1]) << w) // norm
+    f_im = ((u3[1] * v[0] - u3[0] * v[1]) << w) // norm
+    # q^-1 F = man 2^exp (cos - i sin) F exactly, rounded once to prec bits
+    _, man, exp, _ = big
+    c, s = to_fixed(cos, wp), to_fixed(sin, wp)
+    shift = exp - wp - w
+    re = from_man_exp(man * (c * f_re + s * f_im), shift, prec, round_nearest)
+    im = from_man_exp(man * (c * f_im - s * f_re), shift, prec, round_nearest)
+    return PrecComplex(mp.make_mpf(re), mp.make_mpf(im), prec)
 
 
 def _is_real(z: PrecComplex) -> bool:
-    """|Im z| < 2^(16-prec) (1 + |z|): real within 2^8 times the j error bound."""
+    """|Im z| < 2^(16-prec) (1 + |z|): a real j passes with room, as the lemma
+    of j_of_lattice bounds its error by 2^(1-prec) (1 + |j|), 2^-15 of this."""
     with MP_LOCK, mp.workprec(z.prec):
         return abs(z.im) < mpmath.mpf(2) ** (16 - z.prec) * (1 + abs(z.to_mpc()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassPolynomial:
     """Monic integer polynomial with the j-invariants of a discriminant as roots.
 
@@ -103,14 +223,6 @@ class ClassPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def evaluate(self, z: PrecComplex) -> PrecComplex:
-        with MP_LOCK, mp.workprec(z.prec):
-            zc = z.to_mpc()
-            acc = mpmath.mpc(0)
-            for c in self.coefficients:
-                acc = acc * zc + c
-        return PrecComplex.from_mpc(acc, z.prec)
 
 
 def start_precision(D: int, prec: int = 128) -> int:
@@ -170,7 +282,8 @@ def _expand_pairs(
     roots are the j of the reduced forms with b >= 0 at prec bits, paired
     marks those whose conjugate is a root too, and h = len(roots) +
     sum(paired) is the degree.  Each j carries an error |dr| <= eps (1 + |r|)
-    with eps = 2^(8-prec), so every coefficient is off by at most
+    with eps = 2^(8-prec) (the lemma of j_of_lattice proves 2^(1-prec)), so
+    every coefficient is off by at most
     ((1+eps)^h - 1) prod(1 + |r_i|) <= 2 h eps prod(1 + |r_i|) over all h
     roots.  mag(prod) + ceil(log2 h) + 12 < prec puts that at or below 1/16,
     so the nearest integer is the true coefficient and the 0.25 rounding test

@@ -137,6 +137,12 @@ class ResultCache:
         self._load()
 
     def _load(self) -> None:
+        # refused here, before the command computes what it would fail to store
+        if not self.path.parent.is_dir():
+            raise CacheUnusable(
+                f"cannot open cache file {str(self.path)!r}: "
+                f"{str(self.path.parent)!r} is not a directory"
+            )
         try:
             with _locked(self.path, "r", fcntl.LOCK_SH) as fh:
                 text = fh.read()

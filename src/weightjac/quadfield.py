@@ -18,8 +18,6 @@ import mpmath
 
 from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseError, RationalInput
 
-BigRational = Fraction
-
 # mpmath's working precision is process-global state; every code path that
 # touches it serializes on this lock so concurrent callers stay safe and
 # results stay bit-identical
@@ -28,7 +26,7 @@ MP_LOCK = threading.RLock()
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_rational(text: str) -> BigRational:
+def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into a rational in lowest terms, refusing q = 0."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
@@ -104,8 +102,8 @@ class QuadElem:
     """x + y*sqrt(d) with exact rational coordinates."""
 
     field: FieldTag
-    x: BigRational
-    y: BigRational
+    x: Fraction
+    y: Fraction
 
     @classmethod
     def from_rational(cls, field: FieldTag, x) -> "QuadElem":
@@ -160,11 +158,11 @@ class QuadElem:
     def conj(self) -> "QuadElem":
         return QuadElem(self.field, self.x, -self.y)
 
-    def norm(self) -> BigRational:
+    def norm(self) -> Fraction:
         """x^2 - d*y^2; nonnegative, zero only at zero."""
         return self.x * self.x - self.field.d * self.y * self.y
 
-    def trace(self) -> BigRational:
+    def trace(self) -> Fraction:
         return 2 * self.x
 
     def minimal_polynomial(self) -> tuple[int, int, int]:

@@ -98,6 +98,47 @@ def test_j_of_lattice_homothety_invariance():
     assert abs(a - b) < (1 + abs(a)) * mpmath.mpf(2) ** -160
 
 
+def _kleinj_oracle(lat, prec):
+    """1728 J(tau) by mpmath's theta functions at 2 prec + 64 bits, from the
+    unreduced period ratio (j is SL2(Z)-invariant)."""
+    tau = lat.tau
+    with mp.workprec(2 * prec + 64):
+        im = mpmath.mpf(tau.y.numerator) / tau.y.denominator * mpmath.sqrt(-tau.field.d)
+        z = mpmath.mpc(mpmath.mpf(tau.x.numerator) / tau.x.denominator, im)
+        return 1728 * mpmath.kleinj(z)
+
+
+def _lemma_lattices():
+    """The 13 appendix lattices and a seeded sample of reduced forms, |D| <= 20000."""
+    lats = [parse_lattice(rec["lattice"]) for rec in analytic.appendix_fixtures()]
+    rng = random.Random(2718)
+    while len(lats) < 21:
+        D = -rng.randrange(3, 20001)
+        if D % 4 in (0, 1):
+            lats.append(form_to_lattice(rng.choice(enumerate_reduced(D))))
+    return lats
+
+
+@pytest.mark.parametrize("prec", [128, 256, 1024, 4096])
+def test_j_error_lemma_against_kleinj(prec):
+    # the lemma in j_of_lattice's docstring: |j~ - j| <= 2^(1-prec) (1 + |j|)
+    for lat in _lemma_lattices():
+        exact = _kleinj_oracle(lat, prec)
+        value = j_of_lattice(lat, prec)
+        with mp.workprec(2 * prec + 64):
+            err = abs(mpmath.mpc(value.re, value.im) - exact)
+            assert err <= mpmath.mpf(2) ** (1 - prec) * (1 + abs(exact)), (str(lat), prec)
+
+
+def test_j_kernel_never_calls_kleinj(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.kleinj called")
+
+    monkeypatch.setattr(mpmath, "kleinj", refuse)
+    assert hilbert_class_polynomial(-1155, 128).degree == len(enumerate_reduced(-1155))
+    assert abs(j_of_lattice(LAT_3I, 256).to_mpc() - 153553679.396728) < 1e-6
+
+
 def test_verify_appendix_all_fixtures():
     results = verify_appendix(256)
     assert len(results) == 13
@@ -222,6 +263,16 @@ def test_hilbert_class_polynomial_rejects_nonreal_ambiguous_j(monkeypatch):
         hilbert_class_polynomial(-144, 128)
 
 
+def _evaluate(poly, z):
+    """poly(z) by Horner's rule at z's precision."""
+    with mp.workprec(z.prec):
+        zc = z.to_mpc()
+        acc = mpmath.mpc(0)
+        for c in poly.coefficients:
+            acc = acc * zc + c
+    return PrecComplex.from_mpc(acc, z.prec)
+
+
 def test_hilbert_polynomial_roots_evaluate_small():
     # scale = size of the largest Horner term; the bare coefficients are far
     # smaller than c_k * |j|^(deg-k) and the residual is P'(j) * root error
@@ -230,7 +281,7 @@ def test_hilbert_polynomial_roots_evaluate_small():
         deg = poly.degree
         for f in enumerate_reduced(D):
             root = j_of_lattice(form_to_lattice(f), 256)
-            residual = poly.evaluate(root)
+            residual = _evaluate(poly, root)
             with mp.workprec(320):
                 mag = max(abs(root.to_mpc()), mpmath.mpf(1))
                 scale = max(abs(c) * mag ** (deg - k) for k, c in enumerate(poly.coefficients))

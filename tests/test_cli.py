@@ -300,7 +300,7 @@ def test_hodge_commands(capsys):
     assert report["result"]["ns_rank"] == 10000**2
 
 
-def test_input_errors_exit_two(capsys, tmp_path):
+def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
     code, record = run_cli(capsys, "classgroup", "-D", "-5")
     assert code == 2
     assert record["error"]["type"] == "InvalidDiscriminant"
@@ -345,6 +345,18 @@ def test_input_errors_exit_two(capsys, tmp_path):
         code, record = run_cli(capsys, "classgroup", "-D", "-23", "--cache", str(cache))
         assert code == 2, cache
         assert record["error"]["type"] == "CacheUnusable"
+    # a missing directory is refused before the polynomial is computed
+    import weightjac.cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(
+        cli_module.analytic, "hilbert_class_polynomial", lambda *args: calls.append(args)
+    )
+    missing = tmp_path / "missing" / "cache.jsonl"
+    code, record = run_cli(capsys, "hcp", "-D", "-10007", "--cache", str(missing))
+    assert code == 2
+    assert record["error"]["type"] == "CacheUnusable"
+    assert calls == []
     # C(40, 20) ~ 1.4e11 factors would never finish; the factor budget stops it
     curves = ",".join(["(-144:5,4,8)"] * 40)
     code, record = run_cli(capsys, "jacobian", "--curves", curves, "-m", "20")
