@@ -172,10 +172,14 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     e = (math.ceil(64 * tau.y * tau.y * -tau.field.d).bit_length() + 1) // 2
     wp = w + e + 8
     z = tau.embed(w + e)
-    t = mpf_mul(mpf_shift(mpf_pi(wp), 1), z.imag._mpf_, wp)
-    big = mpf_exp(t, wp)
-    small = mpf_div(fone, big, wp)
-    cos, sin = mpf_cos_sin_pi(mpf_shift(z.real._mpf_, 1), wp)
+    # mpf_pi, mpf_exp and mpf_cos_sin_pi share process-wide memos of pi and
+    # log 2, which one thread can raise to a higher precision while another
+    # reads them
+    with MP_LOCK:
+        t = mpf_mul(mpf_shift(mpf_pi(wp), 1), z.imag._mpf_, wp)
+        big = mpf_exp(t, wp)
+        small = mpf_div(fone, big, wp)
+        cos, sin = mpf_cos_sin_pi(mpf_shift(z.real._mpf_, 1), wp)
     q_re, q_im = mpf_mul(small, cos, wp), mpf_mul(small, sin, wp)
     q = to_fixed(q_re, w), to_fixed(q_im, w)
     q256 = to_fixed(q_re, w + 8), to_fixed(q_im, w + 8)
@@ -207,7 +211,7 @@ def _is_real(z: PrecComplex) -> bool:
         return abs(z.im) < mpmath.mpf(2) ** (16 - z.prec) * (1 + abs(z.to_mpc()))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ClassPolynomial:
     """Monic integer polynomial with the j-invariants of a discriminant as roots.
 

@@ -24,7 +24,7 @@ from .quadfield import QuadElem, factorize, squarefree_part
 MAX_ABS_DISCRIMINANT = 10**8
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Form:
     """Primitive positive-definite form a*x^2 + b*xy + c*y^2, b^2 - 4ac < 0."""
 

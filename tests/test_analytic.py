@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -137,6 +138,34 @@ def test_j_kernel_never_calls_kleinj(monkeypatch):
     monkeypatch.setattr(mpmath, "kleinj", refuse)
     assert hilbert_class_polynomial(-1155, 128).degree == len(enumerate_reduced(-1155))
     assert abs(j_of_lattice(LAT_3I, 256).to_mpc() - 153553679.396728) < 1e-6
+
+
+def test_j_kernel_reads_mpmath_constants_under_the_lock(monkeypatch):
+    import threading
+
+    from weightjac.quadfield import MP_LOCK
+
+    free = []  # per libmp call: could another thread take MP_LOCK then?
+
+    def probe():
+        got = MP_LOCK.acquire(blocking=False)
+        if got:
+            MP_LOCK.release()
+        free.append(got)
+
+    def checked(fn):
+        def wrapper(*args, **kwargs):
+            other = threading.Thread(target=probe)
+            other.start()
+            other.join()
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("mpf_pi", "mpf_exp", "mpf_cos_sin_pi"):
+        monkeypatch.setattr(analytic, name, checked(getattr(analytic, name)))
+    j_of_lattice(LAT_3I, 256)
+    assert len(free) == 3 and not any(free)
 
 
 def test_verify_appendix_all_fixtures():
@@ -364,11 +393,19 @@ def test_concurrent_evaluation_is_bit_identical():
 
     forms = [f for D in (-36, -144, -108, -192) for f in enumerate_reduced(D)]
     lats = [form_to_lattice(f) for f in forms]
-    serial = [j_of_lattice(lat, 192) for lat in lats]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda lat: j_of_lattice(lat, 192), lats * 4))
+    # rising precisions, threaded first: the threads raise mpmath's memos of
+    # pi and log 2 while others read them, and the serial reference comes after
+    jobs = [(lat, prec) for prec in (192, 640, 2048, 8192) for lat in lats]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo reads too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda job: j_of_lattice(*job), jobs * 2))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = [j_of_lattice(*job) for job in jobs]
     for k, value in enumerate(threaded):
-        expected = serial[k % len(lats)]
+        expected = serial[k % len(jobs)]
         assert value.re == expected.re and value.im == expected.im
 
 
