@@ -34,7 +34,7 @@ from .binforms import (
 )
 from .cmlattice import CMLattice, ideal_class, parse_lattice
 from .errors import DivisionByZero, LowerHalfPlane, ParseError, PrecisionExhausted
-from .quadfield import MP_LOCK, QuadElem
+from .quadfield import MP_LOCK, QuadElem, factorize
 
 _GUARD_BITS = 48
 _FIXED_GUARD_BITS = 64
@@ -246,6 +246,69 @@ def start_precision(D: int, prec: int = 128) -> int:
         # log2(e^x + 2079) without overflowing exp(x)
         bits += x / math.log(2) + math.log2(1 + 2079 * math.exp(-x))
     return max(prec, math.ceil(bits) + _GUARD_BITS)
+
+
+def split_prime(D: int) -> int:
+    """The least prime p = s^2 - D with s >= 1.
+
+    4p = t^2 - v^2 D with t = 2s, v = 2, so p = x^2 + b x v + c v^2 at
+    x = s - b is represented by the principal form (1, b, c) of D.  Such p
+    (> |D|, so prime to D) split completely in the ring class field of the
+    order of discriminant D (Cox, Primes of the form x^2+ny^2, Thm 9.4), and
+    H_D mod p is the product of X - j over the h(D) distinct j-invariants of
+    curves over F_p with that endomorphism ring (Sutherland, Math. Comp. 80
+    (2011), section 2).
+    """
+    s = 1
+    while factorize(s * s - D) != {s * s - D: 1}:
+        s += 1
+    return s * s - D
+
+
+def _divides_x_to_the_p_minus_x(coefficients: list[int], p: int) -> bool:
+    """True iff the monic polynomial (leading coefficient first) divides X^p - X mod p.
+
+    That is, iff it splits into distinct linear factors over F_p.  X^p mod the
+    polynomial comes from square-and-multiply on residues of degree below h.
+    """
+    h = len(coefficients) - 1
+    low = [c % p for c in reversed(coefficients[1:])]  # X^h = -sum low[j] X^j
+
+    def residue(r: list[int]) -> list[int]:
+        r = r + [0] * (h - len(r))
+        for i in range(len(r) - 1, h - 1, -1):
+            c = r[i] % p
+            if c:
+                for j, m in enumerate(low):
+                    r[i - h + j] -= c * m
+        return [x % p for x in r[:h]]
+
+    power = residue([1])
+    for bit in bin(p)[2:]:
+        square = [0] * (2 * h - 1)
+        for i, a in enumerate(power):
+            if a:
+                for j, b in enumerate(power):
+                    square[i + j] += a * b
+        power = residue(square)
+        if bit == "1":
+            power = residue([0] + power)
+    return power == residue([0, 1])
+
+
+def is_plausible_class_polynomial(D: int, coefficients: list[int]) -> bool:
+    """Exact necessary conditions on H_D, cheap next to computing it.
+
+    The polynomial must be monic of degree h(D) and split into distinct linear
+    factors modulo split_prime(D).  A wrong polynomial with that shape passes
+    only if it also splits there; this is a check, not a certificate.
+    """
+    h = len(enumerate_reduced(D))
+    return (
+        len(coefficients) == h + 1
+        and coefficients[0] == 1
+        and _divides_x_to_the_p_minus_x(coefficients, split_prime(D))
+    )
 
 
 def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:

@@ -8,6 +8,10 @@ JSON-lines file selected by --cache or the WJ_CACHE environment variable.
 
 from __future__ import annotations
 
+import time
+
+_IMPORTS_STARTED = time.monotonic()
+
 import argparse
 import fcntl
 import json
@@ -16,18 +20,22 @@ import re
 import shutil
 import sys
 import tempfile
-import time
 from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import mpmath
-
-from . import analytic, binforms, cmlattice, hodgecalc, jacobians
+# the one weightjac module every command uses; each handler imports the rest
+from . import binforms
 from .binforms import Form, parse_form, validate_discriminant
-from .cmlattice import Order
 from .errors import CacheUnusable, ParseError, WeightjacError
-from .jacobians import CurveClass, ProductAV
+
+if TYPE_CHECKING:
+    from .cmlattice import CMLattice, Order
+    from .jacobians import CurveClass, ProductAV
+
+# wall time of the imports above, reported as timings.import_ms
+_IMPORT_MS = int((time.monotonic() - _IMPORTS_STARTED) * 1000)
 
 SCHEMA = 1
 
@@ -35,6 +43,9 @@ _CURVE_RE = re.compile(r"\(\s*(-\d+)\s*:\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s
 
 
 def _parse_curves(text: str) -> list[CurveClass]:
+    from .cmlattice import Order
+    from .jacobians import CurveClass
+
     matches = list(_CURVE_RE.finditer(text))
     rest = _CURVE_RE.sub("", text).replace(",", "").strip()
     if not matches or rest:
@@ -52,12 +63,16 @@ def _parse_curves(text: str) -> list[CurveClass]:
 
 def _product(args) -> tuple[ProductAV, dict]:
     """The product of the --curves classes, and its echo."""
+    from .jacobians import ProductAV
+
     curves = _parse_curves(args.curves)
     return ProductAV(tuple(curves)), {"curves": [_curve_record(e) for e in curves]}
 
 
-def _lattices(args, count: int) -> tuple[list[cmlattice.CMLattice], dict]:
+def _lattices(args, count: int) -> tuple[list[CMLattice], dict]:
     """Exactly count --lattices (one or two), and their echo."""
+    from . import cmlattice
+
     lats = cmlattice.parse_lattices(args.lattices)
     if len(lats) != count:
         needs = ("one lattice", "two lattices")[count - 1]
@@ -75,6 +90,8 @@ def _curve_record(e: CurveClass) -> dict:
 
 
 def _mpf_str(x, prec: int) -> str:
+    import mpmath
+
     return mpmath.nstr(x, max(int(prec * 0.30103) + 2, 17))
 
 
@@ -106,20 +123,44 @@ def _locked(path: Path, mode: str, operation: int):
         yield fh
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bools, which are ints to isinstance
+    return type(value) is int
+
+
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(x) for x in value)
+
+
+# the shape each field of a cache record must have, when present; D is required
+_RECORD_SHAPE = {
+    "D": _is_int,
+    "prec": _is_int,
+    "hcp": lambda v: v is None or _int_list(v),
+    "structure": lambda v: v is None or _int_list(v),
+    "forms": lambda v: v is None
+    or (isinstance(v, list) and all(_int_list(f) and len(f) == 3 for f in v)),
+}
+
+
 def _parse_records(text: str) -> tuple[list[dict], bool]:
-    """The valid records of a cache file, and whether it had corrupt lines."""
+    """The well-shaped records of a cache file, and whether it had corrupt lines."""
     entries, corrupt = [], False
     for line in text.splitlines():
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            if not isinstance(rec, dict) or not isinstance(rec.get("D"), int):
-                raise ValueError("bad record")
-        except Exception:
+        except (ValueError, RecursionError):
+            rec = None
+        if (
+            isinstance(rec, dict)
+            and "D" in rec
+            and all(fits(rec[key]) for key, fits in _RECORD_SHAPE.items() if key in rec)
+        ):
+            entries.append(rec)
+        else:
             corrupt = True
-            continue
-        entries.append(rec)
     return entries, corrupt
 
 
@@ -153,7 +194,7 @@ class ResultCache:
 
     def classgroup(self, D: int) -> dict | None:
         for rec in reversed(self.entries):
-            if rec["D"] == D and rec.get("forms") is not None:
+            if rec["D"] == D and rec.get("forms") is not None and rec.get("structure") is not None:
                 return rec
         return None
 
@@ -196,6 +237,8 @@ def _open_cache(args) -> ResultCache | None:
 
 
 def _check_prec(args) -> int:
+    from . import analytic
+
     if not 64 <= args.prec <= analytic._ESCALATION_CAP:
         raise ParseError(
             f"--prec must be between 64 and {analytic._ESCALATION_CAP} bits, got {args.prec}"
@@ -252,6 +295,8 @@ def _cmd_compose(args):
 
 
 def _cmd_latprod(args):
+    from . import cmlattice
+
     lats, echo = _lattices(args, 2)
     prod = cmlattice.lattice_product(lats[0], lats[1])
     order, form = cmlattice.ideal_class(prod)
@@ -266,6 +311,8 @@ def _cmd_latprod(args):
 
 
 def _cmd_homothety(args):
+    from . import cmlattice
+
     lats, echo = _lattices(args, 2)
     verdict = cmlattice.is_homothetic(lats[0], lats[1])
     classes = [cmlattice.ideal_class(lat) for lat in lats]
@@ -281,12 +328,16 @@ def _cmd_homothety(args):
 
 
 def _cmd_endring(args):
+    from . import cmlattice
+
     (lat,), echo = _lattices(args, 1)
     order, form = cmlattice.ideal_class(lat)
     return echo, {"order": _order_record(order), "class": list(form.as_tuple())}
 
 
 def _cmd_jacobian(args):
+    from . import jacobians
+
     x, echo = _product(args)
     m = args.weight
     jac = jacobians.m_jacobian(x, m)
@@ -310,6 +361,8 @@ def _cmd_kummer(args):
 
 
 def _cmd_decompose(args):
+    from . import jacobians
+
     x, echo = _product(args)
     result = jacobians.n_decompose(x).to_record()
     if x.n == 2:
@@ -328,12 +381,16 @@ def _cmd_decompose(args):
 
 
 def _cmd_orbit(args):
+    from . import jacobians
+
     x, echo = _product(args)
     orbit = jacobians.jacobian_orbit(x)
     return echo, {"length": len(orbit), "orbit": [dec.to_record() for dec in orbit]}
 
 
 def _cmd_fixedpoint(args):
+    from . import jacobians
+
     x, echo = _product(args)
     return (
         echo,
@@ -345,6 +402,8 @@ def _cmd_fixedpoint(args):
 
 
 def _cmd_fod(args):
+    from . import jacobians
+
     curves = _parse_curves(args.curves)
     if len(curves) != 2:
         raise ParseError("fod needs exactly two curve classes")
@@ -374,6 +433,8 @@ def _cmd_fod(args):
 
 
 def _cmd_jinv(args):
+    from . import analytic, cmlattice
+
     _check_prec(args)
     (lat,), echo = _lattices(args, 1)
     value = analytic.j_of_lattice(lat, args.prec)
@@ -393,13 +454,16 @@ def _cmd_jinv(args):
 
 
 def _cmd_hcp(args):
+    from . import analytic
+
     _check_prec(args)
     D = validate_discriminant(args.discriminant)
     cache = _open_cache(args)
     # entries computed below this request's start precision may be wrong
     hit = cache.hcp(D, analytic.start_precision(D, args.prec)) if cache else None
-    if hit:
-        coeffs = [int(c) for c in hit["hcp"]]
+    # a hit that fails the exact checks counts as a miss
+    if hit and analytic.is_plausible_class_polynomial(D, hit["hcp"]):
+        coeffs = hit["hcp"]
     else:
         poly = analytic.hilbert_class_polynomial(D, args.prec)
         coeffs = list(poly.coefficients)
@@ -421,6 +485,8 @@ def _cmd_hcp(args):
 
 
 def _cmd_hodge(args):
+    from . import hodgecalc
+
     if (args.data is None) == (args.abelian is None):
         raise ParseError("hodge needs exactly one of --data or --abelian")
     if args.data is not None:
@@ -452,6 +518,8 @@ def _cmd_hodge(args):
 
 
 def _cmd_verify_appendix(args):
+    from . import analytic
+
     _check_prec(args)
     fixtures = analytic.verify_appendix(args.prec)
     all_ok = all(r["matches_exact_value"] and r["reality_matches_class_order"] for r in fixtures)
@@ -563,7 +631,10 @@ def main(argv=None) -> int:
         "command": args.command,
         "input": echo,
         "result": result,
-        "timings": {"total_ms": int((time.monotonic() - started) * 1000)},
+        "timings": {
+            "total_ms": int((time.monotonic() - started) * 1000),
+            "import_ms": _IMPORT_MS,
+        },
     }
     print(json.dumps(report, indent=2))
     return 0

@@ -15,8 +15,10 @@ from weightjac.analytic import (
     evaluate_expression,
     fundamental_domain_exact,
     hilbert_class_polynomial,
+    is_plausible_class_polynomial,
     j_is_real,
     j_of_lattice,
+    split_prime,
     verify_appendix,
     verify_exact,
 )
@@ -253,6 +255,19 @@ def test_hilbert_class_polynomial_at_default_precision_matches_digests():
     for D, expected in DIGESTS_WRONG_FROM_128_BITS.items():
         coeffs = hilbert_class_polynomial(D, 128).coefficients
         assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == expected, D
+        assert is_plausible_class_polynomial(D, list(coeffs)), D
+        assert not is_plausible_class_polynomial(D, [*coeffs[:-1], coeffs[-1] + 1]), D
+
+
+def test_class_polynomial_check_rejects_wrong_polynomials():
+    h23 = [1, 3491750, -5151296875, 12771880859375]
+    assert split_prime(-23) == 59  # 6^2 + 23
+    assert split_prime(-4) == 5 and split_prime(-3) == 7
+    assert is_plausible_class_polynomial(-23, h23)
+    assert not is_plausible_class_polynomial(-23, [1, 0, 0, 1])  # one root mod 59
+    assert not is_plausible_class_polynomial(-23, [2, *h23[1:]])  # not monic
+    assert not is_plausible_class_polynomial(-23, h23[:-1])  # degree 2, h = 3
+    assert not is_plausible_class_polynomial(-23, [1, 0, 0, 0])  # a triple root
 
 
 def test_hilbert_class_polynomial_evaluates_one_j_per_conjugate_pair(monkeypatch):

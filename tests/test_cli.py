@@ -211,6 +211,41 @@ def test_cache_corrupt_recovery(capsys, tmp_path):
     assert len(lines) == 1 and json.loads(lines[0])["D"] == -36
 
 
+H_23 = [1, 3491750, -5151296875, 12771880859375]
+CLASSGROUP_23 = {"D": -23, "h": 3, "structure": [3], "elements": [[1, 1, 6], [2, -1, 3], [2, 1, 3]]}
+HCP_23 = {"D": -23, "degree": 3, "coefficients": H_23, "prec": 128}
+
+
+@pytest.mark.parametrize(
+    "command, record, result, kept",
+    [
+        # wrong shapes: corrupt lines, so the file is rewritten without them
+        ("classgroup", {"D": -23, "forms": 5}, CLASSGROUP_23, False),
+        ("hcp", {"D": -23, "hcp": "x", "prec": 100000}, HCP_23, False),
+        ("hcp", {"D": -23, "hcp": H_23, "prec": True}, HCP_23, False),
+        # the right shape but not H_-23 (X^3 + 1 does not split mod 59): a miss
+        ("hcp", {"D": -23, "hcp": [1, 0, 0, 1], "prec": 100000}, HCP_23, True),
+    ],
+)
+def test_cache_bad_records_are_not_served(capsys, tmp_path, command, record, result, kept):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(record) + "\n")
+    for _ in range(2):  # the recomputed record, then a hit on it
+        code, report = run_cli(capsys, command, "-D", "-23", "--cache", str(cache))
+        assert code == 0
+        assert report["result"] == result
+        lines = [json.loads(line) for line in cache.read_text().splitlines()]
+        assert len(lines) == 1 + kept and (lines[0] == record) == kept
+
+
+def test_timings_report_import_ms(capsys):
+    code, report = run_cli(capsys, "reduce", "--form", "5,14,13")
+    assert code == 0
+    assert set(report["timings"]) == {"total_ms", "import_ms"}
+    assert type(report["timings"]["import_ms"]) is int
+    assert report["timings"]["import_ms"] >= 0
+
+
 _APPEND_WORKER = """
 import sys
 from weightjac.cli import ResultCache
@@ -346,11 +381,11 @@ def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
         assert code == 2, cache
         assert record["error"]["type"] == "CacheUnusable"
     # a missing directory is refused before the polynomial is computed
-    import weightjac.cli as cli_module
+    import weightjac.analytic
 
     calls = []
     monkeypatch.setattr(
-        cli_module.analytic, "hilbert_class_polynomial", lambda *args: calls.append(args)
+        weightjac.analytic, "hilbert_class_polynomial", lambda *args: calls.append(args)
     )
     missing = tmp_path / "missing" / "cache.jsonl"
     code, record = run_cli(capsys, "hcp", "-D", "-10007", "--cache", str(missing))
