@@ -3,12 +3,13 @@
 j is evaluated from the eta quotient (eta(tau)/eta(2 tau))^24, whose two
 pentagonal series, powers and quotient run on fixed-point Gaussian integers,
 after exact fundamental-domain reduction of a lattice's period ratio (through
-binforms.reduce); only q^(+-1) comes from mpmath.libmp, at an explicit
-precision.  The docstring of j_of_lattice proves its error bound.  Class
-polynomials come from the real root product over conjugate pairs of reduced
-forms of the discriminant, one j per pair, starting at Enge's a-priori bound
-on the coefficient size; every accepted polynomial passes an a-posteriori
-error bound, with automatic precision escalation.
+binforms.reduce); only e^(+-2 pi Im tau) and the unit e^(2 pi i Re tau), the
+parts of q^(+-1), come from mpmath.libmp, at an explicit precision.  The
+docstring of j_of_lattice proves its error bound.  Class polynomials come
+from the real root product over conjugate pairs of reduced forms of the
+discriminant, one j per pair, starting at Enge's a-priori bound on the
+coefficient size; every accepted polynomial passes an a-posteriori error
+bound, with automatic precision escalation.
 """
 
 from __future__ import annotations
@@ -319,10 +320,11 @@ def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
     gives the real factor X^2 - 2 Re(j) X + |j|^2; the ambiguous forms (b = 0,
     b = a or a = c) have real j and give X - Re(j).  Starts at
     start_precision(D, prec).  A precision is accepted only when every
-    ambiguous j passes the reality test of j_is_real and the a-posteriori
-    bound of _expand_pairs puts every coefficient within 1/16 of its true
-    value; each rounded coefficient must then sit within 0.25 of its float
-    value.  Otherwise the precision doubles (cap 2^16 bits) before failing.
+    ambiguous j passes the reality test _is_real, run inside _expand_pairs,
+    and the a-posteriori bound of _expand_pairs puts every coefficient within
+    1/16 of its true value; each rounded coefficient must then sit within
+    0.25 of its float value.  Otherwise the precision doubles (cap 2^16 bits)
+    before failing.
     """
     validate_discriminant(D)
     forms = enumerate_reduced(D)

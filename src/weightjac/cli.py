@@ -2,8 +2,9 @@
 
 One report object per invocation: {schema, command, input, result, timings}.
 Exit codes: 0 success, 2 input error (machine-readable error record on
-stdout), 1 internal failure.  classgroup and hcp results are cached in a
-JSON-lines file selected by --cache or the WJ_CACHE environment variable.
+stdout), 1 internal failure.  hcp results are cached in a JSON-lines file
+selected by --cache or the WJ_CACHE environment variable; every other command
+accepts and ignores both.
 """
 
 from __future__ import annotations
@@ -137,9 +138,6 @@ _RECORD_SHAPE = {
     "D": _is_int,
     "prec": _is_int,
     "hcp": lambda v: v is None or _int_list(v),
-    "structure": lambda v: v is None or _int_list(v),
-    "forms": lambda v: v is None
-    or (isinstance(v, list) and all(_int_list(f) and len(f) == 3 for f in v)),
 }
 
 
@@ -165,7 +163,11 @@ def _parse_records(text: str) -> tuple[list[dict], bool]:
 
 
 class ResultCache:
-    """Append-only JSON-lines cache keyed by discriminant.
+    """Append-only JSON-lines cache of class polynomials keyed by discriminant.
+
+    Records are {"D", "hcp", "prec"}.  Files written when classgroup results
+    were cached too still load: records with a null hcp are never served, and
+    fields beyond these are ignored.
 
     Readers hold a shared flock and writers an exclusive one, so concurrent
     processes never see or write a partial record.
@@ -191,12 +193,6 @@ class ResultCache:
             return
         # corrupt lines: recompute what is asked and rewrite the file
         self.entries, self.rewrite_needed = _parse_records(text)
-
-    def classgroup(self, D: int) -> dict | None:
-        for rec in reversed(self.entries):
-            if rec["D"] == D and rec.get("forms") is not None and rec.get("structure") is not None:
-                return rec
-        return None
 
     def hcp(self, D: int, prec: int) -> dict | None:
         for rec in reversed(self.entries):
@@ -231,11 +227,6 @@ class ResultCache:
         self.rewrite_needed = False
 
 
-def _open_cache(args) -> ResultCache | None:
-    path = args.cache or os.environ.get("WJ_CACHE")
-    return ResultCache(path) if path else None
-
-
 def _check_prec(args) -> int:
     from . import analytic
 
@@ -248,29 +239,7 @@ def _check_prec(args) -> int:
 
 def _cmd_classgroup(args):
     D = validate_discriminant(args.discriminant)
-    cache = _open_cache(args)
-    hit = cache.classgroup(D) if cache else None
-    if hit:
-        result = {
-            "D": D,
-            "h": len(hit["forms"]),
-            "structure": hit["structure"],
-            "elements": hit["forms"],
-        }
-    else:
-        group = binforms.class_group(D)
-        result = group.to_record()
-        if cache:
-            cache.put(
-                {
-                    "D": D,
-                    "forms": result["elements"],
-                    "structure": result["structure"],
-                    "hcp": None,
-                    "prec": 0,
-                }
-            )
-    return {"D": D}, result
+    return {"D": D}, binforms.class_group(D).to_record()
 
 
 def _cmd_reduce(args):
@@ -458,7 +427,8 @@ def _cmd_hcp(args):
 
     _check_prec(args)
     D = validate_discriminant(args.discriminant)
-    cache = _open_cache(args)
+    path = args.cache or os.environ.get("WJ_CACHE")
+    cache = ResultCache(path) if path else None
     # entries computed below this request's start precision may be wrong
     hit = cache.hcp(D, analytic.start_precision(D, args.prec)) if cache else None
     # a hit that fails the exact checks counts as a miss
@@ -468,16 +438,7 @@ def _cmd_hcp(args):
         poly = analytic.hilbert_class_polynomial(D, args.prec)
         coeffs = list(poly.coefficients)
         if cache:
-            group = binforms.class_group(D)
-            cache.put(
-                {
-                    "D": D,
-                    "forms": [list(f.as_tuple()) for f in group.elements],
-                    "structure": list(group.structure),
-                    "hcp": coeffs,
-                    "prec": poly.prec,
-                }
-            )
+            cache.put({"D": D, "hcp": coeffs, "prec": poly.prec})
     return (
         {"D": D, "prec": args.prec},
         {"D": D, "degree": len(coeffs) - 1, "coefficients": coeffs, "prec": args.prec},
@@ -558,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, curves=False, lattices=False, weight=False, prec=False, disc=False):
-        p.add_argument("--cache", help="cache file path (overrides WJ_CACHE)")
+        p.add_argument("--cache", help="hcp cache file path (overrides WJ_CACHE)")
         p.add_argument("--json", action="store_true", help="JSON output (the default)")
         if disc:
             p.add_argument("-D", "--discriminant", type=int, required=True)

@@ -204,9 +204,9 @@ def test_hcp_cache_ignores_entries_below_start_precision(capsys, tmp_path):
 def test_cache_corrupt_recovery(capsys, tmp_path):
     cache = tmp_path / "cache.jsonl"
     cache.write_text("this is not json\n")
-    code, report = run_cli(capsys, "classgroup", "-D", "-36", "--cache", str(cache))
+    code, report = run_cli(capsys, "hcp", "-D", "-36", "--cache", str(cache))
     assert code == 0
-    assert report["result"]["h"] == 2
+    assert report["result"]["coefficients"] == [1, -153542016, -1790957481984]
     lines = cache.read_text().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["D"] == -36
 
@@ -216,11 +216,39 @@ CLASSGROUP_23 = {"D": -23, "h": 3, "structure": [3], "elements": [[1, 1, 6], [2,
 HCP_23 = {"D": -23, "degree": 3, "coefficients": H_23, "prec": 128}
 
 
+def test_classgroup_ignores_the_cache(capsys, tmp_path, monkeypatch):
+    # a record of the old classgroup cache with the wrong group of D = -23
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"D": -23, "forms": [[1,1,6]], "structure": [1], "hcp": null, "prec": 0}\n')
+    old = cache.read_bytes()
+    code, report = run_cli(capsys, "classgroup", "-D", "-23", "--cache", str(cache))
+    assert code == 0 and report["result"] == CLASSGROUP_23
+    monkeypatch.setenv("WJ_CACHE", str(cache))
+    code, report = run_cli(capsys, "classgroup", "-D", "-23")
+    assert code == 0 and report["result"] == CLASSGROUP_23
+    assert cache.read_bytes() == old
+    # a path hcp would refuse is ignored too
+    code, report = run_cli(capsys, "classgroup", "-D", "-23", "--cache", str(tmp_path))
+    assert code == 0 and report["result"] == CLASSGROUP_23
+
+
+def test_hcp_serves_records_with_old_fields(capsys, tmp_path):
+    # hcp records once also carried the class group; the extra fields are ignored
+    cache = tmp_path / "cache.jsonl"
+    record = {"D": -23, "forms": CLASSGROUP_23["elements"], "structure": [3], "hcp": H_23,
+              "prec": 100000}
+    cache.write_text(json.dumps(record) + "\n")
+    old = cache.read_bytes()
+    code, report = run_cli(capsys, "hcp", "-D", "-23", "--cache", str(cache))
+    assert code == 0 and report["result"] == HCP_23
+    assert cache.read_bytes() == old
+
+
 @pytest.mark.parametrize(
     "command, record, result, kept",
     [
         # wrong shapes: corrupt lines, so the file is rewritten without them
-        ("classgroup", {"D": -23, "forms": 5}, CLASSGROUP_23, False),
+        ("hcp", {"D": -23, "hcp": [1, 0.5, 0, 1], "prec": 100000}, HCP_23, False),
         ("hcp", {"D": -23, "hcp": "x", "prec": 100000}, HCP_23, False),
         ("hcp", {"D": -23, "hcp": H_23, "prec": True}, HCP_23, False),
         # the right shape but not H_-23 (X^3 + 1 does not split mod 59): a miss
@@ -255,7 +283,7 @@ tag = int(sys.argv[2])
 print("ready", flush=True)
 sys.stdin.readline()
 for i in range(50):
-    cache.put({"D": -(1000 * tag + i), "forms": None, "hcp": None, "prec": 0, "pad": "x" * 20000})
+    cache.put({"D": -(1000 * tag + i), "hcp": None, "prec": 0, "pad": "x" * 20000})
 """
 
 
@@ -298,19 +326,24 @@ def test_cache_recovery_rewrite_is_atomic(capsys, tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    code, _ = run_cli(capsys, "classgroup", "-D", "-36", "--cache", str(cache))
+    code, _ = run_cli(capsys, "hcp", "-D", "-36", "--cache", str(cache))
     assert code == 1
     assert cache.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
-def test_classgroup_cache_roundtrip(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "cg.jsonl"
+def test_hcp_cache_roundtrip_through_env(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "hcp.jsonl"
     monkeypatch.setenv("WJ_CACHE", str(cache))
-    code, cold = run_cli(capsys, "classgroup", "-D", "-192")
-    code, warm = run_cli(capsys, "classgroup", "-D", "-192")
+    code, cold = run_cli(capsys, "hcp", "-D", "-192")
+    assert code == 0
+    written = cache.read_bytes()
+    code, warm = run_cli(capsys, "hcp", "-D", "-192")
+    assert code == 0
     assert strip_timings(cold) == strip_timings(warm)
-    assert warm["result"]["structure"] == [2, 2]
+    assert warm["result"]["degree"] == 4
+    # the warm run was a hit: it appended nothing
+    assert cache.read_bytes() == written and len(written.splitlines()) == 1
 
 
 def test_verify_appendix_cli(capsys):
@@ -375,22 +408,18 @@ def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
     code, record = run_cli(capsys, "latprod", "--lattices", "<1;1/0*sqrt(-1)>@-1,<1;sqrt(-1)>@-1")
     assert code == 2
     assert record["error"]["type"] == "ParseError"
-    # a cache path that cannot be opened: a file in a missing directory, a directory
-    for cache in (tmp_path / "missing" / "cache.jsonl", tmp_path):
-        code, record = run_cli(capsys, "classgroup", "-D", "-23", "--cache", str(cache))
-        assert code == 2, cache
-        assert record["error"]["type"] == "CacheUnusable"
-    # a missing directory is refused before the polynomial is computed
+    # a cache path that cannot be opened, a file in a missing directory or a
+    # directory, is refused before the polynomial is computed
     import weightjac.analytic
 
     calls = []
     monkeypatch.setattr(
         weightjac.analytic, "hilbert_class_polynomial", lambda *args: calls.append(args)
     )
-    missing = tmp_path / "missing" / "cache.jsonl"
-    code, record = run_cli(capsys, "hcp", "-D", "-10007", "--cache", str(missing))
-    assert code == 2
-    assert record["error"]["type"] == "CacheUnusable"
+    for cache in (tmp_path / "missing" / "cache.jsonl", tmp_path):
+        code, record = run_cli(capsys, "hcp", "-D", "-10007", "--cache", str(cache))
+        assert code == 2, cache
+        assert record["error"]["type"] == "CacheUnusable"
     assert calls == []
     # C(40, 20) ~ 1.4e11 factors would never finish; the factor budget stops it
     curves = ",".join(["(-144:5,4,8)"] * 40)
