@@ -9,7 +9,12 @@ docstring of j_of_lattice proves its error bound.  Class polynomials come
 from the real root product over conjugate pairs of reduced forms of the
 discriminant, one j per pair, starting at Enge's a-priori bound on the
 coefficient size; every accepted polynomial passes an a-posteriori error
-bound, with automatic precision escalation.
+bound, with automatic precision escalation.  The expansion runs on
+fixed-point integers, and the embedding of tau, the reality test and the
+size bound call libmp at explicit precisions, so only the block of
+j_of_lattice that reads mpmath's memos of pi and log 2 takes MP_LOCK on the
+class-polynomial path; evaluate_expression and verify_exact still run on
+mpmath's global context under it.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from importlib import resources
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (
-    fone, from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul, mpf_pi, mpf_shift,
-    round_nearest, to_fixed, to_float,
+    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_hypot,
+    mpf_lt, mpf_mul, mpf_pi, mpf_pos, mpf_shift, round_nearest, to_fixed, to_float,
 )
 
 from .binforms import (
@@ -56,14 +61,15 @@ class PrecComplex:
 
     @classmethod
     def from_mpc(cls, z, prec: int) -> "PrecComplex":
-        with MP_LOCK, mp.workprec(prec):
-            z = mpmath.mpc(z)
-            return cls(+z.real, +z.imag, prec)
+        """z with each part rounded to nearest at prec bits."""
+        z = mp.convert(z)
+        parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
+        re, im = (mp.make_mpf(mpf_pos(x, prec, round_nearest)) for x in parts)
+        return cls(re, im, prec)
 
     def to_mpc(self) -> mpmath.mpc:
-        # mpc() rounds to the ambient precision, so pin it to the stored one
-        with MP_LOCK, mp.workprec(self.prec):
-            return mpmath.mpc(self.re, self.im)
+        # exact: the parts already have at most prec bits
+        return mp.make_mpc((self.re._mpf_, self.im._mpf_))
 
 
 def fundamental_domain_exact(tau: QuadElem) -> QuadElem:
@@ -207,9 +213,11 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
 
 def _is_real(z: PrecComplex) -> bool:
     """|Im z| < 2^(16-prec) (1 + |z|): a real j passes with room, as the lemma
-    of j_of_lattice bounds its error by 2^(1-prec) (1 + |j|), 2^-15 of this."""
-    with MP_LOCK, mp.workprec(z.prec):
-        return abs(z.im) < mpmath.mpf(2) ** (16 - z.prec) * (1 + abs(z.to_mpc()))
+    of j_of_lattice bounds its error by 2^(1-prec) (1 + |j|), 2^-15 of this.
+    |z| and 1 + |z| are rounded to nearest at prec bits."""
+    re, im, prec = z.re._mpf_, z.im._mpf_, z.prec
+    scale = mpf_add(fone, mpf_hypot(re, im, prec, round_nearest), prec, round_nearest)
+    return mpf_lt(mpf_abs(im), mpf_shift(scale, 16 - prec))
 
 
 @dataclass(frozen=True)
@@ -323,7 +331,7 @@ def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
     ambiguous j passes the reality test _is_real, run inside _expand_pairs,
     and the a-posteriori bound of _expand_pairs puts every coefficient within
     1/16 of its true value; each rounded coefficient must then sit within
-    0.25 of its float value.  Otherwise the precision doubles (cap 2^16 bits)
+    0.25 of its fixed-point value.  Otherwise the precision doubles (cap 2^16 bits)
     before failing.
     """
     validate_discriminant(D)
@@ -356,38 +364,52 @@ def _expand_pairs(
     ((1+eps)^h - 1) prod(1 + |r_i|) <= 2 h eps prod(1 + |r_i|) over all h
     roots.  mag(prod) + ceil(log2 h) + 12 < prec puts that at or below 1/16,
     so the nearest integer is the true coefficient and the 0.25 rounding test
-    only checks consistency; the slack below 1/4 covers the 53-bit product.
-    Enge's start (bound + 48 bits) always clears this test.  The expansion at
-    prec + 48 bits adds its own rounding error of about
-    4 h 2^(-prec-48) prod(1 + |r_i|), 2^-55 of the root error term.
+    only checks consistency; the slack below 1/4 covers the 53-bit product,
+    whose every step rounds to nearest.  Enge's start (bound + 48 bits)
+    always clears this test.
+
+    The expansion runs on integers scaled by 2^W, W = prec + 48 (u = 2^-W).
+    The parts of each root are floored to W bits, so s = 2 Re r is off by
+    < 2u and p = |r|^2, floored once more, by < 3 (1 + |r|) u.  A factor
+    X - r or X^2 - sX + p updates every coefficient with one floored
+    product, which adds < 1 u, to partial coefficients of modulus at most
+    M = prod over the earlier factors of (1 + |r_j|) (times 1 + 2^-40).  So
+    one factor adds < (5 (1 + |r|) M + 1) u, which the later factors scale
+    by at most their (1 + |r_j|), and the floors put every coefficient off
+    by < 6 h u prod(1 + |r_i|) in all, 3 2^-56 of the root error term.
     """
     h = len(roots) + sum(paired)
-    with MP_LOCK:
-        size = mpmath.mpf(1)
-        with mp.workprec(53):
-            for r, pair in zip(roots, paired):
-                factor = 1 + mpmath.hypot(r.re, r.im)
-                size *= factor * factor if pair else factor
-        if mpmath.mag(size) + (h - 1).bit_length() + 12 >= prec:
+    rnd = round_nearest  # libmp's default rounds down and can lower mag(size)
+    size = fone
+    for r, pair in zip(roots, paired):
+        factor = mpf_add(fone, mpf_hypot(r.re._mpf_, r.im._mpf_, 53, rnd), 53, rnd)
+        if pair:
+            factor = mpf_mul(factor, factor, 53, rnd)
+        size = mpf_mul(size, factor, 53, rnd)
+    _, _, exp, bc = size
+    if exp + bc + (h - 1).bit_length() + 12 >= prec:
+        return None
+    w = prec + _GUARD_BITS
+    coeffs = [1 << w]
+    for r, pair in zip(roots, paired):
+        re = to_fixed(r.re._mpf_, w)
+        if pair:
+            im = to_fixed(r.im._mpf_, w)
+            s, p = 2 * re, (re * re + im * im) >> w
+            coeffs += [0, 0]
+            for k in range(len(coeffs) - 1, 1, -1):
+                coeffs[k] += (p * coeffs[k - 2] - s * coeffs[k - 1]) >> w
+            coeffs[1] -= s
+        elif _is_real(r):
+            coeffs.append(0)
+            for k in range(len(coeffs) - 1, 0, -1):
+                coeffs[k] -= (re * coeffs[k - 1]) >> w
+        else:
             return None
-        with mp.workprec(prec + _GUARD_BITS):
-            coeffs = [mpmath.mpf(1)]
-            for r, pair in zip(roots, paired):
-                if pair:
-                    s, p = 2 * r.re, r.re * r.re + r.im * r.im
-                    coeffs += [0, 0]
-                    for k in range(len(coeffs) - 1, 1, -1):
-                        coeffs[k] += p * coeffs[k - 2] - s * coeffs[k - 1]
-                    coeffs[1] -= s
-                elif _is_real(r):
-                    coeffs.append(0)
-                    for k in range(len(coeffs) - 1, 0, -1):
-                        coeffs[k] -= r.re * coeffs[k - 1]
-                else:
-                    return None
-            rounded = tuple(int(mpmath.nint(c)) for c in coeffs)
-            if any(abs(c - n) >= 0.25 for c, n in zip(coeffs, rounded)):
-                return None
+    half, quarter = 1 << (w - 1), 1 << (w - 2)
+    rounded = tuple((c + half) >> w for c in coeffs)
+    if any(abs(c - (n << w)) >= quarter for c, n in zip(coeffs, rounded)):
+        return None
     return rounded
 
 

@@ -15,12 +15,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pos, mpf_sqrt, round_nearest
 
 from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseError, RationalInput
 
-# mpmath's working precision is process-global state; every code path that
-# touches it serializes on this lock so concurrent callers stay safe and
-# results stay bit-identical
+# mpmath's working precision and its memos of pi and log 2 are process-global
+# state.  The paths that still touch them serialize on this lock, so
+# concurrent callers stay safe and results stay bit-identical:
+# analytic.j_of_lattice's mpf_pi/mpf_exp/mpf_cos_sin_pi block,
+# analytic.evaluate_expression and analytic.verify_exact.  Everything else
+# calls mpmath.libmp at explicit precisions and takes no lock.
 MP_LOCK = threading.RLock()
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -183,19 +187,20 @@ class QuadElem:
     def embed(self, prec: int = 128) -> mpmath.mpc:
         """Complex value with sqrt(d) on the positive imaginary axis.
 
-        Each component has relative error below 2^(1-prec).
+        Each component is computed to nearest at prec + 8 bits (the numerator
+        rounded, then divided, then times sqrt(-d)) and rounded to nearest at
+        prec bits, so it has relative error below 2^(1-prec).  The libmp calls
+        take explicit precisions, so no lock is needed.
         """
         if prec < 64:
             raise ValueError("prec must be at least 64")
-        with MP_LOCK, mpmath.workprec(prec + 8):
-            re = mpmath.mpf(self.x.numerator) / self.x.denominator
-            im = (
-                mpmath.mpf(self.y.numerator)
-                / self.y.denominator
-                * mpmath.sqrt(-self.field.d)
-            )
-            with mpmath.workprec(prec):
-                return mpmath.mpc(+re, +im)
+        wp, rnd = prec + 8, round_nearest
+        re, im = (
+            mpf_div(from_int(q.numerator, wp, rnd), from_int(q.denominator), wp, rnd)
+            for q in (self.x, self.y)
+        )
+        im = mpf_mul(im, mpf_sqrt(from_int(-self.field.d), wp, rnd), wp, rnd)
+        return mpmath.mp.make_mpc((mpf_pos(re, prec, rnd), mpf_pos(im, prec, rnd)))
 
     def __str__(self):
         sign = "+" if self.y >= 0 else "-"

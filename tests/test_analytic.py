@@ -403,25 +403,121 @@ def test_expression_language():
         evaluate_expression("0^-1", 128)
 
 
-def test_concurrent_evaluation_is_bit_identical():
+def _bits(value):
+    """Everything a result carries: PrecComplex parts, or coefficients and prec."""
+    if isinstance(value, PrecComplex):
+        return value.re._mpf_, value.im._mpf_, value.prec
+    return value.coefficients, value.prec
+
+
+def _assert_threads_match_serial(jobs):
     from concurrent.futures import ThreadPoolExecutor
 
-    forms = [f for D in (-36, -144, -108, -192) for f in enumerate_reduced(D)]
-    lats = [form_to_lattice(f) for f in forms]
-    # rising precisions, threaded first: the threads raise mpmath's memos of
-    # pi and log 2 while others read them, and the serial reference comes after
-    jobs = [(lat, prec) for prec in (192, 640, 2048, 8192) for lat in lats]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the memo reads too
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(lambda job: j_of_lattice(*job), jobs * 2))
+            threaded = list(pool.map(lambda job: job[0](*job[1:]), jobs * 2))
     finally:
         sys.setswitchinterval(interval)
-    serial = [j_of_lattice(*job) for job in jobs]
+    serial = [_bits(fn(*args)) for fn, *args in jobs]
     for k, value in enumerate(threaded):
-        expected = serial[k % len(jobs)]
-        assert value.re == expected.re and value.im == expected.im
+        assert _bits(value) == serial[k % len(jobs)], jobs[k % len(jobs)]
+
+
+def test_concurrent_evaluation_is_bit_identical(monkeypatch):
+    forms = [f for D in (-36, -144, -108, -192) for f in enumerate_reduced(D)]
+    lats = [form_to_lattice(f) for f in forms]
+    # rising precisions, threaded first: the threads raise mpmath's memos of
+    # pi and log 2 while others read them, and the serial reference comes after
+    jobs = [(j_of_lattice, lat, prec) for prec in (192, 640, 2048, 8192) for lat in lats]
+    # from 128 bits, -1155 and -1320 start at Enge's bound, 361 and 460 bits
+    polys = [(hilbert_class_polynomial, D, 128) for D in (-1155, -1320, -108, -192)]
+    _assert_threads_match_serial(jobs + polys)
+    # from 128 bits without the start bound, -1155 and -1320 double to 512
+    monkeypatch.setattr(analytic, "start_precision", lambda D, prec: prec)
+    _assert_threads_match_serial(polys)
+
+
+def _mpmath_size_threshold(roots, paired):
+    """The least prec that the earlier size test of _expand_pairs, on
+    mpmath's global context, accepts: mag(size) + ceil(log2 h) + 12 < prec."""
+    h = len(roots) + sum(paired)
+    size = mpmath.mpf(1)
+    with mp.workprec(53):
+        for r, pair in zip(roots, paired):
+            factor = 1 + mpmath.hypot(r.re, r.im)
+            size *= factor * factor if pair else factor
+    return mpmath.mag(size) + (h - 1).bit_length() + 13
+
+
+def _class_roots(D):
+    upper = [f for f in enumerate_reduced(D) if f.b >= 0]
+    prec = analytic.start_precision(D)
+    roots = [j_of_lattice(form_to_lattice(f), prec) for f in upper]
+    return roots, [0 < f.b < f.a < f.c for f in upper]
+
+
+def _near_power_of_two_roots():
+    """A real and a paired root just below 2^54: the 53-bit size rounded down
+    instead of to nearest loses one bit of magnitude and moves the threshold."""
+    n = 2**54 - 1
+    below = mpmath.mpf(n, prec=54)
+    roots = [PrecComplex(below, mpmath.mpf(0), 256), PrecComplex(below, mpmath.mpf(1), 256)]
+    return roots, [False, True], (1, -3 * n, 3 * n * n + 1, -n * (n * n + 1))
+
+
+@pytest.mark.parametrize("D", [-1155, -1320, -1603, None])
+def test_expand_pairs_decides_like_the_mpmath_size_test(D):
+    if D is None:
+        roots, paired, expected = _near_power_of_two_roots()
+    else:
+        roots, paired = _class_roots(D)
+        expected = hilbert_class_polynomial(D).coefficients
+    threshold = _mpmath_size_threshold(roots, paired)
+    assert threshold <= min(r.prec for r in roots)
+    assert analytic._expand_pairs(roots, paired, threshold - 1) is None
+    assert analytic._expand_pairs(roots, paired, threshold) == expected
+
+
+def test_expansion_and_embedding_take_no_lock():
+    import threading
+
+    from weightjac.quadfield import MP_LOCK
+
+    roots, paired = _class_roots(-1155)
+    prec = roots[0].prec
+    taus = [form_to_lattice(f).tau for f in enumerate_reduced(-1155)]
+
+    def work():
+        return (
+            analytic._expand_pairs(roots, paired, prec),
+            [analytic._is_real(r) for r in roots],
+            [tau.embed(p)._mpc_ for tau in taus for p in (64, prec, 4096)],
+        )
+
+    expected = work()
+    held, release = threading.Event(), threading.Event()
+
+    def holder():
+        # another thread inside a locked block, at a working precision of its own
+        with MP_LOCK, mp.workprec(20):
+            held.set()
+            release.wait(60)
+
+    results = []
+    lock_thread = threading.Thread(target=holder)
+    lock_thread.start()
+    assert held.wait(60)
+    worker = threading.Thread(target=lambda: results.append(work()))
+    worker.start()
+    worker.join(30)
+    finished = not worker.is_alive()
+    release.set()
+    lock_thread.join(60)
+    worker.join(60)
+    assert finished, "waited for MP_LOCK"
+    assert results == [expected]
 
 
 def test_prec_complex_tracks_minimum_precision():

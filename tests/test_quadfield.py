@@ -152,6 +152,34 @@ def test_embed_is_nearly_multiplicative():
             assert abs(lhs - rhs) < mpmath.mpf(2) ** (4 - prec) * scale
 
 
+def _embed_oracle(z, prec):
+    """The earlier embed on mpmath's global context: parts to nearest at
+    prec + 8 bits, then each rounded to prec bits."""
+    with mpmath.workprec(prec + 8):
+        re = mpmath.mpf(z.x.numerator) / z.x.denominator
+        im = mpmath.mpf(z.y.numerator) / z.y.denominator * mpmath.sqrt(-z.field.d)
+        with mpmath.workprec(prec):
+            return mpmath.mpc(+re, +im)
+
+
+def test_embed_is_bit_identical_to_the_workprec_formula():
+    from weightjac.binforms import enumerate_reduced
+
+    # tau = (-b + t sqrt(d)) / 2a of every reduced form (a, b, c) with |D| < 500
+    points = [q(F(-22, 7), F(5, 3), FieldTag(-7)), q(F(-10**40 - 1, 3), F(1, 10**30), FieldTag(-163))]
+    for D in range(-3, -500, -1):
+        if D % 4 not in (0, 1):
+            continue
+        d = squarefree_part(D)
+        t = math.isqrt(D // d)
+        field = FieldTag(d)
+        points += [q(F(-f.b, 2 * f.a), F(t, 2 * f.a), field) for f in enumerate_reduced(D)]
+    for prec in (64, 128, 200, 1024, 4096):
+        for z in points:
+            got, expected = z.embed(prec), _embed_oracle(z, prec)
+            assert got._mpc_ == expected._mpc_, (str(z), prec)
+
+
 def test_serialization_round_trip():
     cases = [
         q(F(1, 3), F(-2, 7)),
