@@ -488,8 +488,12 @@ def verify_exact(lat: CMLattice, expr: str, prec: int = 128) -> bool:
     values cancel catastrophically (terms around 2^61 summing to around
     2^10), and the tolerance is relative to the small final value.
     """
+    return _matches_exact(j_of_lattice(lat, prec + 16), expr, prec)
+
+
+def _matches_exact(computed: PrecComplex, expr: str, prec: int) -> bool:
+    """verify_exact for j already computed at prec + 16 bits."""
     expected = evaluate_expression(expr, 2 * prec + 64)
-    computed = j_of_lattice(lat, prec + 16)
     with MP_LOCK, mp.workprec(2 * prec + 64):
         diff = abs(computed.to_mpc() - expected.to_mpc())
         return diff < mpmath.mpf(2) ** (16 - prec) * abs(expected.to_mpc())
@@ -516,8 +520,11 @@ def verify_appendix(prec: int = 256) -> list[dict]:
     for rec in appendix_fixtures():
         lat = parse_lattice(rec["lattice"])
         order, form = ideal_class(lat)
-        ok = verify_exact(lat, rec["exact"], prec)
-        real_ok = j_is_real(lat, prec) == (element_order(form) <= 2)
+        # one j serves both checks: at prec + 16 bits the reality test's
+        # tolerance is still 2^15 times the lemma's error bound
+        j = j_of_lattice(lat, prec + 16)
+        ok = _matches_exact(j, rec["exact"], prec)
+        real_ok = _is_real(j) == (element_order(form) <= 2)
         results.append(
             {
                 "lattice": rec["lattice"],

@@ -2,9 +2,9 @@
 
 One report object per invocation: {schema, command, input, result, timings}.
 Exit codes: 0 success, 2 input error (machine-readable error record on
-stdout), 1 internal failure.  hcp results are cached in a JSON-lines file
-selected by --cache or the WJ_CACHE environment variable; every other command
-accepts and ignores both.
+stdout), 1 internal failure.  hcp results are appended to a JSON-lines cache
+file selected by --cache or the WJ_CACHE environment variable, which is never
+rewritten; every other command accepts and ignores both.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import fcntl
 import json
 import os
 import re
-import shutil
 import sys
-import tempfile
 from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
@@ -100,27 +98,18 @@ def _mpf_str(x, prec: int) -> str:
 def _locked(path: Path, mode: str, operation: int):
     """path opened in mode and held under flock(operation).
 
-    Reopens until the lock is on the file path names: a corrupt-line rewrite
-    renames a new file over it.  A path that cannot be opened, such as a
-    directory or a file in a missing directory, is a CacheUnusable input error.
+    A path that cannot be opened, such as a directory or a file in a missing
+    directory, is a CacheUnusable input error.
     """
-    while True:
-        try:
-            fh = path.open(mode)
-        except OSError as exc:
-            # to a reader a missing file is an empty cache
-            if mode == "r" and isinstance(exc, FileNotFoundError):
-                raise
-            raise CacheUnusable(f"cannot open cache file {str(path)!r}: {exc.strerror}") from None
-        try:
-            fcntl.flock(fh, operation)
-            if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
-                break
-        except BaseException:
-            fh.close()
+    try:
+        fh = path.open(mode)
+    except OSError as exc:
+        # to a reader a missing file is an empty cache
+        if mode == "rb" and isinstance(exc, FileNotFoundError):
             raise
-        fh.close()
+        raise CacheUnusable(f"cannot open cache file {str(path)!r}: {exc.strerror}") from None
     with fh:
+        fcntl.flock(fh, operation)
         yield fh
 
 
@@ -141,25 +130,21 @@ _RECORD_SHAPE = {
 }
 
 
-def _parse_records(text: str) -> tuple[list[dict], bool]:
-    """The well-shaped records of a cache file, and whether it had corrupt lines."""
-    entries, corrupt = [], False
-    for line in text.splitlines():
-        if not line.strip():
-            continue
+def _parse_records(data: bytes) -> list[dict]:
+    """The well-shaped records of a cache file; any other line is skipped."""
+    entries = []
+    for line in data.splitlines():
         try:
             rec = json.loads(line)
-        except (ValueError, RecursionError):
-            rec = None
+        except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+            continue
         if (
             isinstance(rec, dict)
             and "D" in rec
             and all(fits(rec[key]) for key, fits in _RECORD_SHAPE.items() if key in rec)
         ):
             entries.append(rec)
-        else:
-            corrupt = True
-    return entries, corrupt
+    return entries
 
 
 class ResultCache:
@@ -167,16 +152,17 @@ class ResultCache:
 
     Records are {"D", "hcp", "prec"}.  Files written when classgroup results
     were cached too still load: records with a null hcp are never served, and
-    fields beyond these are ignored.
+    fields beyond these are ignored.  A line that is not a well-shaped record,
+    such as one torn by a crash, is skipped and never rewritten.
 
-    Readers hold a shared flock and writers an exclusive one, so concurrent
-    processes never see or write a partial record.
+    Readers hold a shared flock and writers an exclusive one, and each record
+    is appended in one write, so concurrent processes never see or write a
+    partial record.
     """
 
     def __init__(self, path: str):
         self.path = Path(path)
         self.entries: list[dict] = []
-        self.rewrite_needed = False
         self._load()
 
     def _load(self) -> None:
@@ -187,12 +173,11 @@ class ResultCache:
                 f"{str(self.path.parent)!r} is not a directory"
             )
         try:
-            with _locked(self.path, "r", fcntl.LOCK_SH) as fh:
-                text = fh.read()
+            with _locked(self.path, "rb", fcntl.LOCK_SH) as fh:
+                data = fh.read()
         except FileNotFoundError:
             return
-        # corrupt lines: recompute what is asked and rewrite the file
-        self.entries, self.rewrite_needed = _parse_records(text)
+        self.entries = _parse_records(data)
 
     def hcp(self, D: int, prec: int) -> dict | None:
         for rec in reversed(self.entries):
@@ -202,29 +187,14 @@ class ResultCache:
 
     def put(self, rec: dict) -> None:
         self.entries.append(rec)
-        line = json.dumps(rec, sort_keys=True) + "\n"
-        if not self.rewrite_needed:
-            with _locked(self.path, "ab", fcntl.LOCK_EX) as fh:
-                fh.write(line.encode())
-            return
-        with _locked(self.path, "r", fcntl.LOCK_EX) as fh:
-            # reread under the lock to keep records other writers appended
-            entries, _ = _parse_records(fh.read())
-            body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in entries) + line
-            # write a sibling temp file and rename it over the cache, so a crash
-            # mid-write leaves the old file whole
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".")
-            try:
-                with os.fdopen(fd, "w") as out:
-                    out.write(body)
-                    out.flush()
-                    os.fsync(out.fileno())
-                shutil.copymode(self.path, tmp)
-                os.replace(tmp, self.path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        self.rewrite_needed = False
+        line = (json.dumps(rec, sort_keys=True) + "\n").encode()
+        with _locked(self.path, "a+b", fcntl.LOCK_EX) as fh:
+            # end a line torn by a crash, so this record gets a line of its own
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)
 
 
 def _check_prec(args) -> int:

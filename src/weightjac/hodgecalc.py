@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import BadWeight, HodgeTooLarge, MissingSummand, NoJacobian, ParseError, WeightMismatch
+from .quadfield import factorize
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,12 @@ def direct_sum(summands: list[SyntheticHodge]) -> SyntheticHodge:
 
 
 def torsion_dim(h: SyntheticHodge, p: int) -> int:
-    """dim of the p-torsion of the Jacobian quotient: 2*h^{0,m} + discrepancy."""
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    """dim of the p-torsion of the Jacobian quotient: 2*h^{0,m} + discrepancy.
+
+    p is proven prime by the bounded trial division of factorize, which raises
+    DiscriminantTooLarge for a p it cannot settle.
+    """
+    if p < 2 or factorize(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     return 2 * h.h0m + discrepancy(h)
 

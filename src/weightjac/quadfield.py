@@ -23,7 +23,7 @@ from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseEr
 # state.  The paths that still touch them serialize on this lock, so
 # concurrent callers stay safe and results stay bit-identical:
 # analytic.j_of_lattice's mpf_pi/mpf_exp/mpf_cos_sin_pi block,
-# analytic.evaluate_expression and analytic.verify_exact.  Everything else
+# analytic.evaluate_expression and analytic._matches_exact.  Everything else
 # calls mpmath.libmp at explicit precisions and takes no lock.
 MP_LOCK = threading.RLock()
 

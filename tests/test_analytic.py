@@ -177,6 +177,19 @@ def test_verify_appendix_all_fixtures():
     assert all(r["reality_matches_class_order"] for r in results)
 
 
+def test_verify_appendix_computes_each_j_once(monkeypatch):
+    expected = verify_appendix(256)
+    precs = []
+
+    def counted(lat, prec=128):
+        precs.append(prec)
+        return j_of_lattice(lat, prec)
+
+    monkeypatch.setattr(analytic, "j_of_lattice", counted)
+    assert verify_appendix(256) == expected
+    assert precs == [256 + 16] * 13
+
+
 def test_verify_exact_rejects_wrong_value():
     assert verify_exact(LAT_3I, "0", 128) is False
     assert verify_exact(LAT_3I, "76771008 + 44330496*sqrt(3)", 192) is True

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import weightjac
-from weightjac.cli import main
+from weightjac.cli import ResultCache, main
 
 
 def run_cli(capsys, *argv):
@@ -202,13 +202,20 @@ def test_hcp_cache_ignores_entries_below_start_precision(capsys, tmp_path):
 
 
 def test_cache_corrupt_recovery(capsys, tmp_path):
+    # junk lines, one not even UTF-8, are skipped and kept byte for byte
     cache = tmp_path / "cache.jsonl"
-    cache.write_text("this is not json\n")
-    code, report = run_cli(capsys, "hcp", "-D", "-36", "--cache", str(cache))
+    junk = b"this is not json\n\xff\xfe\n"
+    cache.write_bytes(junk)
+    code, cold = run_cli(capsys, "hcp", "-D", "-36", "--cache", str(cache))
     assert code == 0
-    assert report["result"]["coefficients"] == [1, -153542016, -1790957481984]
-    lines = cache.read_text().splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["D"] == -36
+    assert cold["result"]["coefficients"] == [1, -153542016, -1790957481984]
+    written = cache.read_bytes()
+    assert written.startswith(junk)
+    assert json.loads(written[len(junk):])["hcp"] == cold["result"]["coefficients"]
+    # the appended record is served, and the hit writes nothing
+    code, warm = run_cli(capsys, "hcp", "-D", "-36", "--cache", str(cache))
+    assert code == 0 and strip_timings(warm) == strip_timings(cold)
+    assert cache.read_bytes() == written
 
 
 H_23 = [1, 3491750, -5151296875, 12771880859375]
@@ -244,26 +251,54 @@ def test_hcp_serves_records_with_old_fields(capsys, tmp_path):
     assert cache.read_bytes() == old
 
 
+def test_cache_append_after_torn_tail(capsys, tmp_path):
+    # a record cut off by a crash: the next record starts a line of its own
+    cache = tmp_path / "cache.jsonl"
+    torn = b'{"D": -36, "hcp": [1, -15'
+    cache.write_bytes(torn)
+    code, cold = run_cli(capsys, "hcp", "-D", "-23", "--cache", str(cache))
+    assert code == 0 and cold["result"] == HCP_23
+    written = cache.read_bytes()
+    assert written.startswith(torn + b"\n")
+    assert json.loads(written[len(torn) + 1:])["hcp"] == H_23
+    code, warm = run_cli(capsys, "hcp", "-D", "-23", "--cache", str(cache))
+    assert code == 0 and strip_timings(warm) == strip_timings(cold)
+    assert cache.read_bytes() == written
+    # the torn line is never served: D = -36 is a miss, appended after it
+    code, report = run_cli(capsys, "hcp", "-D", "-36", "--cache", str(cache))
+    assert code == 0 and report["result"]["coefficients"] == [1, -153542016, -1790957481984]
+    assert len(cache.read_bytes().splitlines()) == 3
+
+
+def test_cache_put_recreates_a_deleted_file(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("junk\n")
+    loaded = ResultCache(str(cache))
+    cache.unlink()  # by another process, between load and put
+    loaded.put({"D": -23, "hcp": H_23, "prec": 128})
+    assert ResultCache(str(cache)).hcp(-23, 128)["hcp"] == H_23
+
+
 @pytest.mark.parametrize(
-    "command, record, result, kept",
+    "record",
     [
-        # wrong shapes: corrupt lines, so the file is rewritten without them
-        ("hcp", {"D": -23, "hcp": [1, 0.5, 0, 1], "prec": 100000}, HCP_23, False),
-        ("hcp", {"D": -23, "hcp": "x", "prec": 100000}, HCP_23, False),
-        ("hcp", {"D": -23, "hcp": H_23, "prec": True}, HCP_23, False),
+        # wrong shapes: skipped lines
+        {"D": -23, "hcp": [1, 0.5, 0, 1], "prec": 100000},
+        {"D": -23, "hcp": "x", "prec": 100000},
+        {"D": -23, "hcp": H_23, "prec": True},
         # the right shape but not H_-23 (X^3 + 1 does not split mod 59): a miss
-        ("hcp", {"D": -23, "hcp": [1, 0, 0, 1], "prec": 100000}, HCP_23, True),
+        {"D": -23, "hcp": [1, 0, 0, 1], "prec": 100000},
     ],
 )
-def test_cache_bad_records_are_not_served(capsys, tmp_path, command, record, result, kept):
+def test_cache_bad_records_are_not_served(capsys, tmp_path, record):
     cache = tmp_path / "cache.jsonl"
     cache.write_text(json.dumps(record) + "\n")
-    for _ in range(2):  # the recomputed record, then a hit on it
-        code, report = run_cli(capsys, command, "-D", "-23", "--cache", str(cache))
+    for _ in range(2):  # the appended record, then a hit on it
+        code, report = run_cli(capsys, "hcp", "-D", "-23", "--cache", str(cache))
         assert code == 0
-        assert report["result"] == result
+        assert report["result"] == HCP_23
         lines = [json.loads(line) for line in cache.read_text().splitlines()]
-        assert len(lines) == 1 + kept and (lines[0] == record) == kept
+        assert len(lines) == 2 and lines[0] == record
 
 
 def test_timings_report_import_ms(capsys):
@@ -315,21 +350,6 @@ def test_cache_concurrent_appends_stay_whole(tmp_path):
     expected = [-(1000 * t + i) for t in (1, 2) for i in range(50)]
     assert sorted(r["D"] for r in records) == sorted(expected)
     assert all(r["pad"] == "x" * 20000 for r in records)
-
-
-def test_cache_recovery_rewrite_is_atomic(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "cache.jsonl"
-    old = b'{"D": -4, "forms": [[1, 0, 1]], "hcp": null, "prec": 0, "structure": []}\nnot json\n'
-    cache.write_bytes(old)
-
-    def failing_replace(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "replace", failing_replace)
-    code, _ = run_cli(capsys, "hcp", "-D", "-36", "--cache", str(cache))
-    assert code == 1
-    assert cache.read_bytes() == old
-    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
 def test_hcp_cache_roundtrip_through_env(capsys, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from weightjac.errors import (
     BadWeight,
+    DiscriminantTooLarge,
     MissingSummand,
     NoJacobian,
     ParseError,
@@ -86,6 +87,16 @@ def test_torsion_dim():
         assert torsion_dim(h, 2) == torsion_dim(h, 97) == h.rank_image
     with pytest.raises(ValueError):
         torsion_dim(ABELIAN_SURFACE, 6)
+    assert torsion_dim(ABELIAN_SURFACE, 1000003) == 2
+    for not_prime in (0, 1, 999983**2, 999983 * 1000003):
+        with pytest.raises(ValueError):
+            torsion_dim(ABELIAN_SURFACE, not_prime)
+
+
+def test_torsion_dim_refuses_primes_beyond_trial_division():
+    # a prime with no witness below 10^6 is refused at once instead of tried up to 10^9
+    with pytest.raises(DiscriminantTooLarge):
+        torsion_dim(ABELIAN_SURFACE, 10**18 + 3)
 
 
 def test_projective_bundle():

@@ -1,5 +1,6 @@
 """The package imports lazily, and each CLI command loads only its modules."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import weightjac
 
 SRC = str(Path(weightjac.__file__).resolve().parents[1])
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # the public names of the package before it became lazy
 PUBLIC_NAMES = [
@@ -103,3 +105,18 @@ def test_package_names_resolve_lazily():
         "print(before, 'weightjac.jacobians' in sys.modules)\n"
     )
     assert run_fresh(check).split() == ["['weightjac']", "True"]
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench's tracer wraps these functions by name, and a traced run
+    # crashes on one that no longer exists
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module_name, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        assert callable(vars(owner).get(name)), f"{module_name}: {attr}"
