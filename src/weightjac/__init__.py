@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "analytic": (
         "ClassPolynomial", "PrecComplex", "hilbert_class_polynomial", "j_is_real",
-        "j_of_lattice", "verify_appendix", "verify_exact",
+        "j_of_lattice", "verify_appendix",
     ),
     "quadfield": ("FieldTag", "QuadElem"),
     "errors": (),

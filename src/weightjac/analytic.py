@@ -10,11 +10,11 @@ from the real root product over conjugate pairs of reduced forms of the
 discriminant, one j per pair, starting at Enge's a-priori bound on the
 coefficient size; every accepted polynomial passes an a-posteriori error
 bound, with automatic precision escalation.  The expansion runs on
-fixed-point integers, and the embedding of tau, the reality test and the
-size bound call libmp at explicit precisions, so only the block of
-j_of_lattice that reads mpmath's memos of pi and log 2 takes MP_LOCK on the
-class-polynomial path; evaluate_expression and verify_exact still run on
-mpmath's global context under it.
+fixed-point integers; the embedding of tau, the reality test, the size
+bound and the appendix check (evaluate_expression, _matches_exact) call
+libmp at explicit precisions and never mpmath's global context.  The one
+block that takes MP_LOCK is j_of_lattice's mpf_pi/mpf_exp/mpf_cos_sin_pi
+call, which reads libmp's process-wide memos of pi and log 2.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 import ast
 import json
 import math
-import operator
 import re
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -31,8 +31,9 @@ from importlib import resources
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (
-    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_hypot,
-    mpf_lt, mpf_mul, mpf_pi, mpf_pos, mpf_shift, round_nearest, to_fixed, to_float,
+    fnone, fone, from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_neg,
+    mpc_nthroot, mpc_pos, mpc_sub, mpf_abs, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_hypot,
+    mpf_lt, mpf_mul, mpf_pi, mpf_pos, mpf_shift, mpf_sqrt, round_nearest, to_fixed, to_float,
 )
 
 from .binforms import (
@@ -40,11 +41,16 @@ from .binforms import (
 )
 from .cmlattice import CMLattice, ideal_class, parse_lattice
 from .errors import DivisionByZero, LowerHalfPlane, ParseError, PrecisionExhausted
-from .quadfield import MP_LOCK, QuadElem, factorize
+from .quadfield import QuadElem, factorize
 
 _GUARD_BITS = 48
 _FIXED_GUARD_BITS = 64
 _ESCALATION_CAP = 1 << 16
+
+# libmp's process-wide memos of pi and log 2 can be raised to a higher
+# precision by one thread while another reads them; j_of_lattice reads them
+# under this lock, and no other code here calls a libmp routine that uses them
+MP_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -179,9 +185,6 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     e = (math.ceil(64 * tau.y * tau.y * -tau.field.d).bit_length() + 1) // 2
     wp = w + e + 8
     z = tau.embed(w + e)
-    # mpf_pi, mpf_exp and mpf_cos_sin_pi share process-wide memos of pi and
-    # log 2, which one thread can raise to a higher precision while another
-    # reads them
     with MP_LOCK:
         t = mpf_mul(mpf_shift(mpf_pi(wp), 1), z.imag._mpf_, wp)
         big = mpf_exp(t, wp)
@@ -414,7 +417,8 @@ def _expand_pairs(
 
 
 _ALPHABET_RE = re.compile(r"(?:[0-9\s]|zeta3|sqrt|cbrt|root4|\*(?!\*)|[-+^()·])*")
-_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_BINARY_OPS = {ast.Add: mpc_add, ast.Sub: mpc_sub, ast.Mult: mpc_mul}
+_ROOTS = {"sqrt": 2, "cbrt": 3, "root4": 4}
 
 
 def _int_literal(node: ast.expr) -> int:
@@ -428,33 +432,49 @@ def _int_literal(node: ast.expr) -> int:
     raise ParseError(f"expected an integer literal, found {ast.unparse(node)!r}")
 
 
-def _evaluate(node: ast.expr):
-    """Value of a whitelisted expression node at the ambient mpmath precision."""
+def _power(z: tuple, n: int, wp: int) -> tuple:
+    """z^n rounded to nearest at wp bits, by binary powering at wp + 4 bitlen(n)
+    + 4 bits as in mpf_pow_int: mpc_pow_int takes large complex powers through
+    mpc_log and mpc_exp, which read libmp's process-wide memos of pi and log 2."""
+    rnd, p = round_nearest, wp + 4 * abs(n).bit_length() + 4
+    power = fone, fzero
+    for bit in bin(abs(n))[2:]:
+        power = mpc_mul(power, power, p, rnd)
+        if bit == "1":
+            power = mpc_mul(power, z, p, rnd)
+    return mpc_div((fone, fzero), power, wp, rnd) if n < 0 else mpc_pos(power, wp, rnd)
+
+
+def _evaluate(node: ast.expr, wp: int) -> tuple:
+    """libmp complex value (re, im) of a whitelisted expression node, each
+    operation rounded to nearest at wp bits."""
+    rnd = round_nearest
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Pow):
-            return _evaluate(node.left) ** _int_literal(node.right)
+            return _power(_evaluate(node.left, wp), _int_literal(node.right), wp)
         op = _BINARY_OPS.get(type(node.op))
         if op is not None:
-            return op(_evaluate(node.left), _evaluate(node.right))
+            return op(_evaluate(node.left, wp), _evaluate(node.right, wp), wp, rnd)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        value = _evaluate(node.operand)
-        return -value if isinstance(node.op, ast.USub) else value
+        value = _evaluate(node.operand, wp)
+        return mpc_neg(value) if isinstance(node.op, ast.USub) else value
     elif isinstance(node, ast.Constant) and type(node.value) is int:
-        return mpmath.mpmathify(node.value)
+        return from_int(node.value, wp, rnd), fzero
     elif isinstance(node, ast.Name) and node.id == "zeta3":
-        return (-1 + mpmath.sqrt(3) * 1j) / 2
+        # (-1 + sqrt(-3)) / 2
+        return mpf_shift(fnone, -1), mpf_shift(mpf_sqrt(from_int(3), wp, rnd), -1)
     elif (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
-        and node.func.id in ("sqrt", "cbrt", "root4")
+        and node.func.id in _ROOTS
         and len(node.args) == 1
         and not node.keywords
     ):
-        n = _int_literal(node.args[0])
-        if node.func.id == "sqrt":
-            # negative radicands take the root with positive imaginary part
-            return mpmath.sqrt(mpmath.mpc(n)) if n < 0 else mpmath.sqrt(n)
-        return mpmath.cbrt(n) if node.func.id == "cbrt" else mpmath.root(n, 4)
+        n, k = _int_literal(node.args[0]), _ROOTS[node.func.id]
+        # the principal root: |n|^(1/k), times the principal root of -1 if
+        # n < 0 (mpc_nthroot of a large negative n calls mpc_log and mpc_exp)
+        root = mpc_nthroot((from_int(abs(n)), fzero), k, wp, rnd)
+        return mpc_mul(root, mpc_nthroot((fnone, fzero), k, wp, rnd), wp, rnd) if n < 0 else root
     raise ParseError(f"unsupported expression {ast.unparse(node)!r}")
 
 
@@ -463,40 +483,36 @@ def evaluate_expression(expr: str, prec: int = 128) -> PrecComplex:
 
     The language: integer literals, + - * (also ·), ^ with an integer-literal
     exponent, unary signs, parentheses, zeta3, and sqrt(n), cbrt(n), root4(n)
-    of a signed integer literal.  Python's parser builds the syntax tree, so
-    precedence is Python's: 2*-3^2 is -18.
+    of a signed integer literal, each the principal root.  Python's parser
+    builds the syntax tree, so precedence is Python's: 2*-3^2 is -18.  Every
+    operation rounds to nearest at prec + 16 bits, through libmp.
     """
     if not _ALPHABET_RE.fullmatch(expr):
         raise ParseError(f"bad character or '**' in expression {expr!r}")
     # whitespace runs become single spaces: ast.parse rejects a leading indent
     text = " ".join(expr.split()).replace("^", "**").replace("·", "*")
     try:
-        tree = ast.parse(text, mode="eval")
-        with MP_LOCK, mp.workprec(prec + 16):
-            value = _evaluate(tree.body)
+        value = _evaluate(ast.parse(text, mode="eval").body, prec + 16)
     except (SyntaxError, RecursionError) as exc:
         raise ParseError(f"bad expression {expr!r}: {exc}") from exc
     except ZeroDivisionError as exc:
         raise DivisionByZero(f"zero to a negative power in {expr!r}") from exc
-    return PrecComplex.from_mpc(value, prec)
-
-
-def verify_exact(lat: CMLattice, expr: str, prec: int = 128) -> bool:
-    """|j(L) - value(expr)| < 2^(16-prec) * |value(expr)|.
-
-    The expression is evaluated with doubled guard precision: the appendix
-    values cancel catastrophically (terms around 2^61 summing to around
-    2^10), and the tolerance is relative to the small final value.
-    """
-    return _matches_exact(j_of_lattice(lat, prec + 16), expr, prec)
+    return PrecComplex.from_mpc(mp.make_mpc(value), prec)
 
 
 def _matches_exact(computed: PrecComplex, expr: str, prec: int) -> bool:
-    """verify_exact for j already computed at prec + 16 bits."""
-    expected = evaluate_expression(expr, 2 * prec + 64)
-    with MP_LOCK, mp.workprec(2 * prec + 64):
-        diff = abs(computed.to_mpc() - expected.to_mpc())
-        return diff < mpmath.mpf(2) ** (16 - prec) * abs(expected.to_mpc())
+    """|j - value(expr)| < 2^(16-prec) |value(expr)|, for j computed at prec + 16 bits.
+
+    The expression is evaluated with doubled guard precision: the appendix
+    values cancel catastrophically (terms around 2^61 summing to around
+    2^10), and the tolerance is relative to the small final value.  The
+    difference and both moduli round to nearest at that precision.
+    """
+    wp, rnd = 2 * prec + 64, round_nearest
+    expected = evaluate_expression(expr, wp)
+    value = expected.re._mpf_, expected.im._mpf_
+    diff = mpc_sub((computed.re._mpf_, computed.im._mpf_), value, wp, rnd)
+    return mpf_lt(mpc_abs(diff, wp, rnd), mpf_shift(mpc_abs(value, wp, rnd), 16 - prec))
 
 
 def j_is_real(lat: CMLattice, prec: int = 128) -> bool:

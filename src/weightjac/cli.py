@@ -113,36 +113,27 @@ def _locked(path: Path, mode: str, operation: int):
         yield fh
 
 
-def _is_int(value) -> bool:
-    # JSON true and false load as bools, which are ints to isinstance
-    return type(value) is int
-
-
-def _int_list(value) -> bool:
-    return isinstance(value, list) and all(_is_int(x) for x in value)
-
-
-# the shape each field of a cache record must have, when present; D is required
-_RECORD_SHAPE = {
-    "D": _is_int,
-    "prec": _is_int,
-    "hcp": lambda v: v is None or _int_list(v),
-}
+def _servable(rec) -> bool:
+    # int D and prec and a list of ints as hcp, other fields ignored; JSON true
+    # and false load as bools, which are ints to isinstance
+    return (
+        isinstance(rec, dict)
+        and type(rec.get("D")) is int
+        and type(rec.get("prec")) is int
+        and isinstance(rec.get("hcp"), list)
+        and all(type(c) is int for c in rec["hcp"])
+    )
 
 
 def _parse_records(data: bytes) -> list[dict]:
-    """The well-shaped records of a cache file; any other line is skipped."""
+    """The servable records of a cache file; any other line is skipped."""
     entries = []
     for line in data.splitlines():
         try:
             rec = json.loads(line)
         except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
             continue
-        if (
-            isinstance(rec, dict)
-            and "D" in rec
-            and all(fits(rec[key]) for key, fits in _RECORD_SHAPE.items() if key in rec)
-        ):
+        if _servable(rec):
             entries.append(rec)
     return entries
 
@@ -150,10 +141,9 @@ def _parse_records(data: bytes) -> list[dict]:
 class ResultCache:
     """Append-only JSON-lines cache of class polynomials keyed by discriminant.
 
-    Records are {"D", "hcp", "prec"}.  Files written when classgroup results
-    were cached too still load: records with a null hcp are never served, and
-    fields beyond these are ignored.  A line that is not a well-shaped record,
-    such as one torn by a crash, is skipped and never rewritten.
+    Records are {"D", "hcp", "prec"}; fields beyond these are ignored.  A line
+    that is not a servable record (_servable), such as one torn by a crash or
+    one with a null hcp, is skipped and never rewritten.
 
     Readers hold a shared flock and writers an exclusive one, and each record
     is appended in one write, so concurrent processes never see or write a
@@ -181,7 +171,7 @@ class ResultCache:
 
     def hcp(self, D: int, prec: int) -> dict | None:
         for rec in reversed(self.entries):
-            if rec["D"] == D and rec.get("hcp") is not None and rec.get("prec", 0) >= prec:
+            if rec["D"] == D and rec["prec"] >= prec:
                 return rec
         return None
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import BadWeight, HodgeTooLarge, MissingSummand, NoJacobian, ParseError, WeightMismatch
-from .quadfield import factorize
+from .quadfield import MAX_TRIAL_DIVISOR, factorize
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,11 @@ def direct_sum(summands: list[SyntheticHodge]) -> SyntheticHodge:
 def torsion_dim(h: SyntheticHodge, p: int) -> int:
     """dim of the p-torsion of the Jacobian quotient: 2*h^{0,m} + discrepancy.
 
-    p is proven prime by the bounded trial division of factorize, which raises
-    DiscriminantTooLarge for a p it cannot settle.
+    p is proven prime by trial division up to MAX_TRIAL_DIVISOR, so a p above
+    its square is refused with ValueError, as a non-prime p is.
     """
+    if p > MAX_TRIAL_DIVISOR**2:
+        raise ValueError(f"{p} is too large for trial division up to {MAX_TRIAL_DIVISOR}")
     if p < 2 or factorize(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     return 2 * h.h0m + discrepancy(h)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,14 +17,6 @@ import mpmath
 from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pos, mpf_sqrt, round_nearest
 
 from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseError, RationalInput
-
-# mpmath's working precision and its memos of pi and log 2 are process-global
-# state.  The paths that still touch them serialize on this lock, so
-# concurrent callers stay safe and results stay bit-identical:
-# analytic.j_of_lattice's mpf_pi/mpf_exp/mpf_cos_sin_pi block,
-# analytic.evaluate_expression and analytic._matches_exact.  Everything else
-# calls mpmath.libmp at explicit precisions and takes no lock.
-MP_LOCK = threading.RLock()
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -190,7 +181,7 @@ class QuadElem:
         Each component is computed to nearest at prec + 8 bits (the numerator
         rounded, then divided, then times sqrt(-d)) and rounded to nearest at
         prec bits, so it has relative error below 2^(1-prec).  The libmp calls
-        take explicit precisions, so no lock is needed.
+        take explicit precisions and never read mpmath's global context.
         """
         if prec < 64:
             raise ValueError("prec must be at least 64")

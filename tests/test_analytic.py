@@ -20,7 +20,6 @@ from weightjac.analytic import (
     j_of_lattice,
     split_prime,
     verify_appendix,
-    verify_exact,
 )
 from weightjac.binforms import Form, element_order, enumerate_reduced, form_to_lattice
 from weightjac.cmlattice import ideal_class, parse_lattice
@@ -145,7 +144,7 @@ def test_j_kernel_never_calls_kleinj(monkeypatch):
 def test_j_kernel_reads_mpmath_constants_under_the_lock(monkeypatch):
     import threading
 
-    from weightjac.quadfield import MP_LOCK
+    from weightjac.analytic import MP_LOCK
 
     free = []  # per libmp call: could another thread take MP_LOCK then?
 
@@ -191,8 +190,11 @@ def test_verify_appendix_computes_each_j_once(monkeypatch):
 
 
 def test_verify_exact_rejects_wrong_value():
-    assert verify_exact(LAT_3I, "0", 128) is False
-    assert verify_exact(LAT_3I, "76771008 + 44330496*sqrt(3)", 192) is True
+    def matches(expr, prec):
+        return analytic._matches_exact(j_of_lattice(LAT_3I, prec + 16), expr, prec)
+
+    assert matches("0", 128) is False
+    assert matches("76771008 + 44330496*sqrt(3)", 192) is True
 
 
 def test_doubling_precision_shrinks_error():
@@ -493,20 +495,32 @@ def test_expand_pairs_decides_like_the_mpmath_size_test(D):
     assert analytic._expand_pairs(roots, paired, threshold) == expected
 
 
-def test_expansion_and_embedding_take_no_lock():
+def test_expansion_and_embedding_take_no_lock(monkeypatch):
     import threading
 
-    from weightjac.quadfield import MP_LOCK
+    from weightjac.analytic import MP_LOCK
 
     roots, paired = _class_roots(-1155)
     prec = roots[0].prec
     taus = [form_to_lattice(f).tau for f in enumerate_reduced(-1155)]
+    # the j kernel's constants block does take the lock, so the appendix
+    # check gets the j values of the unlocked run
+    js = {}
+
+    def remembered(lat, prec=128):
+        if (lat, prec) not in js:
+            js[lat, prec] = j_of_lattice(lat, prec)
+        return js[lat, prec]
+
+    monkeypatch.setattr(analytic, "j_of_lattice", remembered)
 
     def work():
         return (
             analytic._expand_pairs(roots, paired, prec),
             [analytic._is_real(r) for r in roots],
             [tau.embed(p)._mpc_ for tau in taus for p in (64, prec, 4096)],
+            _bits(evaluate_expression("76771008 + 44330496*sqrt(3)", 256)),
+            verify_appendix(128),
         )
 
     expected = work()

@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "lattice_product", "m_jacobian", "m_jacobian_lattice_route", "n_decompose", "phi",
     "power", "principal_form", "product_definable_over_jacobian_field", "projective_bundle",
     "reduce", "same_field_of_definition", "split_h0", "surface_decompose", "torsion_dim",
-    "verify_appendix", "verify_exact",
+    "verify_appendix",
 ]
 
 BASE = {"weightjac", "weightjac.cli", "weightjac.errors", "weightjac.quadfield", "weightjac.binforms"}
