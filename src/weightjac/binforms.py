@@ -33,14 +33,15 @@ class Form:
     c: int
 
     def __post_init__(self):
-        for v in (self.a, self.b, self.c):
-            if not isinstance(v, int):
+        a, b, c = self.a, self.b, self.c
+        for v in (a, b, c):
+            if type(v) is not int:  # bools are ints to isinstance
                 raise InvalidForm(f"non-integer coefficient {v!r}")
-        if self.a <= 0:
+        if a <= 0:
             raise InvalidForm(f"leading coefficient must be positive: {self.as_tuple()}")
-        if self.discriminant >= 0:
+        if b * b - 4 * a * c >= 0:
             raise InvalidForm(f"discriminant must be negative: {self.as_tuple()}")
-        if math.gcd(self.a, math.gcd(abs(self.b), abs(self.c))) != 1:
+        if math.gcd(a, b, c) != 1:
             raise InvalidForm(f"form is not primitive: {self.as_tuple()}")
 
     @property
@@ -105,9 +106,17 @@ def principal_form(D: int) -> Form:
 
 
 def reduce(form: Form) -> Form:
-    """The unique reduced representative of the proper equivalence class."""
-    a, b, c = form.a, form.b, form.c
-    D = form.discriminant
+    """The unique reduced representative of the proper equivalence class.
+
+    A form that is already reduced is returned as is.
+    """
+    if form.is_reduced():
+        return form
+    return _reduce(form.a, form.b, form.c, form.discriminant)
+
+
+def _reduce(a: int, b: int, c: int, D: int) -> Form:
+    """Reduce the positive-definite (a, b, c) of discriminant D; builds one Form."""
     while True:
         if a > c:
             a, b, c = c, -b, a
@@ -158,7 +167,7 @@ def compose(f: Form, g: Form) -> Form:
     v1, v2 = a1 // d1, a2 // d1
     r = (-y1 * y2 * (b2 - s) - x2 * c2) % v1
     A, B = v1 * v2, b2 + 2 * v2 * r
-    return reduce(Form(A, B, (B * B - D) // (4 * A)))
+    return _reduce(A, B, (B * B - D) // (4 * A), D)
 
 
 def power(form: Form, k: int) -> Form:
@@ -280,6 +289,6 @@ def form_to_lattice(form: Form):
     field = cmlattice.Order.from_discriminant(D).field
     # sqrt(D) = t*sqrt(d) with t = sqrt(D/d)
     t = math.isqrt(D // field.d)
-    g1 = QuadElem.from_rational(field, form.a)
-    g2 = QuadElem.make(field, Fraction(-form.b, 2), Fraction(t, 2))
+    g1 = QuadElem(field, Fraction(form.a), Fraction(0))
+    g2 = QuadElem(field, Fraction(-form.b, 2), Fraction(t, 2))
     return cmlattice.canonicalize(g1, g2)

@@ -163,16 +163,17 @@ class QuadElem:
     def minimal_polynomial(self) -> tuple[int, int, int]:
         """Primitive integer (a, b, c), a > 0, with a*z^2 + b*z + c = 0.
 
-        Only defined for non-rational elements (degree 2 over Q).
+        z^2 - 2x*z + (x^2 - d*y^2) = 0 is cleared of denominators on integers,
+        by (denominator of x)^2 * (denominator of y)^2, then divided by the
+        content.  Only defined for non-rational elements (degree 2 over Q).
         """
         if self.y == 0:
             raise RationalInput(f"{self} is rational; no quadratic minimal polynomial")
-        # z^2 - trace*z + norm = 0, cleared to a primitive integer triple
-        b_r = -self.trace()
-        c_r = self.norm()
-        lcm = math.lcm(b_r.denominator, c_r.denominator)
-        a, b, c = lcm, int(b_r * lcm), int(c_r * lcm)
-        g = math.gcd(a, math.gcd(abs(b), abs(c)))
+        xn, xd = self.x.numerator, self.x.denominator
+        yn, yd = self.y.numerator, self.y.denominator
+        xd2, yd2 = xd * xd, yd * yd
+        a, b, c = xd2 * yd2, -2 * xn * xd * yd2, xn * xn * yd2 - self.field.d * yn * yn * xd2
+        g = math.gcd(a, b, c)
         return (a // g, b // g, c // g)
 
     def embed(self, prec: int = 128) -> mpmath.mpc:

@@ -55,6 +55,12 @@ def test_form_validation():
         Form(2, 2, 2)
     with pytest.raises(InvalidForm):
         Form(2, 0, 18)  # gcd 2, disc -144
+    with pytest.raises(InvalidForm):
+        Form(2, -2, 2)  # gcd 2 with a negative middle coefficient
+    with pytest.raises(InvalidForm):
+        Form(True, 1, True)  # equal to (1, 1, 1) but would print as [true, 1, true]
+    with pytest.raises(InvalidForm):
+        Form(1, 0.5, 1)
 
 
 def test_reduce_examples():
@@ -62,6 +68,14 @@ def test_reduce_examples():
     assert reduce(Form(1, 0, 36)) == Form(1, 0, 36)
     assert reduce(Form(5, 14, 13)) == Form(4, 4, 5)
     assert reduce(Form(5, 14, 13)) == bfs_reduced(Form(5, 14, 13))
+    # boundary forms: a == c or b == -a with b < 0 are not reduced
+    for f, expected in [
+        (Form(3, -1, 3), Form(3, 1, 3)),
+        (Form(2, -2, 5), Form(2, 2, 5)),
+        (Form(5, -5, 7), Form(5, 5, 7)),
+    ]:
+        assert not f.is_reduced()
+        assert reduce(f) == expected == bfs_reduced(f)
 
 
 def test_reduce_is_idempotent_and_orbit_constant():
@@ -80,7 +94,7 @@ def test_reduce_is_idempotent_and_orbit_constant():
                 f = Form(a, b, c)
                 r = reduce(f)
                 assert r.is_reduced()
-                assert reduce(r) == r
+                assert reduce(r) is r
                 assert r == bfs_reduced(f)
 
 

@@ -104,9 +104,21 @@ def test_minimal_polynomial_examples():
 
 def test_minimal_polynomial_resubstitutes_to_zero():
     rng = random.Random(7)
-    for _ in range(200):
-        field = rng.choice([GAUSS, EISEN, FieldTag(-7)])
-        tau = q(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(1, 9), rng.randint(1, 9)), field)
+    small = [
+        (F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+        for _ in range(200)
+    ]
+    large = [
+        (F(rng.randint(-10**7, 10**7), rng.randint(1, 10**6)),
+         F(rng.choice([-1, 1]) * rng.randint(1, 10**7), rng.randint(1, 10**6)))
+        for _ in range(200)
+    ]
+    # x = 0, negative y, and coprime denominators near 10^6
+    edge = [(F(0), F(-1)), (F(0), F(5, 7)), (F(1, 999_983), F(-3, 1_000_000)),
+            (F(-7, 999_999), F(2, 1_000_000))]
+    for i, (x, y) in enumerate(small + large + edge):
+        field = [GAUSS, FieldTag(-2), EISEN, FieldTag(-7)][i % 4]
+        tau = q(x, y, field)
         a, b, c = tau.minimal_polynomial()
         value = tau * tau * a + tau * b + QuadElem.from_rational(field, c)
         assert value.is_zero()
