@@ -36,8 +36,8 @@ class Order:
     f: int
 
     def __post_init__(self):
-        if self.f < 1:
-            raise NotCM(f"conductor must be positive, got {self.f}")
+        if type(self.f) is not int or self.f < 1:  # bools are ints to isinstance
+            raise NotCM(f"conductor must be a positive integer, got {self.f!r}")
 
     @property
     def discriminant(self) -> int:

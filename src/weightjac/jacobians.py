@@ -5,9 +5,10 @@ reduced form), a ProductAV is a tuple of classes over one field.  One
 kernel lifts a set of classes to the order of their gcd conductor and
 composes them: the m-Jacobian applies it to every m-subset, and the
 canonical decomposition is the conductor chain plus the kernel on all n
-curves (the weight-n Jacobian).  The m-Jacobian is also computable from
-lattices through cmlattice.image_lattice_L, which the test suite uses as an
-oracle.
+curves (the weight-n Jacobian).  A Jacobian orbit lifts only X's own
+classes: its iterates follow in closed form from X's conductors and
+terminal class.  The m-Jacobian is also computable from lattices through
+cmlattice.image_lattice_L, which the test suite uses as an oracle.
 The two routes still share lattice_product and ideal_class through phi,
 until a forms-only phi lands.
 """
@@ -113,9 +114,9 @@ def phi(cls: CurveClass, c: int) -> CurveClass:
     f = cls.conductor
     if c < 1 or f % c != 0:
         raise NotADivisor(f"{c} does not divide the conductor {f}")
+    target = Order(cls.field, c)  # refuses a c that is not an int
     if c == f:
         return cls
-    target = Order(cls.field, c)
     lifted = cmlattice.lattice_product(cls.lattice(), target.as_lattice())
     order, form = ideal_class(lifted)
     return CurveClass(order, form)
@@ -251,17 +252,21 @@ def n_decompose(x: ProductAV) -> Decomposition:
     the order of conductor r_1.  The result is independent of the factor
     order.
     """
-    n = x.n
-    if n < 2:
+    if x.n < 2:
         raise DimensionTooSmall("decomposition needs n >= 2")
-    conductors = x.conductors()
+    chain = _chain(x.conductors())
+    primitivity = chain[1] // chain[0] if x.n == 2 else None
+    return Decomposition(chain, _compose_lifts(x.factors, phi), primitivity)
+
+
+def _chain(conductors) -> tuple[int, ...]:
+    """Invariant-factor chain: the k-th entry carries every prime's k-th smallest exponent."""
     factored = {f: factorize(f) for f in set(conductors)}
-    chain = [1] * n
+    chain = [1] * len(conductors)
     for p in set().union(*factored.values()):
         for k, e in enumerate(sorted(factored[f].get(p, 0) for f in conductors)):
             chain[k] *= p**e
-    primitivity = chain[1] // chain[0] if n == 2 else None
-    return Decomposition(tuple(chain), _compose_lifts(x.factors, phi), primitivity)
+    return tuple(chain)
 
 
 def is_isomorphic(x: ProductAV, y: ProductAV) -> bool:
@@ -290,17 +295,32 @@ def is_fixed_point(x: ProductAV) -> bool:
 
 
 def jacobian_orbit(x: ProductAV) -> list[Decomposition]:
-    """Decompositions visited by iterating the (n-1)-Jacobian, up to first repeat."""
-    if x.n < 3:
+    """Decompositions visited by iterating the (n-1)-Jacobian, up to first repeat.
+
+    Closed form: only X's own decomposition lifts classes.  Let X have
+    factors E_j and terminal class t over the order of conductor r_1.  The
+    (n-1)-Jacobian has one factor J_S = prod_{j in S} phi_{d_S}(E_j) per
+    (n-1)-subset S, with d_S the gcd of the conductors in S; the gcd of all
+    the d_S is again r_1.  phi is a homomorphism and phi_{r_1} o phi_{d_S} =
+    phi_{r_1}, and each E_j lies in n - 1 of the subsets, so the iterate's
+    terminal class is prod_S prod_{j in S} phi_{r_1}(E_j) = t^(n-1) over the
+    same order, and its conductors are the d_S.  By induction the k-th
+    iterate has terminal class t^((n-1)^k), and its conductor chain follows
+    from the conductors alone.
+    """
+    n = x.n
+    if n < 3:
         raise DimensionTooSmall("orbits are defined for n >= 3")
+    dec = n_decompose(x)
+    cmlattice.check_weight(n, n - 1)  # the budget of the Jacobians it stands for
+    conductors, t = x.conductors(), dec.terminal_class
     seen: list[Decomposition] = []
-    current = x
-    while True:
-        dec = n_decompose(current)
-        if dec in seen:
-            return seen
+    while dec not in seen:
         seen.append(dec)
-        current = m_jacobian(current, current.n - 1)
+        conductors = tuple(math.gcd(*s) for s in combinations(conductors, n - 1))
+        t = CurveClass(t.order, power(t.form, n - 1))
+        dec = Decomposition(_chain(conductors), t, None)
+    return seen
 
 
 def same_field_of_definition(e1: CurveClass, e2: CurveClass) -> bool:

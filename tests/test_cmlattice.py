@@ -23,7 +23,7 @@ from weightjac.cmlattice import (
     lattice_product,
     parse_lattice,
 )
-from weightjac.errors import BadWeight, DegenerateBasis, FieldMismatch, ParseError
+from weightjac.errors import BadWeight, DegenerateBasis, FieldMismatch, NotCM, ParseError
 from weightjac.quadfield import FieldTag, QuadElem
 
 GAUSS = FieldTag(-1)
@@ -83,6 +83,14 @@ def test_endomorphism_orders():
     assert Order(GAUSS, 3).discriminant == -36
     assert Order(GAUSS, 6).discriminant == -144
     assert Order.from_discriminant(-108) == Order(EISEN, 6)
+
+
+def test_order_refuses_conductors_that_are_not_ints():
+    # True would equal and hash like 1, and 2.0 would give a float discriminant
+    for f in (True, 2.0, 0, -3):
+        with pytest.raises(NotCM, match="positive integer"):
+            Order(GAUSS, f)
+    assert Order(GAUSS, 2).discriminant == -16
 
 
 def test_order_lattice_is_ring_lattice():

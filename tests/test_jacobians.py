@@ -16,6 +16,7 @@ from weightjac.errors import (
     FieldMismatch,
     JacobianTooLarge,
     NotADivisor,
+    NotCM,
     OrderMismatch,
     PrimitivityViolation,
 )
@@ -74,6 +75,10 @@ def test_phi_identity_and_surjectivity():
     assert phi(principal, 1).is_principal()
     with pytest.raises(NotADivisor):
         phi(GEN_144, 4)
+    # unchecked, 2.0 reaches Form as a float coefficient, 4.0 passes as the identity, True acts as 1
+    for c in (2.0, 4.0, True):
+        with pytest.raises(NotCM, match="positive integer"):
+            phi(CurveClass.principal(Order(GAUSS, 4)), c)
 
 
 # conductor chains e | c | f with f <= 12
@@ -186,6 +191,9 @@ def test_jacobian_budget_counts_curve_slots():
     for route in (m_jacobian, m_jacobian_lattice_route):
         with pytest.raises(JacobianTooLarge, match="39800 curve slots"):
             route(x, 199)
+    # the closed-form orbit keeps the budget of the (n-1)-Jacobians it stands for
+    with pytest.raises(JacobianTooLarge, match="39800 curve slots"):
+        jacobian_orbit(x)
 
 
 def test_kummer_passthrough():
@@ -463,6 +471,50 @@ def test_orbit_exponent_law_random():
         n = x.n
         for k, dec in enumerate(orbit):
             assert dec.terminal_class.form == power(t, (n - 1) ** k)
+
+
+def orbit_by_iteration(x: ProductAV):
+    """Reference orbit: decompose, take the (n-1)-Jacobian, repeat until a decomposition recurs."""
+    seen = []
+    current = x
+    while (dec := n_decompose(current)) not in seen:
+        seen.append(dec)
+        current = m_jacobian(current, x.n - 1)
+    return seen
+
+
+def random_orbit_product(rng):
+    # conductors base * {1, 2, 3, 4, 6}: gcds above 1, so terminal classes of order > 2 occur
+    field = FieldTag(rng.choice([-1, -2, -3, -7, -11]))
+    base = rng.choice([1, 2, 3, 5, 6, 7])
+    factors = []
+    for _ in range(rng.randint(3, 5)):
+        order = Order(field, base * rng.choice([1, 2, 3, 4, 6]))
+        forms = enumerate_reduced(order.discriminant)
+        factors.append(CurveClass(order, forms[rng.randrange(len(forms))]))
+    return ProductAV(tuple(factors))
+
+
+def test_orbit_matches_literal_iteration():
+    rng = random.Random(127)
+    lengths = []
+    for _ in range(300):
+        x = random_orbit_product(rng)
+        orbit = jacobian_orbit(x)
+        assert orbit == orbit_by_iteration(x)
+        assert is_fixed_point(x) == (len(orbit) == 1)
+        lengths.append(len(orbit))
+    assert max(lengths) >= 5 and min(lengths) == 1
+
+
+def test_orbit_lifts_only_the_products_own_classes(monkeypatch):
+    x = ProductAV((GEN_144, SQ_144, CurveClass.principal(Order(GAUSS, 12))))
+    expected = orbit_by_iteration(x)
+    assert len(expected) >= 3
+    calls = []
+    monkeypatch.setattr(jacobians, "phi", lambda cls, c: calls.append(c) or phi(cls, c))
+    assert jacobian_orbit(x) == expected
+    assert len(calls) <= x.n
 
 
 def test_same_field_of_definition():
