@@ -50,8 +50,16 @@ class Order:
         return cls(FieldTag(d), f)
 
     def as_lattice(self) -> "CMLattice":
-        """The order itself, the lattice of its principal form."""
-        return binforms.form_to_lattice(binforms.principal_form(self.discriminant))
+        """The order itself, from its integer basis {1, f*omega}.
+
+        omega = (dK + sqrt(dK))/2 (Cox, Primes of the form x^2+ny^2, §7), and
+        sqrt(dK) = s*sqrt(d) with s = 1 when dK = d is odd and s = 2 when
+        dK = 4d.  So the basis is the integer rows (2, 0) and (f*dK, f*s)
+        over den 2: the lattice of the principal form, without building it.
+        """
+        dK, f = self.field.dK, self.f
+        s = 1 if dK % 2 else 2
+        return _from_rows(self.field, 2, [(2, 0), (f * dK, f * s)])
 
     def __str__(self):
         return f"O(d={self.field.d}, f={self.f})"
@@ -69,7 +77,12 @@ class CMLattice:
 
     def __post_init__(self):
         ok = (
-            self.den > 0
+            # bools are ints to isinstance, and a float would reach math.gcd
+            type(self.den) is int
+            and type(self.p) is int
+            and type(self.q) is int
+            and type(self.r) is int
+            and self.den > 0
             and self.p > 0
             and self.r > 0
             and 0 <= self.q < self.p

@@ -80,8 +80,9 @@ class FieldTag:
     d: int
 
     def __post_init__(self):
-        if self.d >= 0 or not is_squarefree(self.d):
-            raise ParseError(f"field tag needs a squarefree negative d, got {self.d}")
+        # bools are ints to isinstance, and -1.0 would equal and hash like -1
+        if type(self.d) is not int or self.d >= 0 or not is_squarefree(self.d):
+            raise ParseError(f"field tag needs a squarefree negative d, got {self.d!r}")
 
     @property
     def dK(self) -> int:

@@ -24,7 +24,7 @@ from weightjac.cmlattice import (
     parse_lattice,
 )
 from weightjac.errors import BadWeight, DegenerateBasis, FieldMismatch, NotCM, ParseError
-from weightjac.quadfield import FieldTag, QuadElem
+from weightjac.quadfield import FieldTag, QuadElem, is_squarefree
 
 GAUSS = FieldTag(-1)
 EISEN = FieldTag(-3)
@@ -76,6 +76,14 @@ def test_degenerate_basis_rejected():
         canonicalize(q(0, 0), q(1, 2))
 
 
+def test_lattice_data_must_be_ints():
+    # True equalled the lattice with den 1, and a float p raised TypeError in math.gcd
+    for den, p, q_, r in ((True, 1, 0, 1), (1, 2.0, 1, 1), (1, 1, 0.0, 1), (1, 1, 0, F(3))):
+        with pytest.raises(DegenerateBasis):
+            CMLattice(GAUSS, den, p, q_, r)
+    assert CMLattice(GAUSS, 1, 1, 0, 1) == Order(GAUSS, 1).as_lattice()
+
+
 def test_endomorphism_orders():
     assert endomorphism_order(lat(1, 0, 0, 3)) == Order(GAUSS, 3)
     assert endomorphism_order(lat(3, 0, 1, 2)) == Order(GAUSS, 6)
@@ -101,6 +109,37 @@ def test_order_lattice_is_ring_lattice():
         for a in ol.generators():
             for b in ol.generators():
                 assert ol.contains(a * b)
+
+
+def test_order_lattice_is_its_integer_basis():
+    for d in range(-200, 0):
+        if not is_squarefree(d):
+            continue
+        field = FieldTag(d)
+        dK = field.dK
+        # sqrt(dK) = t*sqrt(d), and omega = (dK + sqrt(dK))/2 is integral of discriminant dK
+        t = math.isqrt(dK // d)
+        assert t * t * d == dK
+        omega = q(F(dK, 2), F(t, 2), field)
+        assert omega * omega == omega * dK - q(F(dK * dK - dK, 4), 0, field)
+        for f in range(1, 31):
+            order = Order(field, f)
+            lattice = order.as_lattice()
+            assert lattice == form_to_lattice(binforms.principal_form(order.discriminant))
+            assert lattice == canonicalize(q(1, 0, field), omega * f)
+
+
+def test_order_lattice_builds_no_form_and_no_generators(monkeypatch):
+    orders = [Order(field, f) for field in (GAUSS, EISEN, FieldTag(-2)) for f in (1, 2, 6)]
+    expected = [form_to_lattice(binforms.principal_form(o.discriminant)) for o in orders]
+
+    def refuse(*args):
+        raise AssertionError("Order.as_lattice left its integer basis")
+
+    monkeypatch.setattr(binforms, "principal_form", refuse)
+    monkeypatch.setattr(binforms, "form_to_lattice", refuse)
+    monkeypatch.setattr(cmlattice, "from_generators", refuse)
+    assert [o.as_lattice() for o in orders] == expected
 
 
 def test_lattice_product_worked_example():

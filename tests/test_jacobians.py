@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from itertools import combinations
@@ -540,7 +542,61 @@ def test_field_contains():
     for big in classes_of(-144):
         e_small = CurveClass(Order(GAUSS, 3), phi(big, 3).form)
         assert field_contains(e_small, big)
+        # Cl(-36) has exponent 2: either class's field sits inside, not only phi's image
+        for other in classes_of(-36):
+            assert field_contains(other, big)
     principal36 = CurveClass.principal(Order(GAUSS, 3))
     assert field_contains(principal36, CurveClass.principal(Order(GAUSS, 6)))
     with pytest.raises(NotADivisor):
         field_contains(CurveClass.principal(Order(GAUSS, 4)), CurveClass.principal(Order(GAUSS, 6)))
+
+
+def golden_product(rng):
+    """2-4 classes over one field, conductors dividing a common L, so pairs share orders or nest."""
+    field = FieldTag(rng.choice([-1, -2, -3, -5, -7, -15]))
+    L = rng.choice([1, 2, 4, 6, 12, 18, 30])
+    divisors = [f for f in range(1, L + 1) if L % f == 0]
+    factors = []
+    for _ in range(rng.randint(2, 4)):
+        order = Order(field, rng.choice(divisors))
+        forms = enumerate_reduced(order.discriminant)
+        factors.append(CurveClass(order, forms[rng.randrange(len(forms))]))
+    return ProductAV(tuple(factors))
+
+
+def jacobian_api_text(x: ProductAV) -> str:
+    """Every Jacobian-API output on x: each weight, the decomposition, the orbit, the fod predicates."""
+    lines = [str(x)]
+    lines += [str(m_jacobian(x, m)) for m in range(2, x.n + 1)]
+    lines.append(json.dumps(n_decompose(x).to_record()))
+    if x.n >= 3:
+        lines.append(json.dumps([dec.to_record() for dec in jacobian_orbit(x)]))
+        lines.append(str(is_fixed_point(x)))
+    for e1, e2 in combinations(x.factors, 2):
+        if e1.order == e2.order:
+            fod = (same_field_of_definition(e1, e2), product_definable_over_jacobian_field(e1, e2))
+        elif e2.conductor % e1.conductor == 0:
+            fod = field_contains(e1, e2)
+        elif e1.conductor % e2.conductor == 0:
+            fod = field_contains(e2, e1)
+        else:
+            fod = None
+        lines.append(str(fod))
+    return "\n".join(lines)
+
+
+# sha256 of the Jacobian API's outputs on the 300 golden products, recorded at
+# a version whose phi ran form_to_lattice on both sides of the lattice product
+GOLDEN_JACOBIAN_SHA256 = "4b9ad5da632bd2c0e3c25715d2633ce93f5b0fb5fa9539e915b3fa9a00f38484"
+
+
+def test_jacobian_api_golden_digest():
+    rng = random.Random(1931)
+    digest = hashlib.sha256()
+    sizes = set()
+    for _ in range(300):
+        x = golden_product(rng)
+        sizes.add(x.n)
+        digest.update(jacobian_api_text(x).encode() + b"\n\n")
+    assert sizes == {2, 3, 4}
+    assert digest.hexdigest() == GOLDEN_JACOBIAN_SHA256

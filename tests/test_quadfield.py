@@ -29,7 +29,8 @@ def test_field_tag_validation():
     assert FieldTag(-3).dK == -3
     assert FieldTag(-7).dK == -7
     assert FieldTag(-2).dK == -8
-    for bad in (4, 0, -4, -9, -12):
+    # -2.5 factored as {2.5: 1}, and -1.0 equalled and hashed like -1
+    for bad in (4, 0, -4, -9, -12, -1.0, -2.5, True):
         with pytest.raises(ParseError):
             FieldTag(bad)
 
