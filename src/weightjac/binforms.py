@@ -57,11 +57,7 @@ class Form:
 
     def is_reduced(self) -> bool:
         a, b, c = self.a, self.b, self.c
-        if not (-a < b <= a <= c):
-            return False
-        if (b == a or a == c) and b < 0:
-            return False
-        return True
+        return -a < b <= a <= c and not (a == c and b < 0)
 
     def __str__(self):
         return f"{self.a},{self.b},{self.c}"
@@ -127,7 +123,7 @@ def _reduce(a: int, b: int, c: int, D: int) -> Form:
             b = b + 2 * a * t
             c = (b * b - D) // (4 * a)
             continue
-        if (b == -a) or (a == c and b < 0):
+        if a == c and b < 0:
             b = -b
             continue
         return Form(a, b, c)

@@ -2,9 +2,12 @@
 
 One report object per invocation: {schema, command, input, result, timings}.
 Exit codes: 0 success, 2 input error (machine-readable error record on
-stdout), 1 internal failure.  hcp results are appended to a JSON-lines cache
-file selected by --cache or the WJ_CACHE environment variable, which is never
-rewritten; every other command accepts and ignores both.
+stdout), 1 internal failure.  Each literal has one reader: a form, under
+--form, --forms or inside a curve class (D:a,b,c), is read by
+binforms.parse_form; a lattice by cmlattice.parse_lattices.  hcp results are
+appended to a JSON-lines cache file selected by --cache or the WJ_CACHE
+environment variable, which is never rewritten and must be a regular file;
+every other command accepts and ignores both.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import fcntl
 import json
 import os
 import re
+import stat
 import sys
 from contextlib import contextmanager
 from itertools import combinations
@@ -26,7 +30,7 @@ from typing import TYPE_CHECKING
 
 # the one weightjac module every command uses; each handler imports the rest
 from . import binforms
-from .binforms import Form, parse_form, validate_discriminant
+from .binforms import parse_form, validate_discriminant
 from .errors import CacheUnusable, ParseError, WeightjacError
 
 if TYPE_CHECKING:
@@ -38,7 +42,8 @@ _IMPORT_MS = int((time.monotonic() - _IMPORTS_STARTED) * 1000)
 
 SCHEMA = 1
 
-_CURVE_RE = re.compile(r"\(\s*(-\d+)\s*:\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+# D and the form's text; the form reads as --form reads it (binforms.parse_form)
+_CURVE_RE = re.compile(r"\(\s*(-\d+)\s*:([^)]*)\)")
 
 
 def _parse_curves(text: str) -> list[CurveClass]:
@@ -51,11 +56,10 @@ def _parse_curves(text: str) -> list[CurveClass]:
         raise ParseError(f"curve list must look like '(D:a,b,c),(D:a,b,c)': {text!r}")
     out = []
     for m in matches:
-        D, a, b, c = (int(g) for g in m.groups())
-        validate_discriminant(D)
-        form = Form(a, b, c)
+        D = validate_discriminant(int(m[1]))
+        form = parse_form(m[2])
         if form.discriminant != D:
-            raise ParseError(f"form {a},{b},{c} has discriminant {form.discriminant}, not {D}")
+            raise ParseError(f"form {form} has discriminant {form.discriminant}, not {D}")
         out.append(CurveClass(Order.from_discriminant(D), form))
     return out
 
@@ -98,8 +102,8 @@ def _mpf_str(x, prec: int) -> str:
 def _locked(path: Path, mode: str, operation: int):
     """path opened in mode and held under flock(operation).
 
-    A path that cannot be opened, such as a directory or a file in a missing
-    directory, is a CacheUnusable input error.
+    A path that cannot be opened, such as a file in a missing directory, is a
+    CacheUnusable input error.
     """
     try:
         fh = path.open(mode)
@@ -157,16 +161,19 @@ class ResultCache:
 
     def _load(self) -> None:
         # refused here, before the command computes what it would fail to store
+        unusable = f"cannot open cache file {str(self.path)!r}"
         if not self.path.parent.is_dir():
-            raise CacheUnusable(
-                f"cannot open cache file {str(self.path)!r}: "
-                f"{str(self.path.parent)!r} is not a directory"
-            )
+            raise CacheUnusable(f"{unusable}: {str(self.path.parent)!r} is not a directory")
         try:
+            # a FIFO would block the open, and a device would be read without end
+            if not stat.S_ISREG(self.path.stat().st_mode):
+                raise CacheUnusable(f"{unusable}: not a regular file")
             with _locked(self.path, "rb", fcntl.LOCK_SH) as fh:
                 data = fh.read()
         except FileNotFoundError:
             return
+        except OSError as exc:
+            raise CacheUnusable(f"{unusable}: {exc.strerror}") from None
         self.entries = _parse_records(data)
 
     def hcp(self, D: int, prec: int) -> dict | None:
@@ -333,10 +340,10 @@ def _cmd_fixedpoint(args):
 def _cmd_fod(args):
     from . import jacobians
 
-    curves = _parse_curves(args.curves)
-    if len(curves) != 2:
+    x, echo = _product(args)
+    if x.n != 2:
         raise ParseError("fod needs exactly two curve classes")
-    e1, e2 = curves
+    e1, e2 = x.factors
     if e1.order == e2.order:
         result = {
             "mode": "same-order",
@@ -346,8 +353,6 @@ def _cmd_fod(args):
             ),
         }
     else:
-        if e1.field != e2.field:
-            raise ParseError("fod needs curves over one imaginary quadratic field")
         f1, f2 = e1.conductor, e2.conductor
         contains = None
         if f2 % f1 == 0:
@@ -358,7 +363,7 @@ def _cmd_fod(args):
             "mode": "phi-transfer",
             "field_of_smaller_contained_in_larger": contains,
         }
-    return ({"curves": [_curve_record(e) for e in curves]}, result)
+    return echo, result
 
 
 def _cmd_jinv(args):

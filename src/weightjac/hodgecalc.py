@@ -27,6 +27,9 @@ class SyntheticHodge:
     rank_image: int
 
     def __post_init__(self):
+        for v in (self.weight, *self.numbers, self.rank_image):
+            if type(v) is not int:  # bools are ints to isinstance
+                raise ParseError(f"hodge data must be integers, got {v!r}")
         m = self.weight
         if m < 0 or len(self.numbers) != m + 1:
             raise ParseError(f"weight {m} needs {m + 1} hodge numbers")

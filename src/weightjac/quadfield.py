@@ -2,7 +2,8 @@
 
 Elements are x + y*sqrt(d) with big-rational coordinates and d a squarefree
 negative integer; sqrt(d) always denotes the root with positive imaginary
-part. Everything here is immutable and pure.
+part. Everything here is immutable and pure.  One regex reads an element
+literal, "x+y*sqrt(d)", "x" or "y*sqrt(d)" (parse_quadelem).
 """
 
 from __future__ import annotations
@@ -203,43 +204,26 @@ class QuadElem:
         return f"QuadElem({self})"
 
 
+# x is taken only when a sign or the end follows it, so "12*sqrt(-1)" is 12i and
+# "1 2*sqrt(-1)" is refused; the lookahead at the start refuses a blank literal
 _ELEM_RE = re.compile(
-    r"^\s*(?P<x>[+-]?\d+(?:/\d+)?)\s*"
-    r"(?:(?P<sign>[+-])\s*(?P<y>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*(?P<d>-\d+)\s*\))?\s*$"
-)
-_PURE_SQRT_RE = re.compile(
-    r"^\s*(?P<sign>[+-]?)\s*(?P<y>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*(?P<d>-\d+)\s*\)\s*$"
+    r"^\s*(?=\S)(?:(?P<x>[+-]?\d+(?:/\d+)?)\s*(?=[+-]|$))?"
+    r"(?:(?P<sign>[+-]?)\s*(?P<y>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*(?P<d>-\d+)\s*\))?\s*$"
 )
 
 
 def parse_quadelem(text: str, field: FieldTag | None = None) -> QuadElem:
     """Parse "x+y*sqrt(d)", "x", or "y*sqrt(d)" (x, y as p/q rationals)."""
-    m = _PURE_SQRT_RE.match(text)
-    if m:
-        d = int(m.group("d"))
-        tag = _resolve_field(d, field, text)
-        y = parse_rational(m.group("y"))
-        if m.group("sign") == "-":
-            y = -y
-        return QuadElem(tag, Fraction(0), y)
     m = _ELEM_RE.match(text)
     if not m:
         raise ParseError(f"not a quadratic element literal: {text!r}")
-    x = parse_rational(m.group("x"))
-    if m.group("y") is None:
+    x = parse_rational(m["x"]) if m["x"] else Fraction(0)
+    if m["y"] is None:
         if field is None:
             raise ParseError(f"no field tag available for rational literal {text!r}")
         return QuadElem(field, x, Fraction(0))
-    d = int(m.group("d"))
-    tag = _resolve_field(d, field, text)
-    y = parse_rational(m.group("y"))
-    if m.group("sign") == "-":
-        y = -y
-    return QuadElem(tag, x, y)
-
-
-def _resolve_field(d: int, field: FieldTag | None, text: str) -> FieldTag:
-    tag = FieldTag(d)
+    tag = FieldTag(int(m["d"]))
     if field is not None and tag != field:
-        raise ParseError(f"literal {text!r} names sqrt({d}), expected sqrt({field.d})")
-    return tag
+        raise ParseError(f"literal {text!r} names sqrt({tag.d}), expected sqrt({field.d})")
+    y = parse_rational(m["y"])
+    return QuadElem(tag, x, -y if m["sign"] == "-" else y)

@@ -352,6 +352,21 @@ def test_cache_concurrent_appends_stay_whole(tmp_path):
     assert all(r["pad"] == "x" * 20000 for r in records)
 
 
+def test_hcp_refuses_a_cache_that_is_not_a_regular_file(tmp_path):
+    # opening a FIFO for reading blocks until a writer comes; the CLI runs in a
+    # child so that a regression fails on the timeout instead of hanging
+    fifo = tmp_path / "cache.fifo"
+    os.mkfifo(fifo)
+    src = str(Path(weightjac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-m", "weightjac.cli", "hcp", "-D", "-23", "--cache", str(fifo)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert json.loads(out.stdout)["error"]["type"] == "CacheUnusable"
+
+
 def test_hcp_cache_roundtrip_through_env(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "hcp.jsonl"
     monkeypatch.setenv("WJ_CACHE", str(cache))
@@ -491,9 +506,10 @@ def test_json_flag_accepted(capsys):
 
 
 def test_mixed_fields_rejected(capsys):
-    code, record = run_cli(capsys, "decompose", "--curves", "(-144:5,4,8),(-108:4,2,7)")
-    assert code == 2
-    assert record["error"]["type"] == "FieldMismatch"
+    for command in ("decompose", "fod"):
+        code, record = run_cli(capsys, command, "--curves", "(-144:5,4,8),(-108:4,2,7)")
+        assert code == 2, command
+        assert record["error"]["type"] == "FieldMismatch", command
     # conductors 8 and 6 both live over Q(sqrt(-3)): this one is fine
     code, report = run_cli(capsys, "decompose", "--curves", "(-192:4,4,13),(-108:4,2,7)")
     assert code == 0
@@ -505,3 +521,28 @@ def test_reports_are_deterministic(capsys):
     assert code == 0
     code, b = run_cli(capsys, "classgroup", "-D", "-1999")
     assert strip_timings(a) == strip_timings(b)
+
+
+# (D, form): non-primitive, leading coefficient not positive, discriminant not negative
+MALFORMED_FORMS = [(-12, "2,2,2"), (-3, "-1,1,-1"), (-3, "1,3,1")]
+
+
+@pytest.mark.parametrize("D, form", MALFORMED_FORMS)
+def test_a_form_reads_alike_under_form_and_curves(capsys, D, form):
+    code, record = run_cli(capsys, "reduce", f"--form={form}")  # "-1,..." is not an option
+    assert code == 2
+    as_form = record["error"]
+    code, record = run_cli(capsys, "decompose", "--curves", f"({D}:{form}),({D}:{form})")
+    assert code == 2
+    assert record["error"] == as_form == {"type": "ParseError", "message": as_form["message"]}
+
+
+def test_curve_forms_take_signs_as_form_does(capsys):
+    code, plain = run_cli(capsys, "decompose", "--curves", "(-144:5,4,8),(-144:5,4,8)")
+    assert code == 0
+    code, signed = run_cli(capsys, "decompose", "--curves", "(-144:+5,4,8),(-144: 5, +4 ,8)")
+    assert code == 0
+    assert strip_timings(signed) == strip_timings(plain)
+    code, record = run_cli(capsys, "decompose", "--curves", "(-144:5,4,8,1)")
+    assert code == 2
+    assert record["error"]["type"] == "ParseError"

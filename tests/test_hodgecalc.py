@@ -50,6 +50,10 @@ def test_type_invariants_enforced():
         SyntheticHodge(2, (1, 4, 1), 7)  # rank above total
     with pytest.raises(ParseError):
         SyntheticHodge(2, (1, 1), 0)  # wrong length
+    # 2.0 and 0.5 were accepted, and split_h0 or projective_bundle then raised TypeError
+    for data in [(2.0, (1, 0, 1), 2), (2, (1, 0.5, 1), 2), (2, (1, 0, 1), 2.0), (True, (0, 0), 0)]:
+        with pytest.raises(ParseError):
+            SyntheticHodge(*data)
 
 
 def test_discrepancy_examples():

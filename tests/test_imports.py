@@ -12,7 +12,7 @@ import pytest
 import weightjac
 
 SRC = str(Path(weightjac.__file__).resolve().parents[1])
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the public names of the package before it became lazy
 PUBLIC_NAMES = [
@@ -107,12 +107,17 @@ def test_package_names_resolve_lazily():
     assert run_fresh(check).split() == ["['weightjac']", "True"]
 
 
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_targets_resolve():
     # perfbench's tracer wraps these functions by name, and a traced run
     # crashes on one that no longer exists
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench_module("tracer")
     assert tracer.TARGETS
     for module_name, attr, _ in tracer.TARGETS:
         owner = importlib.import_module(module_name)
@@ -120,3 +125,20 @@ def test_benchmark_tracer_targets_resolve():
         for cls in classes:
             owner = getattr(owner, cls)
         assert callable(vars(owner).get(name)), f"{module_name}: {attr}"
+
+
+# a few ops of each in-process workload reach every function it pins
+PINNED_WORKLOADS = [("algebra", 12), ("classpoly", 2)]
+
+
+@pytest.mark.parametrize("workload, ops", PINNED_WORKLOADS)
+def test_benchmark_pinned_calls_are_reached(workload, ops, tmp_path, monkeypatch):
+    # a traced benchmark run fails when a function named in EXPECTED_CALLS is
+    # never called; this catches a route left idle without that run
+    monkeypatch.syspath_prepend(str(BENCH))  # the workloads import perfbench's inputs
+    module = load_bench_module(workload)
+    wl = module.Workload(0, tmp_path)
+    with load_bench_module("tracer").Tracer() as tracer:
+        for op in wl.ops[:ops]:
+            wl.execute(op)
+    assert [name for name in module.EXPECTED_CALLS if tracer.calls(name) == 0] == []

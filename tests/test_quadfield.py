@@ -202,9 +202,40 @@ def test_serialization_round_trip():
     ]
     for z in cases:
         assert parse_quadelem(str(z)) == z
-    assert parse_quadelem("1/3", GAUSS) == QuadElem.from_rational(GAUSS, F(1, 3))
-    assert parse_quadelem("3*sqrt(-1)") == q(0, 3)
-    with pytest.raises(ParseError):
-        parse_quadelem("1+2*sqrt(-1)", EISEN)
-    with pytest.raises(ParseError):
-        parse_quadelem("sqrt(2)")
+
+
+# (literal, field given to the parser, (d, x, y) or None for a ParseError)
+ELEMENT_LITERALS = [
+    ("1/3-2/7*sqrt(-1)", None, (-1, F(1, 3), F(-2, 7))),
+    ("1/3", GAUSS, (-1, F(1, 3), 0)),
+    ("3*sqrt(-1)", None, (-1, 0, 3)),
+    (" 1 + 2 * sqrt( -1 ) ", None, (-1, 1, 2)),
+    ("12*sqrt(-1)", None, (-1, 0, 12)),
+    ("-3*sqrt(-1)", None, (-1, 0, -3)),
+    ("- 3*sqrt(-1)", None, (-1, 0, -3)),
+    ("+1/2", GAUSS, (-1, F(1, 2), 0)),
+    ("-5", EISEN, (-3, -5, 0)),
+    ("1 2*sqrt(-1)", None, None),
+    ("1 - -2*sqrt(-1)", None, None),
+    ("- 3", GAUSS, None),
+    ("1+", GAUSS, None),
+    ("+1/2", None, None),
+    ("1/0", GAUSS, None),
+    ("1/0*sqrt(-1)", None, None),
+    ("1+2*sqrt(-1)", EISEN, None),
+    ("2*sqrt(-4)", None, None),
+    ("sqrt(-1)", None, None),
+    ("sqrt(2)", None, None),
+    ("", GAUSS, None),
+    ("  ", GAUSS, None),
+]
+
+
+@pytest.mark.parametrize("text, field, expected", ELEMENT_LITERALS)
+def test_element_literals(text, field, expected):
+    if expected is None:
+        with pytest.raises(ParseError):
+            parse_quadelem(text, field)
+    else:
+        d, x, y = expected
+        assert parse_quadelem(text, field) == q(x, y, FieldTag(d))
