@@ -17,7 +17,7 @@ from itertools import accumulate
 from .errors import (
     DiscriminantMismatch, DiscriminantTooLarge, InvalidDiscriminant, InvalidForm, ParseError
 )
-from .quadfield import QuadElem, factorize, squarefree_part
+from .quadfield import QuadElem, factorize, parse_int, squarefree_part
 
 # enumerating the reduced forms takes time linear in |D|; larger discriminants
 # fail fast instead of running for hours
@@ -68,11 +68,7 @@ def parse_form(text: str) -> Form:
     if len(parts) != 3:
         raise ParseError(f"form literal must be 'a,b,c': {text!r}")
     try:
-        a, b, c = (int(p.strip()) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"bad form literal {text!r}") from exc
-    try:
-        return Form(a, b, c)
+        return Form(*map(parse_int, parts))
     except InvalidForm as exc:
         raise ParseError(str(exc)) from exc
 

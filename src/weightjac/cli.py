@@ -4,10 +4,13 @@ One report object per invocation: {schema, command, input, result, timings}.
 Exit codes: 0 success, 2 input error (machine-readable error record on
 stdout), 1 internal failure.  Each literal has one reader: a form, under
 --form, --forms or inside a curve class (D:a,b,c), is read by
-binforms.parse_form; a lattice by cmlattice.parse_lattices.  hcp results are
-appended to a JSON-lines cache file selected by --cache or the WJ_CACHE
-environment variable, which is never rewritten and must be a regular file;
-every other command accepts and ignores both.
+binforms.parse_form; a lattice by cmlattice.parse_lattices; every integer, in
+a literal or in -D, -m and --prec (read as strings, so a bad one is a
+ParseError), by quadfield.parse_int.  hcp results are appended to a JSON-lines
+cache file selected by --cache or the WJ_CACHE environment variable, which is
+never rewritten and must be a regular file; every other command accepts and
+ignores both.  Python's int/str digit limit is kept, not lifted: hcp refuses a
+D whose coefficients it could not print, before any j evaluation or cache read.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import TYPE_CHECKING
 # the one weightjac module every command uses; each handler imports the rest
 from . import binforms
 from .binforms import parse_form, validate_discriminant
-from .errors import CacheUnusable, ParseError, WeightjacError
+from .errors import CacheUnusable, ParseError, PrecisionExhausted, WeightjacError
+from .quadfield import parse_int
 
 if TYPE_CHECKING:
     from .cmlattice import CMLattice, Order
@@ -43,7 +47,7 @@ _IMPORT_MS = int((time.monotonic() - _IMPORTS_STARTED) * 1000)
 SCHEMA = 1
 
 # D and the form's text; the form reads as --form reads it (binforms.parse_form)
-_CURVE_RE = re.compile(r"\(\s*(-\d+)\s*:([^)]*)\)")
+_CURVE_RE = re.compile(r"\(\s*(-[0-9]+)\s*:([^)]*)\)")
 
 
 def _parse_curves(text: str) -> list[CurveClass]:
@@ -56,7 +60,7 @@ def _parse_curves(text: str) -> list[CurveClass]:
         raise ParseError(f"curve list must look like '(D:a,b,c),(D:a,b,c)': {text!r}")
     out = []
     for m in matches:
-        D = validate_discriminant(int(m[1]))
+        D = validate_discriminant(parse_int(m[1]))
         form = parse_form(m[2])
         if form.discriminant != D:
             raise ParseError(f"form {form} has discriminant {form.discriminant}, not {D}")
@@ -197,15 +201,16 @@ class ResultCache:
 def _check_prec(args) -> int:
     from . import analytic
 
-    if not 64 <= args.prec <= analytic._ESCALATION_CAP:
+    prec = parse_int(args.prec)
+    if not 64 <= prec <= analytic._ESCALATION_CAP:
         raise ParseError(
-            f"--prec must be between 64 and {analytic._ESCALATION_CAP} bits, got {args.prec}"
+            f"--prec must be between 64 and {analytic._ESCALATION_CAP} bits, got {prec}"
         )
-    return args.prec
+    return prec
 
 
 def _cmd_classgroup(args):
-    D = validate_discriminant(args.discriminant)
+    D = validate_discriminant(parse_int(args.discriminant))
     return {"D": D}, binforms.class_group(D).to_record()
 
 
@@ -275,7 +280,7 @@ def _cmd_jacobian(args):
     from . import jacobians
 
     x, echo = _product(args)
-    m = args.weight
+    m = parse_int(args.weight)
     jac = jacobians.m_jacobian(x, m)
     factors = [
         {
@@ -291,7 +296,7 @@ def _cmd_jacobian(args):
 def _cmd_kummer(args):
     echo, result = _cmd_jacobian(args)
     labels = ["kummer-variety"]
-    if len(echo["curves"]) == 2 and args.weight == 2:
+    if len(echo["curves"]) == 2 and echo["m"] == 2:
         labels.append("singular-K3")
     return echo, {"labels": labels, **result}
 
@@ -369,17 +374,17 @@ def _cmd_fod(args):
 def _cmd_jinv(args):
     from . import analytic, cmlattice
 
-    _check_prec(args)
+    prec = _check_prec(args)
     (lat,), echo = _lattices(args, 1)
-    value = analytic.j_of_lattice(lat, args.prec)
+    value = analytic.j_of_lattice(lat, prec)
     order, form = cmlattice.ideal_class(lat)
     tau = analytic.fundamental_domain_exact(lat.tau)
     return (
-        {**echo, "prec": args.prec},
+        {**echo, "prec": prec},
         {
-            "re": _mpf_str(value.re, args.prec),
-            "im": _mpf_str(value.im, args.prec),
-            "prec": args.prec,
+            "re": _mpf_str(value.re, prec),
+            "im": _mpf_str(value.im, prec),
+            "prec": prec,
             "fundamental_tau": str(tau),
             "order": _order_record(order),
             "class": list(form.as_tuple()),
@@ -390,23 +395,29 @@ def _cmd_jinv(args):
 def _cmd_hcp(args):
     from . import analytic
 
-    _check_prec(args)
-    D = validate_discriminant(args.discriminant)
+    prec = _check_prec(args)
+    D = validate_discriminant(parse_int(args.discriminant))
+    # coefficients below 2^(Enge's bound) print under the int/str digit limit
+    # (0, or none before Python 3.10.7, is no limit) when 2^bits <= 10^limit
+    bits = analytic.start_precision(D, 0) - analytic._GUARD_BITS
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and 1 << bits > 10**limit:
+        raise PrecisionExhausted(f"coefficients of H_{D} may have {bits} bits, over {limit} digits")
     path = args.cache or os.environ.get("WJ_CACHE")
     cache = ResultCache(path) if path else None
     # entries computed below this request's start precision may be wrong
-    hit = cache.hcp(D, analytic.start_precision(D, args.prec)) if cache else None
+    hit = cache.hcp(D, analytic.start_precision(D, prec)) if cache else None
     # a hit that fails the exact checks counts as a miss
     if hit and analytic.is_plausible_class_polynomial(D, hit["hcp"]):
         coeffs = hit["hcp"]
     else:
-        poly = analytic.hilbert_class_polynomial(D, args.prec)
+        poly = analytic.hilbert_class_polynomial(D, prec)
         coeffs = list(poly.coefficients)
         if cache:
             cache.put({"D": D, "hcp": coeffs, "prec": poly.prec})
     return (
-        {"D": D, "prec": args.prec},
-        {"D": D, "degree": len(coeffs) - 1, "coefficients": coeffs, "prec": args.prec},
+        {"D": D, "prec": prec},
+        {"D": D, "degree": len(coeffs) - 1, "coefficients": coeffs, "prec": prec},
     )
 
 
@@ -419,10 +430,8 @@ def _cmd_hodge(args):
         h = hodgecalc.parse_hodge(args.data)
         echo = {"data": str(h)}
     else:
-        try:
-            n, m = (int(p) for p in args.abelian.split(","))
-        except ValueError as exc:
-            raise ParseError("--abelian expects 'n,m'") from exc
+        n, _, m = args.abelian.partition(",")
+        n, m = parse_int(n), parse_int(m)
         h = hodgecalc.abelian_product_hodge(n, m)
         echo = {"abelian": [n, m]}
     delta = hodgecalc.discrepancy(h)
@@ -446,12 +455,12 @@ def _cmd_hodge(args):
 def _cmd_verify_appendix(args):
     from . import analytic
 
-    _check_prec(args)
-    fixtures = analytic.verify_appendix(args.prec)
+    prec = _check_prec(args)
+    fixtures = analytic.verify_appendix(prec)
     all_ok = all(r["matches_exact_value"] and r["reality_matches_class_order"] for r in fixtures)
     return (
-        {"prec": args.prec},
-        {"prec": args.prec, "fixtures": fixtures, "all_ok": all_ok},
+        {"prec": prec},
+        {"prec": prec, "fixtures": fixtures, "all_ok": all_ok},
     )
 
 
@@ -487,15 +496,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", help="hcp cache file path (overrides WJ_CACHE)")
         p.add_argument("--json", action="store_true", help="JSON output (the default)")
         if disc:
-            p.add_argument("-D", "--discriminant", type=int, required=True)
+            p.add_argument("-D", "--discriminant", required=True)
         if curves:
             p.add_argument("--curves", required=True, help="'(D:a,b,c),(D:a,b,c),...'")
         if lattices:
             p.add_argument("--lattices", required=True, help="'⟨g1, g2⟩,...' or '<g1;g2>@d,...'")
         if weight:
-            p.add_argument("-m", "--weight", type=int, default=2)
+            p.add_argument("-m", "--weight", default="2")
         if prec:
-            p.add_argument("--prec", type=int, default=128, help="precision in bits")
+            p.add_argument("--prec", default="128", help="precision in bits")
 
     common(sub.add_parser("classgroup", help="reduced forms and group structure"), disc=True)
     p = sub.add_parser("reduce", help="reduce a binary quadratic form")

@@ -25,7 +25,7 @@ from itertools import combinations
 from . import binforms
 from .binforms import Form, fundamental_decomposition
 from .errors import BadWeight, DegenerateBasis, FieldMismatch, JacobianTooLarge, NotCM, ParseError
-from .quadfield import FieldTag, QuadElem, parse_quadelem
+from .quadfield import FieldTag, QuadElem, parse_int, parse_quadelem
 
 
 @dataclass(frozen=True)
@@ -294,10 +294,18 @@ def image_lattice_L(tup: LatticeTuple, m: int) -> list[CMLattice]:
     return [functools.reduce(lattice_product, subset) for subset in combinations(duals, m)]
 
 
+# den, p, q < p, r and |d| of a parsed lattice stay below 10^MAX_LATTICE_DIGITS,
+# so its reports print under Python's default int/str limit of 4,300 digits:
+# tau = (q + r*sqrt(d))/p has a discriminant D dividing 4*p^2*r^2*d, so D, the
+# conductor and the reduced class form (endring, homothety, jinv) have at most
+# 5*850 + 1 = 4,251 digits; a latprod has den, p and r below 10^1700, and its
+# order has conductor gcd(f1, f2), so a D no larger than its factors' D.
+MAX_LATTICE_DIGITS = 850
+
 # ⟨g1, g2⟩ as printed, field named by the generators, or <g1;g2>@d
 _LATTICE_RE = re.compile(
     r"⟨\s*(?P<g1>[^,⟩]+?)\s*,\s*(?P<g2>[^,⟩]+?)\s*⟩"
-    r"|<\s*(?P<h1>[^;>]+?)\s*;\s*(?P<h2>[^>]+?)\s*>\s*@\s*(?P<d>-\d+)"
+    r"|<\s*(?P<h1>[^;>]+?)\s*;\s*(?P<h2>[^>]+?)\s*>\s*@\s*(?P<d>-[0-9]+)"
 )
 
 
@@ -306,7 +314,8 @@ def parse_lattices(text: str) -> list[CMLattice]:
 
     A literal is written as printed, "⟨1+0*sqrt(-1), 0+3*sqrt(-1)⟩", its field
     read off the sqrt(d) of its p/q or x+y*sqrt(d) generators, or as
-    "<1;3*sqrt(-1)>@-1" with the field named after the @.
+    "<1;3*sqrt(-1)>@-1" with the field named after the @.  A lattice whose
+    canonical data exceed MAX_LATTICE_DIGITS is a ParseError.
     """
     matches = list(_LATTICE_RE.finditer(text))
     rest = _LATTICE_RE.sub("", text).replace(",", "").strip()
@@ -316,12 +325,15 @@ def parse_lattices(text: str) -> list[CMLattice]:
     for m in matches:
         if m["d"] is None:
             first, second = m["g1"], m["g2"]
-            tag = re.search(r"sqrt\(\s*(-\d+)\s*\)", first + second)
-            field = FieldTag(int(tag[1])) if tag else None
+            tag = re.search(r"sqrt\(\s*(-[0-9]+)\s*\)", first + second)
+            field = FieldTag(parse_int(tag[1])) if tag else None
         else:
             first, second = m["h1"], m["h2"]
-            field = FieldTag(int(m["d"]))
-        out.append(canonicalize(parse_quadelem(first, field), parse_quadelem(second, field)))
+            field = FieldTag(parse_int(m["d"]))
+        lat = canonicalize(parse_quadelem(first, field), parse_quadelem(second, field))
+        if max(lat.den, lat.p, lat.r, -lat.field.d) >= 10**MAX_LATTICE_DIGITS:
+            raise ParseError(f"{m[0]!r} has canonical data of over {MAX_LATTICE_DIGITS} digits")
+        out.append(lat)
     return out
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import BadWeight, HodgeTooLarge, MissingSummand, NoJacobian, ParseError, WeightMismatch
-from .quadfield import MAX_TRIAL_DIVISOR, factorize
+from .quadfield import MAX_TRIAL_DIVISOR, factorize, parse_int
 
 
 @dataclass(frozen=True)
@@ -180,6 +181,10 @@ def abelian_product_hodge(n: int, m: int) -> SyntheticHodge:
     """
     if m < 2 or m > n:
         raise BadWeight(f"need 2 <= m <= {n}, got {m}")
+    # C(2n, m) >= 2^m as m <= n, so an m past the float range, which would
+    # overflow the float product below, is refused before it
+    if m > sys.float_info.max:
+        raise HodgeTooLarge(f"C({2 * n}, {m}) has more than {MAX_HODGE_DIGITS} digits")
     digits = m * (math.log10(2 * n) - math.log10(m) + math.log10(math.e))
     if digits > MAX_HODGE_DIGITS:
         raise HodgeTooLarge(
@@ -190,7 +195,8 @@ def abelian_product_hodge(n: int, m: int) -> SyntheticHodge:
 
 
 _HODGE_RE = re.compile(
-    r"^\s*weight\s+(?P<m>\d+)\s*;\s*h\s*=\s*\[(?P<hs>[^\]]*)\]\s*;\s*rankL\s*=\s*(?P<r>\d+)\s*$"
+    r"^\s*weight\s+(?P<m>[0-9]+)\s*;\s*h\s*=\s*\[(?P<hs>[^\]]*)\]\s*;"
+    r"\s*rankL\s*=\s*(?P<r>[0-9]+)\s*$"
 )
 
 
@@ -199,9 +205,6 @@ def parse_hodge(text: str) -> SyntheticHodge:
     m = _HODGE_RE.match(text)
     if not m:
         raise ParseError(f"not a hodge data literal: {text!r}")
-    try:
-        numbers = tuple(int(p.strip()) for p in m.group("hs").split(",") if p.strip())
-    except ValueError as exc:
-        raise ParseError(f"bad hodge numbers in {text!r}") from exc
-    return SyntheticHodge(int(m.group("m")), numbers, int(m.group("r")))
+    numbers = tuple(map(parse_int, m["hs"].split(",")))
+    return SyntheticHodge(parse_int(m["m"]), numbers, parse_int(m["r"]))
 

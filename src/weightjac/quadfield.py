@@ -3,7 +3,9 @@
 Elements are x + y*sqrt(d) with big-rational coordinates and d a squarefree
 negative integer; sqrt(d) always denotes the root with positive imaginary
 part. Everything here is immutable and pure.  One regex reads an element
-literal, "x+y*sqrt(d)", "x" or "y*sqrt(d)" (parse_quadelem).
+literal, "x+y*sqrt(d)", "x" or "y*sqrt(d)" (parse_quadelem), and one function
+reads every integer of input text, there and in every other literal and CLI
+option (parse_int): a sign and ASCII digits, at most MAX_LITERAL_DIGITS.
 """
 
 from __future__ import annotations
@@ -19,18 +21,30 @@ from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pos, mpf_sqrt, round_ne
 
 from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseError, RationalInput
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# at most this many digits per integer, so a form's discriminant b^2 - 4ac has
+# at most 4,001 and prints under Python's default limit of 4,300 digits per
+# int/str conversion (sys.set_int_max_str_digits, CVE-2020-10735)
+MAX_LITERAL_DIGITS = 2000
+_INT_RE = re.compile(r"\s*[+-]?[0-9]{1,%d}\s*" % MAX_LITERAL_DIGITS)
+
+
+def parse_int(text: str) -> int:
+    """An optional sign and 1 to MAX_LITERAL_DIGITS ASCII digits, with optional
+    surrounding whitespace; "1_0" or a non-ASCII digit, as int() takes, is ParseError."""
+    if not _INT_RE.fullmatch(text):
+        raise ParseError(f"not an integer of at most {MAX_LITERAL_DIGITS} ASCII digits: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into a rational in lowest terms, refusing q = 0."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    """Parse "p" or "p/q" (q unsigned) into a rational in lowest terms, refusing q = 0."""
+    num, slash, den = text.strip().partition("/")
+    if slash and not (num[-1:].isdigit() and den[:1].isdigit()):
         raise ParseError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
+    q = parse_int(den) if slash else 1
+    if q == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(parse_int(num), q)
 
 
 # trial division stops here: a cofactor above MAX_TRIAL_DIVISOR**2 left
@@ -207,8 +221,8 @@ class QuadElem:
 # x is taken only when a sign or the end follows it, so "12*sqrt(-1)" is 12i and
 # "1 2*sqrt(-1)" is refused; the lookahead at the start refuses a blank literal
 _ELEM_RE = re.compile(
-    r"^\s*(?=\S)(?:(?P<x>[+-]?\d+(?:/\d+)?)\s*(?=[+-]|$))?"
-    r"(?:(?P<sign>[+-]?)\s*(?P<y>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*(?P<d>-\d+)\s*\))?\s*$"
+    r"^\s*(?=\S)(?:(?P<x>[+-]?[0-9]+(?:/[0-9]+)?)\s*(?=[+-]|$))?"
+    r"(?:(?P<sign>[+-]?)\s*(?P<y>[0-9]+(?:/[0-9]+)?)\s*\*\s*sqrt\(\s*(?P<d>-[0-9]+)\s*\))?\s*$"
 )
 
 
@@ -222,7 +236,7 @@ def parse_quadelem(text: str, field: FieldTag | None = None) -> QuadElem:
         if field is None:
             raise ParseError(f"no field tag available for rational literal {text!r}")
         return QuadElem(field, x, Fraction(0))
-    tag = FieldTag(int(m["d"]))
+    tag = FieldTag(parse_int(m["d"]))
     if field is not None and tag != field:
         raise ParseError(f"literal {text!r} names sqrt({tag.d}), expected sqrt({field.d})")
     y = parse_rational(m["y"])

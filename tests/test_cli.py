@@ -1,8 +1,11 @@
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -546,3 +549,163 @@ def test_curve_forms_take_signs_as_form_does(capsys):
     code, record = run_cli(capsys, "decompose", "--curves", "(-144:5,4,8,1)")
     assert code == 2
     assert record["error"]["type"] == "ParseError"
+
+
+def test_hcp_refuses_coefficients_it_could_not_print(capsys, tmp_path, monkeypatch):
+    import weightjac.analytic
+
+    calls = []
+    monkeypatch.setattr(
+        weightjac.analytic, "hilbert_class_polynomial", lambda *args: calls.append(args)
+    )
+    # h(-61871) = 399 and Enge's bound is 15,367 bits, over the 14,284 that
+    # 4,300 digits hold: it computed for 29 s and then failed in json.dumps.
+    # The refusal comes before the cache is opened, even one that cannot be.
+    for argv in (
+        ("hcp", "-D", "-61871"),
+        ("hcp", "-D", "-188471", "--prec", "256"),
+        ("hcp", "-D", "-61871", "--cache", str(tmp_path / "missing" / "cache.jsonl")),
+    ):
+        code, record = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert record["error"]["type"] == "PrecisionExhausted"
+    assert calls == []
+    # a limit of 0 is no limit
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    monkeypatch.setattr(
+        weightjac.analytic, "hilbert_class_polynomial",
+        lambda D, prec: weightjac.analytic.ClassPolynomial(D, (1, 0), prec),
+    )
+    code, report = run_cli(capsys, "hcp", "-D", "-61871")
+    assert code == 0 and report["result"]["coefficients"] == [1, 0]
+
+
+def _power_below(base: int, digits: int) -> int:
+    """A power of base with at least digits - 1 - log10(base) digits, below 10^digits."""
+    return base ** int((digits - 1) / math.log10(base))
+
+
+def _odd_primorial_below(digits: int) -> int:
+    """The product of the odd primes 3, 5, 7, ... while it stays below 10^digits."""
+    product, p = 1, 3
+    while True:
+        if all(p % k for k in range(3, math.isqrt(p) + 1, 2)):
+            if product * p >= 10**digits:
+                return product
+            product *= p
+        p += 2
+
+
+def _edge_cases():
+    """(argv, expected exit code): inputs at and past every digit budget."""
+    from weightjac.cmlattice import MAX_LATTICE_DIGITS
+    from weightjac.hodgecalc import MAX_HODGE_DIGITS
+    from weightjac.quadfield import MAX_LITERAL_DIGITS as MAX
+
+    cases = []
+    # every integer of a literal or an option: "_", a non-ASCII digit and one
+    # digit over the budget are each refused, in both option spellings
+    curves = "(-144:5,4,8),(-144:5,4,8)"
+    lattice = "<1;13*sqrt(-1)>@-1"
+    for argv, option, value in (
+        (["classgroup"], "--discriminant", "-23"),
+        (["hcp"], "--discriminant", "-23"),
+        (["hcp", "-D", "-23"], "--prec", "128"),
+        (["jinv", "--lattices", lattice], "--prec", "128"),
+        (["verify-appendix"], "--prec", "128"),
+        (["jinv"], "--lattices", lattice),
+        (["reduce"], "--form", "5,14,13"),
+        (["compose"], "--forms", "2,2,5;2,2,5"),
+        (["latprod"], "--lattices", f"{lattice},{lattice}"),
+        (["homothety"], "--lattices", f"{lattice},{lattice}"),
+        (["endring"], "--lattices", lattice),
+        (["jacobian", "--curves", curves], "--weight", "2"),
+        (["kummer", "--curves", curves], "--weight", "2"),
+        (["jacobian"], "--curves", curves),
+        (["decompose"], "--curves", curves),
+        (["orbit"], "--curves", f"{curves},{curves}"),
+        (["fixedpoint"], "--curves", f"{curves},{curves}"),
+        (["fod"], "--curves", curves),
+        (["hodge"], "--data", "weight 2; h = [1, 14, 1]; rankL = 2"),
+        (["hodge"], "--abelian", "10,2"),
+    ):
+        digit = re.search("[0-9]", value)
+        for bad in (f"0_{digit[0]}", chr(0x660 + int(digit[0])), "9" * (MAX + 1)):
+            bad_value = value[: digit.start()] + bad + value[digit.end():]
+            cases.append((argv + [f"{option}={bad_value}"], 2))
+            cases.append((argv + [option, bad_value], 2))
+    # the largest forms: reports print discriminants of 2 * MAX + 1 digits
+    n = 10**MAX - 1
+    form = f"{n},{n - 1},{n}"
+    cases += [(["reduce", "--form", form], 0), (["compose", "--forms", f"{form};{form}"], 0)]
+    # 2,200-digit a and c gave an uncaught traceback from json.dumps
+    wide = f"{10**2199},1,{10**2199}"
+    cases += [(["reduce", "--form", wide], 2), (["compose", "--forms", f"{wide};{wide}"], 2)]
+    # the largest curves: D and c of MAX digits
+    c = 10 ** (MAX - 1)
+    curve = f"({-4 * c}:1,0,{c})"
+    for command in ("jacobian", "kummer", "decompose", "fod"):
+        cases.append(([command, "--curves", f"{curve},{curve}"], 0))
+    for command in ("orbit", "fixedpoint"):
+        cases.append(([command, "--curves", f"{curve},{curve},{curve}"], 0))
+    cases.append((["decompose", "--curves", f"({-4 * c}0:1,0,{c}0),{curve}"], 2))
+    # a D of MAX digits with no factor below 10^6 is refused after trial division
+    rough = f"({-4 * c - 3}:1,1,{c + 1})"
+    cases.append((["decompose", "--curves", f"{rough},{rough}"], 2))
+    # the largest Hodge numbers; the largest --abelian is fed back to --data below
+    h = 10 ** (MAX - 1)
+    cases.append((["hodge", "--data", f"weight 2; h = [{h}, {n}, {h}]; rankL = {2 * h}"], 0))
+    m = math.floor(MAX_HODGE_DIGITS / math.log10(2 * math.e))
+    cases.append((["hodge", "--abelian", f"{m},{m}"], 0))
+    cases.append((["hodge", "--abelian", f"{m + 1},{m + 1}"], 2))
+    cases.append((["hodge", "--abelian", f"{10**400},{10**400}"], 2))
+    cases.append((["hodge", "--data", f"weight {'4' * 4401}; h = [1]; rankL = 0"], 2))
+    # lattices: three coprime denominators multiply into the canonical den
+    third = MAX_LATTICE_DIGITS // 3
+    a, b, d = _power_below(2, third), _power_below(3, third), _power_below(7, third)
+    fits = f"<1/{a};1/{b}+1/{d}*sqrt(-1)>@-1"
+    # p, r and |d| at the cap: the order's discriminant 4*p^2*r^2*|d| is the largest
+    top = _odd_primorial_below(MAX_LATTICE_DIGITS)
+    cap = (
+        f"<{_power_below(2, MAX_LATTICE_DIGITS)};"
+        f"{_power_below(3, MAX_LATTICE_DIGITS)}*sqrt(-{top})>@-{top}"
+    )
+    a, b, d = _power_below(2, MAX), _power_below(3, MAX), _power_below(7, MAX)
+    over = f"<1/{a};1/{b}+1/{d}*sqrt(-1)>@-1"
+    for lat, code in ((fits, 0), (cap, 0), (over, 2)):
+        cases += [
+            (["endring", "--lattices", lat], code),
+            (["jinv", "--lattices", lat], code),
+            (["latprod", "--lattices", f"{lat},{lat}"], code),
+            (["homothety", "--lattices", f"{lat},{lat}"], code),
+        ]
+    # 2,501-digit generators (the product failed in json.dumps), 4,401 digits
+    # (Fraction raised ValueError)
+    for digits in (2501, 4401):
+        g = "1" + "0" * (digits - 1) + "*sqrt(-1)"
+        cases.append((["latprod", "--lattices", f"⟨1, {g}⟩, ⟨1, {g}⟩"], 2))
+    return cases
+
+
+def test_every_command_at_the_budget_edges(capsys):
+    """Every command, on inputs at and past its digit budget, exits 0 or 2
+    within seconds, never 1, and its report prints.  The slowest cases, the
+    largest --abelian and trial division of a 2,000-digit discriminant, took
+    0.5 s and 0.65 s on a 2-CPU VM with Python 3.11."""
+    for argv, expected in _edge_cases():
+        started = time.monotonic()
+        code, report = run_cli(capsys, *argv)
+        label = [arg[:40] for arg in argv]
+        assert time.monotonic() - started < 10, label
+        assert code == expected, (label, report)
+        if code == 2:
+            refusals = ("ParseError", "UsageError", "HodgeTooLarge", "DiscriminantTooLarge")
+            assert report["error"]["type"] in refusals, label
+        elif argv[:2] == ["hodge", "--abelian"]:
+            # the largest --abelian report reads back through --data
+            res = report["result"]
+            h, rank = res["hodge_numbers"], res["rank_image"]
+            data = f"weight {res['weight']}; h = {h}; rankL = {rank}"
+            code, again = run_cli(capsys, "hodge", "--data", data)
+            assert code == 0
+            assert again["result"]["hodge_numbers"] == h

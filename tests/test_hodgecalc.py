@@ -5,12 +5,14 @@ import pytest
 
 from weightjac.errors import (
     BadWeight,
+    HodgeTooLarge,
     MissingSummand,
     NoJacobian,
     ParseError,
     WeightMismatch,
 )
 from weightjac.hodgecalc import (
+    MAX_HODGE_DIGITS,
     SyntheticHodge,
     abelian_product_hodge,
     blowup,
@@ -167,6 +169,17 @@ def test_abelian_product_hodge_values():
         abelian_product_hodge(3, 4)
 
 
+def test_abelian_product_hodge_refuses_a_large_weight_before_overflowing():
+    # m * log10(...) raised OverflowError: int too large to convert to float
+    with pytest.raises(HodgeTooLarge):
+        abelian_product_hodge(10**400, 10**400)
+    # the bound C(2n, m) <= (2n*e/m)^m has at least m*log10(2e) digits
+    m = math.floor(MAX_HODGE_DIGITS / math.log10(2 * math.e)) + 1
+    for n in (m, 10**400):
+        with pytest.raises(HodgeTooLarge):
+            abelian_product_hodge(n, m)
+
+
 def test_hodge_literal_round_trip():
     text = "weight 2; h = [1, 4, 1]; rankL = 2"
     assert parse_hodge(text) == ABELIAN_SURFACE
@@ -175,3 +188,10 @@ def test_hodge_literal_round_trip():
         parse_hodge("weight 2; h = [1,4]; rankL = 2")
     with pytest.raises(ParseError):
         parse_hodge("h = [1,4,1]")
+
+
+def test_hodge_literal_refuses_empty_entries():
+    # every entry is read as an integer: "1,,4,1," used to read as [1, 4, 1]
+    for hs in ("1,,4,1", "1,4,1,", ",1,4,1", "", " "):
+        with pytest.raises(ParseError):
+            parse_hodge(f"weight 2; h = [{hs}]; rankL = 2")

@@ -4,13 +4,17 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightjac.errors import DivisionByZero, FieldMismatch, ParseError, RationalInput
 from weightjac.quadfield import (
+    MAX_LITERAL_DIGITS,
     FieldTag,
     QuadElem,
     factorize,
     is_squarefree,
+    parse_int,
     parse_quadelem,
     parse_rational,
     squarefree_part,
@@ -58,6 +62,31 @@ def test_rational_parsing():
         parse_rational("3.5")
     with pytest.raises(ParseError, match="zero denominator"):
         parse_rational("1/0")
+    assert parse_rational(" +4/6 ") == F(2, 3)
+    # the denominator takes no sign and no space; Fraction took "1_0/3" and
+    # raised ValueError on 4,401 digits
+    for bad in ("1/-2", "1/+2", "1 /2", "1/ 2", "/2", "1/", "1_0/3", "1/\u0663",
+                "1" * 4401, "1/" + "3" * (MAX_LITERAL_DIGITS + 1)):
+        with pytest.raises(ParseError):
+            parse_rational(bad)
+    with pytest.raises(ParseError):
+        parse_quadelem("1+" + "2" * 4401 + "*sqrt(-1)")
+
+
+def test_parse_int_reads_a_sign_and_ascii_digits_under_the_budget():
+    assert parse_int(" -12\n") == -12 and parse_int("+5") == 5 and parse_int("007") == 7
+    assert parse_int("9" * MAX_LITERAL_DIGITS) == 10**MAX_LITERAL_DIGITS - 1
+    # int() takes the separator, the non-ASCII digits and the oversize literal
+    for bad in ("1_0", "\u0661", "\uff11", "", " ", "+", "+-1", "1 2", "1.0", "0x1",
+                "9" * (MAX_LITERAL_DIGITS + 1)):
+        with pytest.raises(ParseError):
+            parse_int(bad)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(-(10**MAX_LITERAL_DIGITS) + 1, 10**MAX_LITERAL_DIGITS - 1))
+def test_parse_int_round_trips_every_integer_under_the_budget(n):
+    assert parse_int(str(n)) == n
 
 
 def test_norm_identity_product():
