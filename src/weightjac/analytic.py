@@ -1,9 +1,11 @@
 """High-precision j-invariants and Hilbert class polynomials.
 
-j is evaluated from the eta quotient (eta(tau)/eta(2 tau))^24, whose two
+j is evaluated from the eta quotient (eta(tau)/eta(2 tau))^24, whose
 pentagonal series, powers and quotient run on fixed-point Gaussian integers,
 after exact fundamental-domain reduction of a lattice's period ratio (through
-binforms.reduce); only e^(+-2 pi Im tau) and the unit e^(2 pi i Re tau), the
+binforms.reduce).  A Gaussian product takes three big-integer products and a
+square two, and one pass over the terms of E(q) also sums E(q^2) from their
+squares.  Only e^(+-2 pi Im tau) and the unit e^(2 pi i Re tau), the
 parts of q^(+-1), come from mpmath.libmp, at an explicit precision.  The
 docstring of j_of_lattice proves its error bound.  Class polynomials come
 from the real root product over conjugate pairs of reduced forms of the
@@ -95,37 +97,61 @@ def fundamental_domain_exact(tau: QuadElem) -> QuadElem:
 
 
 def _mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
-    """Product of two Gaussian integers read as fixed point with w fraction bits."""
+    """Product of two Gaussian integers read as fixed point with w fraction bits.
+
+    Three big-integer products (Gauss): with rr = ar br and ii = ai bi,
+    (ar + ai)(br + bi) - rr - ii = ar bi + ai br exactly, so the result is
+    ((ar br - ai bi) >> w, (ar bi + ai br) >> w), bit for bit.
+    """
     (ar, ai), (br, bi) = a, b
-    return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
+    rr, ii = ar * br, ai * bi
+    return (rr - ii) >> w, ((ar + ai) * (br + bi) - rr - ii) >> w
+
+
+def _sqr(a: tuple[int, int], w: int) -> tuple[int, int]:
+    """_mul(a, a, w) from two big-integer products: (x + y)(x - y) = x^2 - y^2
+    and 2 x y are exactly the integers that _mul shifts."""
+    x, y = a
+    return ((x + y) * (x - y)) >> w, (2 * x * y) >> w
 
 
 def _pow24(a: tuple[int, int], w: int) -> tuple[int, int]:
-    a2 = _mul(a, a, w)
-    a4 = _mul(a2, a2, w)
-    a8 = _mul(a4, a4, w)
-    return _mul(_mul(a8, a8, w), a8, w)
+    a2 = _sqr(a, w)
+    a4 = _sqr(a2, w)
+    a8 = _sqr(a4, w)
+    return _mul(_sqr(a8, w), a8, w)
 
 
-def _euler(q: tuple[int, int], last: int, w: int) -> tuple[int, int]:
-    """E(q) = 1 + sum over k >= 1 of (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)),
-    over the exponents up to last, in fixed point with w fraction bits."""
-    q2 = _mul(q, q, w)
+def _euler(
+    q: tuple[int, int], last: int, w: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """E(q) and E(q^2), where E(q) = 1 + sum over k >= 1 of
+    (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)), each over the exponents up to
+    last, in fixed point with w fraction bits.
+
+    Every term q^(2g) of E(q^2) is _sqr of the term q^g of E(q) (2g <= last),
+    with the same sign, so E(q^2) needs no recurrence of its own.
+    """
+    q2 = _sqr(q, w)
     q3 = _mul(q2, q, w)
     # at step k: a = q^(k(3k-1)/2), b = q^(k(3k+1)/2), and the steps to k + 1
     a, b, step_a, step_b = q, q2, _mul(q3, q, w), _mul(q3, q2, w)
-    re, im = 1 << w, 0
+    re, im = re2, im2 = 1 << w, 0
     k, g, sign = 1, 1, -1
     while g <= last:
-        re, im = re + sign * a[0], im + sign * a[1]
-        if g + k <= last:
-            re, im = re + sign * b[0], im + sign * b[1]
+        for power, exponent in ((a, g), (b, g + k)):
+            if exponent > last:
+                break
+            re, im = re + sign * power[0], im + sign * power[1]
+            if 2 * exponent <= last:
+                square = _sqr(power, w)
+                re2, im2 = re2 + sign * square[0], im2 + sign * square[1]
         g += 3 * k + 1
         if g <= last:
             a, b = _mul(a, step_a, w), _mul(b, step_b, w)
             step_a, step_b = _mul(step_a, q3, w), _mul(step_b, q3, w)
         k, sign = k + 1, -sign
-    return re, im
+    return (re, im), (re2, im2)
 
 
 def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
@@ -148,19 +174,22 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
 
     Proof.  Assume mpf_pi, mpf_exp and mpf_cos_sin_pi are within 16 ulps at
     wp, and embed within 2^(1-W-e) relative (its docstring).  Errors below
-    are in ulps u; a fixed-point product floors each component, adding < 1
-    per component and < 1.5 in modulus.
+    are in ulps u; a fixed-point product (_mul, _sqr) floors each component of
+    the exact integer product, adding < 1 per component and < 1.5 in modulus.
     - 2 pi Im tau is off by < (2 pi Im tau / 2^e) 2^(1-W) (1 + 2^-4) <= 1.7 u,
       and the angle 2 pi Re tau by < 2 pi 2^(-W-e) <= 0.8 u.  So e^(2 pi Im tau)
       and its reciprocal are within 1.8 u relative, cos and sin within 0.8 u,
       q (floored to W bits) within 1.5 u and 256 q (to W + 8 bits) within 6 u,
       and G = q^-1 within 3 u |q^-1|.
-    - Series.  Every power is computed as a product of two powers of modulus
-      <= lam, each off by < 2 u, so it is off by < 4 lam + 1.5 < 2 u.  The
-      terms past the exponent N are bounded by the tail |q|^(N+1) / (1 - |q|)
-      < 0.51 u, with N chosen so that |q|^(N+1) <= 2^(-W-1).  If E(q) has n
-      terms up to N, E(q) and E(q^2) are off by < (2n + 1) u, and their moduli
-      lie in 1 -+ lam / (1 - lam), i.e. in [0.9956, 1.0044].
+    - Series.  Every power q^g in E(q) is computed as a product of two powers
+      of modulus <= lam, each off by < 2 u, so it is off by < 4 lam + 1.5 < 2 u.
+      Each term q^(2g) of E(q^2), 2g <= N, is the square of the term q^g of
+      E(q), so it too is off by < 4 lam + 1.5 < 2 u.  The terms past the
+      exponent N are bounded by the tail |q|^(N+1) / (1 - |q|) < 0.51 u, with
+      N chosen so that |q|^(N+1) <= 2^(-W-1).  If E(q) has n
+      terms up to N, E(q^2) has at most n, E(q) and E(q^2) are off by
+      < (2n + 1) u, and their moduli lie in 1 -+ lam / (1 - lam), i.e. in
+      [0.9956, 1.0044].
     - The rule |d(xy)| <= |x| |dy| + |y| |dx| + 1.5 u then gives, for the
       moduli and errors in units of u with c = 2n + 1:
           A, B  <= 1.11 (and >= 0.90)     27 c + 40
@@ -196,12 +225,12 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     # N: |q| = 2^-L with L = t / ln 2, shrunk so the float stays a lower
     # bound, and L (N + 1) >= W + 1
     last = math.ceil((w + 1) / (to_float(t) / math.log(2) * (1 - 2**-30)))
-    a = _pow24(_euler(q, last, w), w)
-    b = _pow24(_euler(_mul(q, q, w), last // 2, w), w)
+    e1, e2 = _euler(q, last, w)
+    a, b = _pow24(e1, w), _pow24(e2, w)
     qb = _mul(q256, b, w)
     u = a[0] + qb[0], a[1] + qb[1]
-    u3 = _mul(_mul(u, u, w), u, w)
-    v = _mul(_mul(a, a, w), b, w)
+    u3 = _mul(_sqr(u, w), u, w)
+    v = _mul(_sqr(a, w), b, w)
     norm = v[0] * v[0] + v[1] * v[1]
     f_re = ((u3[0] * v[0] + u3[1] * v[1]) << w) // norm
     f_im = ((u3[1] * v[0] - u3[0] * v[1]) << w) // norm

@@ -11,6 +11,8 @@ cache file selected by --cache or the WJ_CACHE environment variable, which is
 never rewritten and must be a regular file; every other command accepts and
 ignores both.  Python's int/str digit limit is kept, not lifted: hcp refuses a
 D whose coefficients it could not print, before any j evaluation or cache read.
+Under a limit below the default, a report that cannot print is an internal
+failure (exit 1), and an integer literal past the limit a ParseError.
 """
 
 from __future__ import annotations
@@ -550,6 +552,18 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         echo, result = _COMMANDS[args.command](args)
+        report = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "input": echo,
+            "result": result,
+            "timings": {
+                "total_ms": int((time.monotonic() - started) * 1000),
+                "import_ms": _IMPORT_MS,
+            },
+        }
+        # inside the try: an int past sys.get_int_max_str_digits() cannot print
+        text = json.dumps(report, indent=2)
     except WeightjacError as exc:
         record = {
             "schema": SCHEMA,
@@ -561,17 +575,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "input": echo,
-        "result": result,
-        "timings": {
-            "total_ms": int((time.monotonic() - started) * 1000),
-            "import_ms": _IMPORT_MS,
-        },
-    }
-    print(json.dumps(report, indent=2))
+    print(text)
     return 0
 
 

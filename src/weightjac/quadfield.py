@@ -30,10 +30,14 @@ _INT_RE = re.compile(r"\s*[+-]?[0-9]{1,%d}\s*" % MAX_LITERAL_DIGITS)
 
 def parse_int(text: str) -> int:
     """An optional sign and 1 to MAX_LITERAL_DIGITS ASCII digits, with optional
-    surrounding whitespace; "1_0" or a non-ASCII digit, as int() takes, is ParseError."""
+    surrounding whitespace; "1_0" or a non-ASCII digit, as int() takes, is ParseError,
+    and so are more digits than sys.get_int_max_str_digits() allows."""
     if not _INT_RE.fullmatch(text):
         raise ParseError(f"not an integer of at most {MAX_LITERAL_DIGITS} ASCII digits: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as exc:  # only the int/str digit limit, set below MAX_LITERAL_DIGITS
+        raise ParseError(f"{exc}: {text!r}") from exc
 
 
 def parse_rational(text: str) -> Fraction:

@@ -169,6 +169,51 @@ def test_j_kernel_reads_mpmath_constants_under_the_lock(monkeypatch):
     assert len(free) == 3 and not any(free)
 
 
+_BIG = st.integers(0, 5000).flatmap(lambda n: st.integers(1 - (1 << n), (1 << n) - 1))
+_GAUSSIAN = st.tuples(_BIG, _BIG)
+
+
+@given(_GAUSSIAN, _GAUSSIAN, st.integers(0, 200))
+@example((3, -5), (-7, 2), 0)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_products_shift_the_four_product_integers(a, b, w):
+    # the lemma's floors are those of the schoolbook product: same integers, same shifts
+    (ar, ai), (br, bi) = a, b
+    assert analytic._mul(a, b, w) == ((ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w)
+    assert analytic._sqr(a, w) == analytic._mul(a, a, w)
+
+
+def _pentagonal_terms(last):
+    """Number of terms q^g, 1 <= g <= last, of Euler's pentagonal series."""
+    count, k = 0, 1
+    while k * (3 * k - 1) // 2 <= last:
+        count += 1 + (k * (3 * k + 1) // 2 <= last)
+        k += 1
+    return count
+
+
+@pytest.mark.parametrize("prec", [128, 1024, 4096])
+@pytest.mark.parametrize("log2_modulus", [None, -40])
+def test_euler_series_against_q_pochhammer(prec, log2_modulus):
+    # E(q) = (q; q)_inf = (1 - q) (q^2; q)_inf: mpmath.qp(q) would sum the
+    # pentagonal series, and qp(q^2, q) multiplies out the product instead.
+    # Each series must be within (2n + 1) u, the bound of j_of_lattice's lemma,
+    # at |q| = lam = e^(-pi sqrt 3), the largest the lemma allows, and a small |q|
+    w = prec + analytic._FIXED_GUARD_BITS
+    with mp.workprec(2 * w):
+        lam = mpmath.exp(-mpmath.pi * mpmath.sqrt(3))
+        modulus = lam if log2_modulus is None else mpmath.mpf(2) ** log2_modulus
+        z = modulus * mpmath.expjpi(mpmath.mpf(0.6180339887))
+        q = int(mpmath.floor(z.real * 2**w)), int(mpmath.floor(z.imag * 2**w))
+        exact_q = mpmath.mpc(*q) / 2**w
+        bits = -mpmath.log(abs(exact_q), 2)
+        last = int(mpmath.ceil((w + 1) / (bits * (1 - mpmath.mpf(2) ** -30))))
+        bound = (2 * _pentagonal_terms(last) + 1) * mpmath.mpf(2) ** -w
+        products = [(1 - x) * mpmath.qp(x * x, x) for x in (exact_q, exact_q**2)]
+        for series, exact in zip(analytic._euler(q, last, w), products):
+            assert abs(mpmath.mpc(*series) / 2**w - exact) < bound, (prec, log2_modulus)
+
+
 def test_verify_appendix_all_fixtures():
     results = verify_appendix(256)
     assert len(results) == 13

@@ -370,6 +370,30 @@ def test_hcp_refuses_a_cache_that_is_not_a_regular_file(tmp_path):
     assert json.loads(out.stdout)["error"]["type"] == "CacheUnusable"
 
 
+def test_a_lower_int_digit_limit_gives_exit_2_or_a_clean_internal_error():
+    # under PYTHONINTMAXSTRDIGITS=640 a literal past the limit is ParseError, and
+    # a report it cannot print (a 1,201-digit discriminant) is the one-line
+    # "internal error", exit 1, not a traceback
+    src = str(Path(weightjac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"}
+    big, wide = "1" + "0" * 700, "1" + "0" * 600
+    for form, code in ((f"{big},1,1", 2), (f"{wide},1,{wide}", 1), ("5,14,13", 0)):
+        out = subprocess.run(
+            [sys.executable, "-m", "weightjac.cli", "reduce", "--form", form],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == code, out.stderr
+        if code == 2:
+            assert json.loads(out.stdout)["error"]["type"] == "ParseError"
+        elif code == 1:
+            assert out.stdout == ""
+            assert out.stderr.startswith("internal error: ValueError: Exceeds the limit")
+            assert out.stderr.count("\n") == 1
+        else:
+            assert json.loads(out.stdout)["result"]["reduced"] == [4, 4, 5]
+
+
 def test_hcp_cache_roundtrip_through_env(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "hcp.jsonl"
     monkeypatch.setenv("WJ_CACHE", str(cache))
