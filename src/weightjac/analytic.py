@@ -5,18 +5,20 @@ pentagonal series, powers and quotient run on fixed-point Gaussian integers,
 after exact fundamental-domain reduction of a lattice's period ratio (through
 binforms.reduce).  A Gaussian product takes three big-integer products and a
 square two, and one pass over the terms of E(q) also sums E(q^2) from their
-squares.  Only e^(+-2 pi Im tau) and the unit e^(2 pi i Re tau), the
-parts of q^(+-1), come from mpmath.libmp, at an explicit precision.  The
-docstring of j_of_lattice proves its error bound.  Class polynomials come
-from the real root product over conjugate pairs of reduced forms of the
-discriminant, one j per pair, starting at Enge's a-priori bound on the
-coefficient size; every accepted polynomial passes an a-posteriori error
-bound, with automatic precision escalation.  The expansion runs on
-fixed-point integers; the embedding of tau, the reality test, the size
-bound and the appendix check (evaluate_expression, _matches_exact) call
-libmp at explicit precisions and never mpmath's global context.  The one
-block that takes MP_LOCK is j_of_lattice's mpf_pi/mpf_exp/mpf_cos_sin_pi
-call, which reads libmp's process-wide memos of pi and log 2.
+squares.  q = e^(2 pi i tau) is built on integers too: pi and log 2 come
+from Machin-type arctangent series, each memoised as one exact fixed-point
+int (_Constant), e^(2 pi Im tau) and the unit e^(2 pi i Re tau) from one
+even Taylor series with doubling (_cos_sin), and Re tau is reduced exactly
+by quarter turns (_unit).  Nothing in the j kernel reads libmp's
+process-wide memos, so no lock is taken anywhere.  The docstring of
+j_of_lattice proves its error bound.  Class polynomials come from the real
+root product over conjugate pairs of reduced forms of the discriminant, one
+j per pair, starting at Enge's a-priori bound on the coefficient size; every
+accepted polynomial passes an a-posteriori error bound, with automatic
+precision escalation.  The expansion runs on fixed-point integers; the
+embedding of tau, the reality test, the size bound and the appendix check
+(evaluate_expression, _matches_exact) call libmp at explicit precisions and
+never mpmath's global context.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import ast
 import json
 import math
 import re
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -34,8 +35,8 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import (
     fnone, fone, from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_neg,
-    mpc_nthroot, mpc_pos, mpc_sub, mpf_abs, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_hypot,
-    mpf_lt, mpf_mul, mpf_pi, mpf_pos, mpf_shift, mpf_sqrt, round_nearest, to_fixed, to_float,
+    mpc_nthroot, mpc_pos, mpc_sub, mpf_abs, mpf_add, mpf_hypot, mpf_lt, mpf_mul, mpf_pos, mpf_shift,
+    mpf_sqrt, round_nearest, to_fixed,
 )
 
 from .binforms import (
@@ -48,11 +49,6 @@ from .quadfield import QuadElem, factorize
 _GUARD_BITS = 48
 _FIXED_GUARD_BITS = 64
 _ESCALATION_CAP = 1 << 16
-
-# libmp's process-wide memos of pi and log 2 can be raised to a higher
-# precision by one thread while another reads them; j_of_lattice reads them
-# under this lock, and no other code here calls a libmp routine that uses them
-MP_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -154,6 +150,133 @@ def _euler(
     return (re, im), (re2, im2)
 
 
+def _shift(x: int, n: int) -> int:
+    """floor(x 2^n) for any integer n."""
+    return x << n if n >= 0 else x >> -n
+
+
+def _arccot_sum(terms: tuple[tuple[int, int], ...], bits: int, hyperbolic: bool) -> tuple[int, int]:
+    """The sum of c arccot(m) (arccoth(m) if hyperbolic) over (c, m) in terms,
+    times 2^bits, and a bound it is off by less than.
+
+    arccot(m) = sum over odd j of (-1)^((j-1)/2) / (j m^j).  Since
+    floor(floor(x) / n) = floor(x / n) for a positive integer n, power is
+    floor(2^bits / m^j) exactly and each term floor(2^bits / (j m^j)), off by
+    < 1; the terms left once power is 0 sum to < 1 / (1 - m^-2) < 1.1.  So
+    each series is off by < its number of terms + 2.
+    """
+    total = bound = 0
+    for c, m in terms:
+        power, j, series = (1 << bits) // m, 1, 0
+        while power:
+            series += -(power // j) if j & 2 and not hyperbolic else power // j
+            power //= m * m
+            j += 2
+        total += c * series
+        bound += abs(c) * (j // 2 + 2)
+    return total, bound
+
+
+class _Constant:
+    """floor(c 2^p), exactly, for a constant c given by a Machin-type formula.
+
+    The value is memoised as one immutable (bits, floor(c 2^bits)) pair, at
+    the highest precision asked for so far (with a margin); a lower p shifts
+    it down, which gives floor(c 2^p) again.  A new memo sums the series with
+    guard bits until both ends of its error bound floor to the same integer
+    (Ziv's test), so every thread computes the same value, and two threads
+    that race store equal pairs or a lower one: no lock is needed.
+    """
+
+    def __init__(self, terms: tuple[tuple[int, int], ...], hyperbolic: bool):
+        self._terms, self._hyperbolic = terms, hyperbolic
+        self._memo = (0, 0)
+
+    def __call__(self, p: int) -> int:
+        bits, value = self._memo
+        if p > bits:
+            bits, guard = p + (p >> 4) + 64, 32
+            while True:
+                total, bound = _arccot_sum(self._terms, bits + guard, self._hyperbolic)
+                value = (total - bound) >> guard
+                if value == (total + bound) >> guard:
+                    break
+                guard += 32
+            if bits > self._memo[0]:
+                self._memo = bits, value
+        return value >> (bits - p)
+
+
+# Machin: pi = 16 arctan(1/5) - 4 arctan(1/239); ln 2 = 18 artanh(1/26) -
+# 2 artanh(1/4801) + 8 artanh(1/8749)
+_PI = _Constant(((16, 5), (-4, 239)), hyperbolic=False)
+_LN2 = _Constant(((18, 26), (-2, 4801), (8, 8749)), hyperbolic=True)
+
+
+def _cos_sin(x: int, p: int, hyperbolic: bool) -> tuple[int, int]:
+    """(cos y, sin y), or (cosh y, sinh y) if hyperbolic, for y = x 2^-p, as
+    integers scaled by 2^p, each within 2 ulps (2^(1-p)).  y must lie in
+    [pi/4, 3 pi/4], or in [0.69, 1.39] if hyperbolic, where the odd part is
+    well conditioned.
+
+    libmp's exponential_series on integers, at wp = p + g fraction bits with
+    g = 2k + bitlen(p) + 6: y is halved k = isqrt(p)/4 + 2 times (exactly;
+    fewer than libmp's sqrt(p)/2, which measured slower), the even series
+    sum (-+1)^i (y/2^k)^(2i) / (2i)! is summed by rectangular splitting over
+    m powers of (y/2^k)^2, c -> 2c^2 - 1 doubles it back k times, and the
+    odd part is isqrt(|c^2 - 1|).  The series is off by < 2 ulps (at wp) per
+    term, plus m + 3, which is < 5p.  A doubling multiplies an error by
+    4|c| (1 + 2^-p) and adds < 1; the product of the |c| is at most 1 for cos
+    and sinh(y) / (2^k sinh(y/2^k)) <= sinh(y) / y < 1.37 for cosh, so c ends
+    within 1.4 4^k (5p + 1).  The odd part adds |c| / s <= max(1, coth 0.69)
+    < 1.68 times that, plus 1.  Both are within 2.4 4^k (5p + 1) + 1 <
+    2^(g-1) ulps at wp, so floored to p bits within 1.5 ulps.
+    """
+    k = math.isqrt(p) // 4 + 2
+    g = 2 * k + p.bit_length() + 6
+    wp = p + g
+    one = 1 << wp
+    x <<= g - k
+    x2 = (x * x) >> wp
+    powers = [one, x2]
+    for _ in range(max(2, int(0.3 * p**0.35)) - 1):
+        powers.append((powers[-1] * x2) >> wp)
+    sums = [0] * (len(powers) - 1)
+    a, j = x2, 2
+    while a:
+        for i in range(len(sums)):
+            a //= (j - 1) * j
+            sums[i] += a if hyperbolic or not j & 2 else -a
+            j += 2
+        a = (a * powers[-1]) >> wp
+    c = one + sum((total * power) >> wp for total, power in zip(sums, powers))
+    for _ in range(k):
+        c = ((c * c) >> (wp - 1)) - one
+    s = math.isqrt(abs(c * c - (one << wp)))
+    return c >> g, s >> g
+
+
+def _unit(x: Fraction, p: int) -> tuple[int, int]:
+    """cos and sin of 2 pi x, as integers scaled by 2^p, each within 4 ulps,
+    and exact when 4x is an integer (the unit is then a power of i).
+
+    2 pi x = (pi/2)(k + f), k = floor(4x - 1/2), so 1/2 <= f < 3/2 and the
+    unit is i^k times cos + i sin of pi f / 2 in [pi/4, 3 pi/4).  That angle,
+    floor(floor(pi 2^p) f / 2), is within 1.75 ulps, which moves cos and sin
+    by as much, and _cos_sin adds < 2.
+    """
+    num, den = 4 * x.numerator, x.denominator
+    k = (2 * num - den) // (2 * den)
+    num -= k * den
+    if num == den:
+        c, s = 0, 1 << p
+    else:
+        c, s = _cos_sin(_PI(p) * num // (2 * den), p, hyperbolic=False)
+    for _ in range(k % 4):
+        c, s = -s, c
+    return c, s
+
+
 def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     """j of the homothety class, from the eta quotient on fixed-point integers.
 
@@ -164,29 +287,40 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
         j = (t + 256)^3 / t^2 = q^-1 R^-1 (1 + 256 q R)^3 = q^-1 F,
         F = U^3 / V,  U = A + 256 q B,  V = A^2 B,  A = E(q)^24,  B = E(q^2)^24.
     F runs on Gaussian integers scaled by 2^W, W = prec + 64 (u = 2^-W is
-    one ulp); only |q|^(+-1) = e^(-+2 pi Im tau) and the unit e^(2 pi i Re tau)
-    come from mpmath.libmp, at wp = W + e + 8 bits, where 2^e >= 8 Im tau and
-    tau is embedded to W + e bits.  j = q^-1 F is an exact integer product,
-    rounded once to prec bits.
+    one ulp).  q^(+-1) comes from integers at p = W + 8 fraction bits: Im tau
+    from tau embedded to W + e bits, where 2^e >= 8 Im tau, times pi; the
+    split 2 pi Im tau = n ln 2 + r, e^r from _cos_sin and the unit
+    e^(2 pi i Re tau) from the exact Re tau (_unit).  j = q^-1 F is an exact
+    integer product, rounded once to prec bits.
 
     Lemma.  The result j~ satisfies |j~ - j| <= 2^(1-prec) (1 + |j|), within
     the 2^(8-prec) (1 + |j|) that _expand_pairs and _is_real assume.
 
-    Proof.  Assume mpf_pi, mpf_exp and mpf_cos_sin_pi are within 16 ulps at
-    wp, and embed within 2^(1-W-e) relative (its docstring).  Errors below
-    are in ulps u; a fixed-point product (_mul, _sqr) floors each component of
-    the exact integer product, adding < 1 per component and < 1.5 in modulus.
-    - 2 pi Im tau is off by < (2 pi Im tau / 2^e) 2^(1-W) (1 + 2^-4) <= 1.7 u,
-      and the angle 2 pi Re tau by < 2 pi 2^(-W-e) <= 0.8 u.  So e^(2 pi Im tau)
-      and its reciprocal are within 1.8 u relative, cos and sin within 0.8 u,
-      q (floored to W bits) within 1.5 u and 256 q (to W + 8 bits) within 6 u,
-      and G = q^-1 within 3 u |q^-1|.
+    Proof.  embed is within 2^(1-W-e) relative (its docstring), _PI and _LN2
+    are exact floors and _cos_sin and _unit are within the ulps their
+    docstrings prove.  Errors below are in ulps u; a fixed-point product
+    (_mul, _sqr) floors each component of the exact integer product, adding
+    < 1 per component and < 1.5 in modulus.
+    - q.  Im tau < 2^(e-3), so t = 2 pi Im tau < 2^(e-0.35) is off by
+      < 2^(1-W-e) t < 1.57 u from the embedding, and by < 1.07 ulps at p
+      from floor(pi 2^(p+e+2)) and the floor to p bits.
+      n = floor(t / ln 2) - 1 < 2^(e+0.2), so floor(n floor(ln 2 2^(p+e+2))
+      2^(-e-2)) is within 1.3 ulps at p, and r = t - n ln 2, in [ln 2, 2 ln 2]
+      up to those ulps, is off by < 1.57 u + 2.4 2^-p < 1.6 u.  _cos_sin
+      gives e^r = cosh r + sinh r (>= 2) within 4 2^-p, so e^(2 pi Im tau)
+      = 2^n e^r and its reciprocal are within 1.7 u relative, and _unit gives
+      cos and sin within 4 2^-p = 2^-6 u.  So q = 2^-n (cos + i sin) / e^r
+      is within 1.8 u |q| before it is floored to W bits, so within 1.5 u,
+      256 q (floored to W + 8 bits) within 256 lam 1.8 u + 1.5 u < 6 u, and
+      G = q^-1 = 2^n e^r (cos - i sin) within 3 u |q^-1|.
     - Series.  Every power q^g in E(q) is computed as a product of two powers
       of modulus <= lam, each off by < 2 u, so it is off by < 4 lam + 1.5 < 2 u.
       Each term q^(2g) of E(q^2), 2g <= N, is the square of the term q^g of
       E(q), so it too is off by < 4 lam + 1.5 < 2 u.  The terms past the
       exponent N are bounded by the tail |q|^(N+1) / (1 - |q|) < 0.51 u, with
-      N chosen so that |q|^(N+1) <= 2^(-W-1).  If E(q) has n
+      N chosen so that |q|^N <= 2^(-W-1): |q| = 2^-L, L = t / ln 2, and
+      N = ceil((W + 1) 2^16 / (m - 1)) for the integer m = floor(2^16 t / ln 2)
+      computed from t, so (m - 1) 2^-16 < L and N L >= W + 1.  If E(q) has n
       terms up to N, E(q^2) has at most n, E(q) and E(q^2) are off by
       < (2n + 1) u, and their moduli lie in 1 -+ lam / (1 - lam), i.e. in
       [0.9956, 1.0044].
@@ -212,19 +346,22 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     w = prec + _FIXED_GUARD_BITS
     # (8 Im tau)^2 = 64 y^2 |d| <= 2^(2e)
     e = (math.ceil(64 * tau.y * tau.y * -tau.field.d).bit_length() + 1) // 2
-    wp = w + e + 8
-    z = tau.embed(w + e)
-    with MP_LOCK:
-        t = mpf_mul(mpf_shift(mpf_pi(wp), 1), z.imag._mpf_, wp)
-        big = mpf_exp(t, wp)
-        small = mpf_div(fone, big, wp)
-        cos, sin = mpf_cos_sin_pi(mpf_shift(z.real._mpf_, 1), wp)
-    q_re, q_im = mpf_mul(small, cos, wp), mpf_mul(small, sin, wp)
-    q = to_fixed(q_re, w), to_fixed(q_im, w)
-    q256 = to_fixed(q_re, w + 8), to_fixed(q_im, w + 8)
-    # N: |q| = 2^-L with L = t / ln 2, shrunk so the float stays a lower
-    # bound, and L (N + 1) >= W + 1
-    last = math.ceil((w + 1) / (to_float(t) / math.log(2) * (1 - 2**-30)))
+    # pi and ln 2 take e + 2 bits more than p, the integer bits of t and n
+    p = w + 8
+    bits = p + e + 2
+    # t = 2 pi Im tau and r = t - n ln 2, scaled by 2^p
+    _, man, exp, _ = tau.embed(w + e).imag._mpf_
+    t = _shift(_PI(bits) * man, exp + p + 1 - bits)
+    ln2 = _LN2(bits)
+    m = (t << (e + 18)) // ln2
+    n = (m >> 16) - 1
+    cosh, sinh = _cos_sin(t - ((n * ln2) >> (e + 2)), p, hyperbolic=True)
+    big = cosh + sinh
+    c, s = _unit(tau.x, p)
+    # q = 2^-n (c + i s) / big, floored to w and to w + 8 bits
+    q = _shift(c, w - n) // big, _shift(s, w - n) // big
+    q256 = _shift(c, w + 8 - n) // big, _shift(s, w + 8 - n) // big
+    last = -(-((w + 1) << 16) // (m - 1))
     e1, e2 = _euler(q, last, w)
     a, b = _pow24(e1, w), _pow24(e2, w)
     qb = _mul(q256, b, w)
@@ -234,12 +371,10 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     norm = v[0] * v[0] + v[1] * v[1]
     f_re = ((u3[0] * v[0] + u3[1] * v[1]) << w) // norm
     f_im = ((u3[1] * v[0] - u3[0] * v[1]) << w) // norm
-    # q^-1 F = man 2^exp (cos - i sin) F exactly, rounded once to prec bits
-    _, man, exp, _ = big
-    c, s = to_fixed(cos, wp), to_fixed(sin, wp)
-    shift = exp - wp - w
-    re = from_man_exp(man * (c * f_re + s * f_im), shift, prec, round_nearest)
-    im = from_man_exp(man * (c * f_im - s * f_re), shift, prec, round_nearest)
+    # q^-1 F = 2^n big (c - i s) F 2^(-2p-w) exactly, rounded once to prec bits
+    shift = n - 2 * p - w
+    re = from_man_exp(big * (c * f_re + s * f_im), shift, prec, round_nearest)
+    im = from_man_exp(big * (c * f_im - s * f_re), shift, prec, round_nearest)
     return PrecComplex(mp.make_mpf(re), mp.make_mpf(im), prec)
 
 

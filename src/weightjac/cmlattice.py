@@ -25,7 +25,7 @@ from itertools import combinations
 from . import binforms
 from .binforms import Form, fundamental_decomposition
 from .errors import BadWeight, DegenerateBasis, FieldMismatch, JacobianTooLarge, NotCM, ParseError
-from .quadfield import FieldTag, QuadElem, parse_int, parse_quadelem
+from .quadfield import FieldTag, QuadElem, digit_budget, parse_int, parse_quadelem
 
 
 @dataclass(frozen=True)
@@ -300,6 +300,7 @@ def image_lattice_L(tup: LatticeTuple, m: int) -> list[CMLattice]:
 # conductor and the reduced class form (endring, homothety, jinv) have at most
 # 5*850 + 1 = 4,251 digits; a latprod has den, p and r below 10^1700, and its
 # order has conductor gcd(f1, f2), so a D no larger than its factors' D.
+# A lower int/str limit scales the cap down (digit_budget).
 MAX_LATTICE_DIGITS = 850
 
 # ⟨g1, g2⟩ as printed, field named by the generators, or <g1;g2>@d
@@ -315,12 +316,13 @@ def parse_lattices(text: str) -> list[CMLattice]:
     A literal is written as printed, "⟨1+0*sqrt(-1), 0+3*sqrt(-1)⟩", its field
     read off the sqrt(d) of its p/q or x+y*sqrt(d) generators, or as
     "<1;3*sqrt(-1)>@-1" with the field named after the @.  A lattice whose
-    canonical data exceed MAX_LATTICE_DIGITS is a ParseError.
+    canonical data exceed digit_budget(MAX_LATTICE_DIGITS) digits is a ParseError.
     """
     matches = list(_LATTICE_RE.finditer(text))
     rest = _LATTICE_RE.sub("", text).replace(",", "").strip()
     if not matches or rest:
         raise ParseError(f"lattice list must look like '<g1;g2>@d,...': {text!r}")
+    cap = digit_budget(MAX_LATTICE_DIGITS)
     out = []
     for m in matches:
         if m["d"] is None:
@@ -331,8 +333,8 @@ def parse_lattices(text: str) -> list[CMLattice]:
             first, second = m["h1"], m["h2"]
             field = FieldTag(parse_int(m["d"]))
         lat = canonicalize(parse_quadelem(first, field), parse_quadelem(second, field))
-        if max(lat.den, lat.p, lat.r, -lat.field.d) >= 10**MAX_LATTICE_DIGITS:
-            raise ParseError(f"{m[0]!r} has canonical data of over {MAX_LATTICE_DIGITS} digits")
+        if max(lat.den, lat.p, lat.r, -lat.field.d) >= 10**cap:
+            raise ParseError(f"{m[0]!r} has canonical data of over {cap} digits")
         out.append(lat)
     return out
 

@@ -5,13 +5,15 @@ negative integer; sqrt(d) always denotes the root with positive imaginary
 part. Everything here is immutable and pure.  One regex reads an element
 literal, "x+y*sqrt(d)", "x" or "y*sqrt(d)" (parse_quadelem), and one function
 reads every integer of input text, there and in every other literal and CLI
-option (parse_int): a sign and ASCII digits, at most MAX_LITERAL_DIGITS.
+option (parse_int): a sign and ASCII digits, at most MAX_LITERAL_DIGITS, or
+fewer under a lowered int/str digit limit (digit_budget).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,19 +27,27 @@ from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseEr
 # at most 4,001 and prints under Python's default limit of 4,300 digits per
 # int/str conversion (sys.set_int_max_str_digits, CVE-2020-10735)
 MAX_LITERAL_DIGITS = 2000
-_INT_RE = re.compile(r"\s*[+-]?[0-9]{1,%d}\s*" % MAX_LITERAL_DIGITS)
+_INT_RE = re.compile(r"\s*[+-]?([0-9]+)\s*")
+
+
+def digit_budget(digits: int) -> int:
+    """A digit budget set for Python's default int/str limit of 4,300 digits,
+    times limit / 4,300 under a lower sys.get_int_max_str_digits(), so that
+    what fits the budget still prints; 0 (or no such function, before Python
+    3.10.7) is no limit, and a higher limit keeps the budget."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return digits * limit // 4300 if 0 < limit < 4300 else digits
 
 
 def parse_int(text: str) -> int:
-    """An optional sign and 1 to MAX_LITERAL_DIGITS ASCII digits, with optional
-    surrounding whitespace; "1_0" or a non-ASCII digit, as int() takes, is ParseError,
-    and so are more digits than sys.get_int_max_str_digits() allows."""
-    if not _INT_RE.fullmatch(text):
-        raise ParseError(f"not an integer of at most {MAX_LITERAL_DIGITS} ASCII digits: {text!r}")
-    try:
-        return int(text)
-    except ValueError as exc:  # only the int/str digit limit, set below MAX_LITERAL_DIGITS
-        raise ParseError(f"{exc}: {text!r}") from exc
+    """An optional sign and 1 to digit_budget(MAX_LITERAL_DIGITS) ASCII digits,
+    with optional surrounding whitespace; "1_0" or a non-ASCII digit, as int()
+    takes, is ParseError."""
+    budget = digit_budget(MAX_LITERAL_DIGITS)
+    m = _INT_RE.fullmatch(text)
+    if not m or len(m[1]) > budget:
+        raise ParseError(f"not an integer of at most {budget} ASCII digits: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:

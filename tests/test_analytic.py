@@ -141,32 +141,94 @@ def test_j_kernel_never_calls_kleinj(monkeypatch):
     assert abs(j_of_lattice(LAT_3I, 256).to_mpc() - 153553679.396728) < 1e-6
 
 
-def test_j_kernel_reads_mpmath_constants_under_the_lock(monkeypatch):
-    import threading
+def test_j_kernel_runs_without_libmp_exponentials_and_constants(monkeypatch):
+    from mpmath.libmp import libelefun
 
-    from weightjac.analytic import MP_LOCK
+    def refuse(*args, **kwargs):
+        raise AssertionError("libmp exponential or constant called")
 
-    free = []  # per libmp call: could another thread take MP_LOCK then?
+    # libmp's mpf_exp and mpf_cos_sin read these names from libelefun's globals
+    for name in ("exponential_series", "pi_fixed", "ln2_fixed"):
+        monkeypatch.setattr(libelefun, name, refuse)
+    assert hilbert_class_polynomial(-1155, 128).degree == len(enumerate_reduced(-1155))
+    assert abs(j_of_lattice(LAT_3I, 256).to_mpc() - 153553679.396728) < 1e-6
 
-    def probe():
-        got = MP_LOCK.acquire(blocking=False)
-        if got:
-            MP_LOCK.release()
-        free.append(got)
 
-    def checked(fn):
-        def wrapper(*args, **kwargs):
-            other = threading.Thread(target=probe)
-            other.start()
-            other.join()
-            return fn(*args, **kwargs)
+def _scaled(x, p):
+    """x 2^p, for an mpmath value x at the working precision."""
+    return x * mpmath.mpf(2) ** p
 
-        return wrapper
 
-    for name in ("mpf_pi", "mpf_exp", "mpf_cos_sin_pi"):
-        monkeypatch.setattr(analytic, name, checked(getattr(analytic, name)))
-    j_of_lattice(LAT_3I, 256)
-    assert len(free) == 3 and not any(free)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    p=st.integers(64, 8192),
+    share=st.fractions(0, 1, max_denominator=2**40),
+    x=st.fractions(-3, 3, max_denominator=10**6),
+)
+@example(p=64, share=F(0), x=F(1, 8))
+@example(p=8192, share=F(1), x=F(-1, 2))
+def test_fixed_point_routines_against_mpmath(p, share, x):
+    # each routine against mpmath at 32 more bits, within its docstring's ulps
+    slack = mpmath.mpf(2) ** -20
+    with mp.workprec(p + 32):
+        for value, constant in ((analytic._PI(p), mpmath.pi), (analytic._LN2(p), mpmath.ln2)):
+            assert -slack < _scaled(constant, p) - value < 1 + slack, p  # floor(c 2^p)
+        ln2, pi = mpmath.ln2, mpmath.pi
+        for hyperbolic, low, high, even, odd in (
+            (True, ln2, 2 * ln2, mpmath.cosh, mpmath.sinh),
+            (False, pi / 4, 3 * pi / 4, mpmath.cos, mpmath.sin),
+        ):
+            y = int(mpmath.floor(_scaled(low + (high - low) * share, p)))
+            c, s = analytic._cos_sin(y, p, hyperbolic)
+            exact = mpmath.mpf(y) / 2**p
+            assert abs(c - _scaled(even(exact), p)) < 2 + slack, (p, hyperbolic)
+            assert abs(s - _scaled(odd(exact), p)) < 2 + slack, (p, hyperbolic)
+        c, s = analytic._unit(x, p)
+        angle = 2 * pi * mpmath.mpf(x.numerator) / x.denominator
+        if (4 * x).denominator == 1:  # a power of i, exactly
+            cos, sin = [(1, 0), (0, 1), (-1, 0), (0, -1)][int(4 * x) % 4]
+            assert (c, s) == (cos << p, sin << p)
+        assert abs(c - _scaled(mpmath.cos(angle), p)) < 4 + slack, (p, x)
+        assert abs(s - _scaled(mpmath.sin(angle), p)) < 4 + slack, (p, x)
+
+
+def test_constant_memo_is_bit_identical_under_a_race(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    precs = list(range(64, 20000, 487))
+    monkeypatch.setattr(analytic._PI, "_memo", (0, 0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo reads too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda: [analytic._PI(p) for p in precs]) for _ in range(8)]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    # from an empty memo, rising and then falling: every value is floor(pi 2^p)
+    analytic._PI._memo = (0, 0)
+    rising = [analytic._PI(p) for p in precs]
+    analytic._PI._memo = (0, 0)
+    falling = [analytic._PI(p) for p in reversed(precs)][::-1]
+    assert threaded == [rising] * 8
+    assert falling == rising
+
+
+def test_constant_sums_again_until_its_floor_is_certain(monkeypatch):
+    calls = []
+    real = analytic._arccot_sum
+
+    def loose(terms, bits, hyperbolic):
+        total, bound = real(terms, bits, hyperbolic)
+        calls.append(bits)
+        # the first bound straddles a multiple of 2^32, the first guard
+        return total, bound << 40 if len(calls) == 1 else bound
+
+    monkeypatch.setattr(analytic, "_arccot_sum", loose)
+    pi = analytic._Constant(((16, 5), (-4, 239)), hyperbolic=False)
+    with mp.workprec(200):
+        assert pi(100) == int(mpmath.floor(_scaled(mpmath.pi, 100)))
+    assert len(calls) == 2 and calls[1] == calls[0] + 32
 
 
 _BIG = st.integers(0, 5000).flatmap(lambda n: st.integers(1 - (1 << n), (1 << n) - 1))
@@ -540,30 +602,19 @@ def test_expand_pairs_decides_like_the_mpmath_size_test(D):
     assert analytic._expand_pairs(roots, paired, threshold) == expected
 
 
-def test_expansion_and_embedding_take_no_lock(monkeypatch):
+def test_expansion_and_embedding_take_no_lock():
     import threading
-
-    from weightjac.analytic import MP_LOCK
 
     roots, paired = _class_roots(-1155)
     prec = roots[0].prec
-    taus = [form_to_lattice(f).tau for f in enumerate_reduced(-1155)]
-    # the j kernel's constants block does take the lock, so the appendix
-    # check gets the j values of the unlocked run
-    js = {}
-
-    def remembered(lat, prec=128):
-        if (lat, prec) not in js:
-            js[lat, prec] = j_of_lattice(lat, prec)
-        return js[lat, prec]
-
-    monkeypatch.setattr(analytic, "j_of_lattice", remembered)
+    lats = [form_to_lattice(f) for f in enumerate_reduced(-1155)]
 
     def work():
         return (
             analytic._expand_pairs(roots, paired, prec),
             [analytic._is_real(r) for r in roots],
-            [tau.embed(p)._mpc_ for tau in taus for p in (64, prec, 4096)],
+            [lat.tau.embed(p)._mpc_ for lat in lats for p in (64, prec, 4096)],
+            [_bits(j_of_lattice(lat, p)) for lat in lats for p in (128, prec)],
             _bits(evaluate_expression("76771008 + 44330496*sqrt(3)", 256)),
             verify_appendix(128),
         )
@@ -572,23 +623,24 @@ def test_expansion_and_embedding_take_no_lock(monkeypatch):
     held, release = threading.Event(), threading.Event()
 
     def holder():
-        # another thread inside a locked block, at a working precision of its own
-        with MP_LOCK, mp.workprec(20):
+        # another thread at a working precision of its own, in mpmath's
+        # process-wide context
+        with mp.workprec(20):
             held.set()
             release.wait(60)
 
     results = []
-    lock_thread = threading.Thread(target=holder)
-    lock_thread.start()
+    other = threading.Thread(target=holder)
+    other.start()
     assert held.wait(60)
     worker = threading.Thread(target=lambda: results.append(work()))
     worker.start()
     worker.join(30)
     finished = not worker.is_alive()
     release.set()
-    lock_thread.join(60)
+    other.join(60)
     worker.join(60)
-    assert finished, "waited for MP_LOCK"
+    assert finished, "the worker waited for the other thread"
     assert results == [expected]
 
 

@@ -371,16 +371,24 @@ def test_hcp_refuses_a_cache_that_is_not_a_regular_file(tmp_path):
 
 
 def test_a_lower_int_digit_limit_gives_exit_2_or_a_clean_internal_error():
-    # under PYTHONINTMAXSTRDIGITS=640 a literal past the limit is ParseError, and
-    # a report it cannot print (a 1,201-digit discriminant) is the one-line
-    # "internal error", exit 1, not a traceback
+    # under PYTHONINTMAXSTRDIGITS=640 the literal budget is 2000 * 640 // 4300
+    # = 297 digits and the lattice cap 850 * 640 // 4300 = 126: a literal past
+    # them is ParseError before any work, also one whose report (a 1,201-digit
+    # discriminant) could not print.  The --abelian budget does not scale, so
+    # its 722-digit report is the one-line "internal error", exit 1, not a traceback
     src = str(Path(weightjac.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"}
     big, wide = "1" + "0" * 700, "1" + "0" * 600
-    for form, code in ((f"{big},1,1", 2), (f"{wide},1,{wide}", 1), ("5,14,13", 0)):
+    for argv, code in (
+        (["reduce", "--form", f"{big},1,1"], 2),
+        (["reduce", "--form", f"{wide},1,{wide}"], 2),
+        (["endring", "--lattices", f"<1;1{'0' * 200}*sqrt(-1)>@-1"], 2),
+        (["hodge", "--abelian", "1200,1200"], 1),
+        (["reduce", "--form", "5,14,13"], 0),
+    ):
         out = subprocess.run(
-            [sys.executable, "-m", "weightjac.cli", "reduce", "--form", form],
+            [sys.executable, "-m", "weightjac.cli", *argv],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert out.returncode == code, out.stderr

@@ -83,6 +83,22 @@ def test_parse_int_reads_a_sign_and_ascii_digits_under_the_budget():
             parse_int(bad)
 
 
+def test_digit_budgets_scale_down_with_a_lower_int_digit_limit(monkeypatch):
+    import sys
+
+    from weightjac.quadfield import digit_budget
+
+    for limit, budget in ((0, 2000), (640, 297), (4299, 1999), (4300, 2000), (10**6, 2000)):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+        assert digit_budget(MAX_LITERAL_DIGITS) == budget, limit
+    # at the least limit Python allows, a literal past 297 digits is refused
+    # before int() could raise
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640, raising=False)
+    assert parse_int("9" * 297) == 10**297 - 1
+    with pytest.raises(ParseError, match="at most 297 ASCII digits"):
+        parse_int("9" * 298)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(n=st.integers(-(10**MAX_LITERAL_DIGITS) + 1, 10**MAX_LITERAL_DIGITS - 1))
 def test_parse_int_round_trips_every_integer_under_the_budget(n):
