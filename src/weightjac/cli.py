@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 # the one weightjac module every command uses; each handler imports the rest
 from . import binforms
 from .binforms import parse_form, validate_discriminant
-from .errors import CacheUnusable, ParseError, PrecisionExhausted, WeightjacError
+from .errors import CacheUnusable, FieldMismatch, ParseError, PrecisionExhausted, WeightjacError
 from .quadfield import parse_int
 
 if TYPE_CHECKING:
@@ -257,12 +257,14 @@ def _cmd_homothety(args):
     from . import cmlattice
 
     lats, echo = _lattices(args, 2)
-    verdict = cmlattice.is_homothetic(lats[0], lats[1])
+    if lats[0].field != lats[1].field:  # as cmlattice.is_homothetic refuses them
+        raise FieldMismatch(f"{lats[0].field} vs {lats[1].field}")
+    # each class once: the verdict is their equality
     classes = [cmlattice.ideal_class(lat) for lat in lats]
     return (
         echo,
         {
-            "homothetic": verdict,
+            "homothetic": classes[0] == classes[1],
             "classes": [
                 {"order": _order_record(o), "form": list(f.as_tuple())} for o, f in classes
             ],

@@ -10,7 +10,9 @@ standing for (x + y*sqrt(d))/den; rational generators are first cleared to
 such rows over the lcm of their denominators.  The lattice product
 (additive span of pairwise element products), folded over wedge-image duals,
 is the lattice route to higher-weight Jacobians; until a forms-only phi lands,
-the class route shares lattice_product and ideal_class with it through phi.
+the class route shares lattice_product and ideal_class with it through phi's
+lifts into orders of class number above one (a lift into an order of class
+number one returns the principal class directly).
 """
 
 from __future__ import annotations

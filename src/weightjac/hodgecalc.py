@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import BadWeight, HodgeTooLarge, MissingSummand, NoJacobian, ParseError, WeightMismatch
-from .quadfield import MAX_TRIAL_DIVISOR, factorize, parse_int
+from .quadfield import MAX_TRIAL_DIVISOR, digit_budget, factorize, parse_int
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,8 @@ def split_h0(h: SyntheticHodge) -> tuple[SyntheticHodge, SyntheticHodge]:
 # every Hodge number of an n-fold product is at most the total rank C(2n, m);
 # past this many decimal digits building them takes seconds (n = 3000,
 # m = 1500, about 1460 digits, takes 0.6 s on a 2-CPU VM with Python 3.11)
-# and soon JSON cannot print them
+# and soon JSON cannot print them; a lower int/str limit scales it down
+# (digit_budget)
 MAX_HODGE_DIGITS = 2000
 
 
@@ -177,18 +178,19 @@ def abelian_product_hodge(n: int, m: int) -> SyntheticHodge:
     Total rank C(2n, m), h^{p,q} = C(n,p)*C(n,q), image rank 2*C(n,m); for
     m = 2 the kernel (Neron-Severi) rank is n^2.  Raises HodgeTooLarge before
     building anything when the bound C(2n, m) <= (2n*e/m)^m exceeds
-    MAX_HODGE_DIGITS decimal digits.
+    digit_budget(MAX_HODGE_DIGITS) decimal digits.
     """
     if m < 2 or m > n:
         raise BadWeight(f"need 2 <= m <= {n}, got {m}")
+    budget = digit_budget(MAX_HODGE_DIGITS)
     # C(2n, m) >= 2^m as m <= n, so an m past the float range, which would
     # overflow the float product below, is refused before it
     if m > sys.float_info.max:
-        raise HodgeTooLarge(f"C({2 * n}, {m}) has more than {MAX_HODGE_DIGITS} digits")
+        raise HodgeTooLarge(f"C({2 * n}, {m}) has more than {budget} digits")
     digits = m * (math.log10(2 * n) - math.log10(m) + math.log10(math.e))
-    if digits > MAX_HODGE_DIGITS:
+    if digits > budget:
         raise HodgeTooLarge(
-            f"C({2 * n}, {m}) has up to {digits:.0f} digits, above the {MAX_HODGE_DIGITS} budget"
+            f"C({2 * n}, {m}) has up to {digits:.0f} digits, above the {budget} budget"
         )
     numbers = tuple(math.comb(n, p) * math.comb(n, m - p) for p in range(m, -1, -1))
     return SyntheticHodge(m, numbers, 2 * math.comb(n, m))

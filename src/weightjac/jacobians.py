@@ -9,8 +9,10 @@ curves (the weight-n Jacobian).  A Jacobian orbit lifts only X's own
 classes: its iterates follow in closed form from X's conductors and
 terminal class.  The m-Jacobian is also computable from lattices through
 cmlattice.image_lattice_L, which the test suite uses as an oracle.
-The two routes still share lattice_product and ideal_class through phi,
-until a forms-only phi lands.
+phi into an order of class number one returns its principal class without
+lattice arithmetic; every other lift is a lattice_product followed by
+ideal_class, so for targets of class number above one the two routes still
+share those functions, until a forms-only phi lands.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .errors import (
     PrimitivityViolation,
 )
 from .quadfield import FieldTag, factorize
+
+# the 13 discriminants of imaginary quadratic orders with class number one
+# (Cox, Primes of the form x^2+ny^2, Thm 7.30): phi into such an order can
+# only land on the principal class
+CLASS_NUMBER_ONE = frozenset({-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163})
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,9 @@ def phi(cls: CurveClass, c: int) -> CurveClass:
 
     Realized as the lattice product with the order of conductor c; it is a
     group homomorphism, phi_{f,f} is the identity and phi_{d,c} o phi_{c,f}
-    = phi_{d,f}.
+    = phi_{d,f}.  A target of class number one (CLASS_NUMBER_ONE) has a
+    trivial class group, so the image is its principal class, returned
+    without the lattice round trip.
     """
     f = cls.conductor
     if c < 1 or f % c != 0:
@@ -117,6 +126,8 @@ def phi(cls: CurveClass, c: int) -> CurveClass:
     target = Order(cls.field, c)  # refuses a c that is not an int
     if c == f:
         return cls
+    if target.discriminant in CLASS_NUMBER_ONE:
+        return CurveClass.principal(target)
     lifted = cmlattice.lattice_product(cls.lattice(), target.as_lattice())
     order, form = ideal_class(lifted)
     return CurveClass(order, form)
@@ -161,7 +172,8 @@ def m_jacobian_lattice_route(x: ProductAV, m: int) -> ProductAV:
     """Same object computed from period lattices via the wedge-image formula.
 
     The two routes must agree componentwise.  They share lattice_product and
-    ideal_class through phi, until a forms-only phi lands.
+    ideal_class through phi's lifts into orders of class number above one,
+    until a forms-only phi lands.
     """
     tup = LatticeTuple(tuple(e.lattice() for e in x.factors))
     comps = cmlattice.image_lattice_L(tup, m)

@@ -86,9 +86,32 @@ def test_homothety_and_endring(capsys):
         capsys, "homothety", "--lattices", "<1;1/3+2/3*sqrt(-1)>@-1,<3;1+2*sqrt(-1)>@-1"
     )
     assert code == 0 and report["result"]["homothetic"] is True
+    code, report = run_cli(
+        capsys, "homothety", "--lattices", "<1;1/3+2/3*sqrt(-1)>@-1,<3;1+2*sqrt(-3)>@-3"
+    )
+    assert code == 2
+    assert report["error"] == {
+        "type": "FieldMismatch", "message": "FieldTag(d=-1) vs FieldTag(d=-3)"
+    }
     code, report = run_cli(capsys, "endring", "--lattices", "<3;1+2*sqrt(-1)>@-1")
     assert code == 0
     assert report["result"]["order"] == {"d": -1, "conductor": 6, "discriminant": -144}
+
+
+def test_homothety_computes_each_class_once(capsys, monkeypatch):
+    from weightjac import cmlattice
+
+    calls = []
+    ideal_class = cmlattice.ideal_class
+    monkeypatch.setattr(cmlattice, "ideal_class", lambda lat: calls.append(lat) or ideal_class(lat))
+    code, report = run_cli(
+        capsys, "homothety", "--lattices", "<1;1/3+2/3*sqrt(-1)>@-1,<3;1+2*sqrt(-1)>@-1"
+    )
+    assert code == 0 and report["result"]["homothetic"] is True
+    assert len(calls) == 2
+    assert report["result"]["classes"] == [
+        {"order": {"d": -1, "conductor": 6, "discriminant": -144}, "form": [5, -4, 8]}
+    ] * 2
 
 
 def test_jacobian_spec_example(capsys):
@@ -372,28 +395,36 @@ def test_hcp_refuses_a_cache_that_is_not_a_regular_file(tmp_path):
 
 def test_a_lower_int_digit_limit_gives_exit_2_or_a_clean_internal_error():
     # under PYTHONINTMAXSTRDIGITS=640 the literal budget is 2000 * 640 // 4300
-    # = 297 digits and the lattice cap 850 * 640 // 4300 = 126: a literal past
-    # them is ParseError before any work, also one whose report (a 1,201-digit
-    # discriminant) could not print.  The --abelian budget does not scale, so
-    # its 722-digit report is the one-line "internal error", exit 1, not a traceback
+    # = 297 digits, the lattice cap 850 * 640 // 4300 = 126 and the --abelian
+    # budget 297: a literal past them is ParseError and an --abelian whose
+    # report (722 digits) could not print is HodgeTooLarge, each before any
+    # work.  A report that still cannot print, here from a handler returning a
+    # 701-digit int, is the one-line "internal error", exit 1, not a traceback
     src = str(Path(weightjac.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"}
     big, wide = "1" + "0" * 700, "1" + "0" * 600
-    for argv, code in (
-        (["reduce", "--form", f"{big},1,1"], 2),
-        (["reduce", "--form", f"{wide},1,{wide}"], 2),
-        (["endring", "--lattices", f"<1;1{'0' * 200}*sqrt(-1)>@-1"], 2),
-        (["hodge", "--abelian", "1200,1200"], 1),
-        (["reduce", "--form", "5,14,13"], 0),
+    cli = ["-m", "weightjac.cli"]
+    unprintable = [
+        "-c",
+        "import sys; from weightjac import cli; "
+        "cli._COMMANDS['reduce'] = lambda args: ({}, {'n': 10**700}); "
+        "sys.exit(cli.main(['reduce', '--form', '5,14,13']))",
+    ]
+    for argv, code, error in (
+        (cli + ["reduce", "--form", f"{big},1,1"], 2, "ParseError"),
+        (cli + ["reduce", "--form", f"{wide},1,{wide}"], 2, "ParseError"),
+        (cli + ["endring", "--lattices", f"<1;1{'0' * 200}*sqrt(-1)>@-1"], 2, "ParseError"),
+        (cli + ["hodge", "--abelian", "1200,1200"], 2, "HodgeTooLarge"),
+        (unprintable, 1, None),
+        (cli + ["reduce", "--form", "5,14,13"], 0, None),
     ):
         out = subprocess.run(
-            [sys.executable, "-m", "weightjac.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
         )
         assert out.returncode == code, out.stderr
         if code == 2:
-            assert json.loads(out.stdout)["error"]["type"] == "ParseError"
+            assert json.loads(out.stdout)["error"]["type"] == error
         elif code == 1:
             assert out.stdout == ""
             assert out.stderr.startswith("internal error: ValueError: Exceeds the limit")

@@ -180,6 +180,17 @@ def test_abelian_product_hodge_refuses_a_large_weight_before_overflowing():
             abelian_product_hodge(n, m)
 
 
+def test_abelian_product_hodge_budget_scales_down_with_a_lower_int_digit_limit(monkeypatch):
+    import sys
+
+    # C(2400, 1200) has 722 digits: within the default budget, past the 297
+    # digits that a limit of 640 leaves, which is refused before building it
+    assert abelian_product_hodge(1200, 1200).total_rank == math.comb(2400, 1200)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640, raising=False)
+    with pytest.raises(HodgeTooLarge, match="above the 297 budget"):
+        abelian_product_hodge(1200, 1200)
+
+
 def test_hodge_literal_round_trip():
     text = "weight 2; h = [1, 4, 1]; rankL = 2"
     assert parse_hodge(text) == ABELIAN_SURFACE

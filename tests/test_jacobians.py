@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightjac import cmlattice, jacobians
+from weightjac import binforms, cmlattice, jacobians
 from weightjac.binforms import Form, compose, enumerate_reduced, power
 from weightjac.cmlattice import LatticeTuple, Order, canonicalize
 from weightjac.errors import (
@@ -349,6 +349,49 @@ def test_n_decompose_chain_matches_compare_exchange():
         ]
         x = ProductAV(tuple(CurveClass.principal(Order(field, f)) for f in conductors))
         assert n_decompose(x).conductors == chain_by_compare_exchange(conductors)
+
+
+def test_class_number_one_discriminants_are_the_thirteen():
+    # the oracle enumerates every D in [-20000, -3], about 54 MB of cached
+    # forms, so the cache is emptied afterwards
+    try:
+        one = {D for D in range(-20000, -2) if D % 4 in (0, 1) and len(enumerate_reduced(D)) == 1}
+    finally:
+        binforms._enumerate_reduced.cache_clear()
+    assert jacobians.CLASS_NUMBER_ONE == one
+
+
+def test_phi_into_class_number_one_matches_the_lattice_product():
+    # every (dK, c) with c^2*dK of class number one, every class of every O_f
+    # with c | f and f^2*|dK| <= 20000: the shortcut's principal class is the
+    # lattice product with the order, read back as a class
+    lifts = 0
+    for D in jacobians.CLASS_NUMBER_ONE:
+        order = Order.from_discriminant(D)
+        field, c = order.field, order.f
+        target = Order(field, c).as_lattice()
+        for f in range(c, math.isqrt(20000 // -field.dK) + 1, c):
+            for e in classes_of(Order(field, f).discriminant):
+                lifted = cmlattice.lattice_product(e.lattice(), target)
+                assert phi(e, c) == CurveClass(*cmlattice.ideal_class(lifted)), (e, c)
+                lifts += 1
+    assert lifts > 1000
+
+
+def test_phi_into_class_number_one_skips_the_lattice_product(monkeypatch):
+    calls = []
+    lattice_product = cmlattice.lattice_product
+    monkeypatch.setattr(
+        cmlattice, "lattice_product", lambda a, b: calls.append(b) or lattice_product(a, b)
+    )
+    # Cl(-144) -> Cl(-36) (h = 2) goes through the lattice product once ...
+    assert phi(GEN_144, 3) == CurveClass(Order(GAUSS, 3), Form(2, 2, 5))
+    assert len(calls) == 1
+    # ... and lifts into Z[i] (-4), Z[2i] (-16) and Z[3*omega] (-27) not at all
+    calls.clear()
+    assert phi(GEN_144, 1).is_principal() and phi(GEN_144, 2).is_principal()
+    assert phi(CurveClass(Order(EISEN, 6), Form(4, 2, 7)), 3).is_principal()
+    assert calls == []
 
 
 def test_m_jacobian_lifts_each_curve_once_per_conductor(monkeypatch):
