@@ -51,7 +51,7 @@ _FIXED_GUARD_BITS = 64
 _ESCALATION_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrecComplex:
     """A complex value carried together with its precision in bits."""
 
@@ -387,7 +387,7 @@ def _is_real(z: PrecComplex) -> bool:
     return mpf_lt(mpf_abs(im), mpf_shift(scale, 16 - prec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassPolynomial:
     """Monic integer polynomial with the j-invariants of a discriminant as roots.
 

@@ -17,14 +17,14 @@ from itertools import accumulate
 from .errors import (
     DiscriminantMismatch, DiscriminantTooLarge, InvalidDiscriminant, InvalidForm, ParseError
 )
-from .quadfield import QuadElem, factorize, parse_int, squarefree_part
+from .quadfield import MEMO_SIZE, QuadElem, factorize, parse_int, squarefree_part
 
 # enumerating the reduced forms takes time linear in |D|; larger discriminants
 # fail fast instead of running for hours
 MAX_ABS_DISCRIMINANT = 10**8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Form:
     """Primitive positive-definite form a*x^2 + b*xy + c*y^2, b^2 - 4ac < 0."""
 
@@ -79,7 +79,7 @@ def validate_discriminant(D: int) -> int:
     return D
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def fundamental_decomposition(D: int) -> tuple[int, int]:
     """Split D = f^2 * dK with dK a fundamental discriminant; returns (dK, f)."""
     validate_discriminant(D)
@@ -146,11 +146,17 @@ def compose(f: Form, g: Form) -> Form:
 
     Cohen's special cases (a1 | a2, d | s) need no branch: _ext_gcd already
     returns his coefficients there, and any Bezout pair gives the same class.
+    An operand with a = 1 represents 1, so it is the identity class: the
+    other operand is reduced and returned without the algorithm.
     """
     if f.discriminant != g.discriminant:
         raise DiscriminantMismatch(
             f"disc {f.discriminant} vs {g.discriminant}"
         )
+    if f.a == 1:
+        return reduce(g)
+    if g.a == 1:
+        return reduce(f)
     D = f.discriminant
     (a1, b1, _), (a2, b2, c2) = f.as_tuple(), g.as_tuple()
     s = (b1 + b2) // 2
@@ -163,18 +169,26 @@ def compose(f: Form, g: Form) -> Form:
 
 
 def power(form: Form, k: int) -> Form:
-    """k-th composition power (negative k through the conjugate form)."""
-    D = form.discriminant
+    """k-th composition power (negative k through the conjugate form).
+
+    Binary powering starts from the reduced base at the lowest set bit of k,
+    so no step composes with the identity; k = 0 is the principal form.
+    """
     if k < 0:
         return power(form.conjugate(), -k)
-    result = principal_form(D)
+    if k == 0:
+        return principal_form(form.discriminant)
     base = reduce(form)
+    while not k & 1:
+        base = compose(base, base)
+        k >>= 1
+    result = base
+    k >>= 1
     while k:
+        base = compose(base, base)
         if k & 1:
             result = compose(result, base)
         k >>= 1
-        if k:
-            base = compose(base, base)
     return result
 
 
@@ -189,7 +203,7 @@ def element_order(form: Form) -> int:
     return k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _enumerate_reduced(D: int) -> tuple[Form, ...]:
     validate_discriminant(D)
     if -D > MAX_ABS_DISCRIMINANT:
@@ -218,7 +232,7 @@ def enumerate_reduced(D: int) -> list[Form]:
     return list(_enumerate_reduced(D))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassGroup:
     """Form class group of a discriminant: its reduced forms and invariant factors."""
 
@@ -239,7 +253,7 @@ class ClassGroup:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def class_group(D: int) -> ClassGroup:
     """Class group with its invariant factors d_1 | d_2 | ..., read off element orders.
 

@@ -11,8 +11,8 @@ such rows over the lcm of their denominators.  The lattice product
 (additive span of pairwise element products), folded over wedge-image duals,
 is the lattice route to higher-weight Jacobians; until a forms-only phi lands,
 the class route shares lattice_product and ideal_class with it through phi's
-lifts into orders of class number above one (a lift into an order of class
-number one returns the principal class directly).
+lifts of non-principal classes into orders of class number above one (any
+other lift returns the principal class directly).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import BadWeight, DegenerateBasis, FieldMismatch, JacobianTooLarge,
 from .quadfield import FieldTag, QuadElem, digit_budget, parse_int, parse_quadelem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Order:
     """The order Z + f*O_K of conductor f in the field Q(sqrt(d))."""
 
@@ -67,7 +67,7 @@ class Order:
         return f"O(d={self.field.d}, f={self.f})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CMLattice:
     """Canonical basis <p/den, (q + r*sqrt(d))/den>; p, r > 0, 0 <= q < p."""
 
@@ -241,7 +241,7 @@ def conjugate_lattice(lat: CMLattice) -> CMLattice:
     return canonicalize(lat.g1.conj(), lat.g2.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeTuple:
     """Nonempty tuple of lattices over one field (hence pairwise isogenous)."""
 

@@ -19,7 +19,7 @@ from .errors import BadWeight, HodgeTooLarge, MissingSummand, NoJacobian, ParseE
 from .quadfield import MAX_TRIAL_DIVISOR, digit_budget, factorize, parse_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticHodge:
     """Weight-m Hodge data: numbers (h^{m,0}, ..., h^{0,m}) and rank of the image lattice."""
 

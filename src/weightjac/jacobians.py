@@ -9,10 +9,10 @@ curves (the weight-n Jacobian).  A Jacobian orbit lifts only X's own
 classes: its iterates follow in closed form from X's conductors and
 terminal class.  The m-Jacobian is also computable from lattices through
 cmlattice.image_lattice_L, which the test suite uses as an oracle.
-phi into an order of class number one returns its principal class without
-lattice arithmetic; every other lift is a lattice_product followed by
-ideal_class, so for targets of class number above one the two routes still
-share those functions, until a forms-only phi lands.
+phi returns the principal class without lattice arithmetic when the source
+class is principal or the target order has class number one; every other
+lift is a lattice_product followed by ideal_class, so for those lifts the
+two routes still share these functions, until a forms-only phi lands.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .quadfield import FieldTag, factorize
 CLASS_NUMBER_ONE = frozenset({-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveClass:
     """Isomorphism class of a CM elliptic curve: an order and a reduced form."""
 
@@ -73,7 +73,8 @@ class CurveClass:
         return self.order.f
 
     def is_principal(self) -> bool:
-        return self.form == principal_form(self.order.discriminant)
+        """The reduced form represents 1, so it is the principal form."""
+        return self.form.a == 1
 
     def lattice(self) -> CMLattice:
         return form_to_lattice(self.form)
@@ -82,7 +83,7 @@ class CurveClass:
         return f"({self.order.discriminant}:{self.form})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductAV:
     """A product E_1 x ... x E_n of pairwise isogenous CM elliptic curves."""
 
@@ -116,17 +117,18 @@ def phi(cls: CurveClass, c: int) -> CurveClass:
 
     Realized as the lattice product with the order of conductor c; it is a
     group homomorphism, phi_{f,f} is the identity and phi_{d,c} o phi_{c,f}
-    = phi_{d,f}.  A target of class number one (CLASS_NUMBER_ONE) has a
-    trivial class group, so the image is its principal class, returned
-    without the lattice round trip.
+    = phi_{d,f}.  Three answers are known without the lattice round trip:
+    c = f returns cls itself, before any target order is built; a principal
+    source maps to the principal class of the target; and so does every class when the target has class number one
+    (CLASS_NUMBER_ONE), as its class group is trivial.
     """
     f = cls.conductor
     if c < 1 or f % c != 0:
         raise NotADivisor(f"{c} does not divide the conductor {f}")
-    target = Order(cls.field, c)  # refuses a c that is not an int
-    if c == f:
+    if c == f and type(c) is int:  # bools are ints to isinstance
         return cls
-    if target.discriminant in CLASS_NUMBER_ONE:
+    target = Order(cls.field, c)  # refuses a c that is not an int
+    if cls.is_principal() or target.discriminant in CLASS_NUMBER_ONE:
         return CurveClass.principal(target)
     lifted = cmlattice.lattice_product(cls.lattice(), target.as_lattice())
     order, form = ideal_class(lifted)
@@ -172,8 +174,8 @@ def m_jacobian_lattice_route(x: ProductAV, m: int) -> ProductAV:
     """Same object computed from period lattices via the wedge-image formula.
 
     The two routes must agree componentwise.  They share lattice_product and
-    ideal_class through phi's lifts into orders of class number above one,
-    until a forms-only phi lands.
+    ideal_class through phi's lifts of non-principal classes into orders of
+    class number above one, until a forms-only phi lands.
     """
     tup = LatticeTuple(tuple(e.lattice() for e in x.factors))
     comps = cmlattice.image_lattice_L(tup, m)
@@ -185,7 +187,7 @@ def kummer_jacobian(x: ProductAV, m: int) -> ProductAV:
     return m_jacobian(x, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoMaximalReport:
     ok: bool
     reason: str | None
@@ -211,7 +213,7 @@ def is_two_maximal(components) -> TwoMaximalReport:
     return TwoMaximalReport(True, None, n * n, n * n - n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceReport:
     """Canonical model of a 2-maximal abelian surface: C/O(A) x Jacobian."""
 
@@ -233,7 +235,7 @@ def surface_decompose(e1: CurveClass, e2: CurveClass) -> SurfaceReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """X = C/R_n x ... x C/R_2 x terminal with r_1 | r_2 | ... | r_n.
 

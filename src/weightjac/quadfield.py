@@ -27,6 +27,10 @@ from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseEr
 # at most 4,001 and prints under Python's default limit of 4,300 digits per
 # int/str conversion (sys.set_int_max_str_digits, CVE-2020-10735)
 MAX_LITERAL_DIGITS = 2000
+# entries kept by each per-discriminant memo (here and in binforms): room for
+# every discriminant of a few hundred class polynomials or of the orders of
+# |D| <= 20,000 over a dozen fields, while a sweep over many D stays bounded
+MEMO_SIZE = 1024
 _INT_RE = re.compile(r"\s*[+-]?([0-9]+)\s*")
 
 
@@ -91,9 +95,9 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def is_squarefree(n: int) -> bool:
-    """True iff no prime square divides n (n != 0); cached, since every FieldTag checks it."""
+    """True iff no prime square divides n (n != 0); memoized, since every FieldTag checks it."""
     return n != 0 and all(e == 1 for e in factorize(n).values())
 
 
@@ -102,7 +106,7 @@ def squarefree_part(n: int) -> int:
     return (-1 if n < 0 else 1) * math.prod(p for p, e in factorize(n).items() if e % 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldTag:
     """The imaginary quadratic field Q(sqrt(d)), d squarefree and negative."""
 
@@ -122,7 +126,7 @@ class FieldTag:
         return f"FieldTag(d={self.d})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadElem:
     """x + y*sqrt(d) with exact rational coordinates."""
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightjac import binforms
+from weightjac import binforms, quadfield
 from weightjac.binforms import (
     ClassGroup,
     Form,
@@ -105,6 +105,12 @@ def test_compose_identity_and_paper_squares():
     assert compose(Form(5, -4, 8), Form(5, -4, 8)) == Form(4, 0, 9)
     with pytest.raises(DiscriminantMismatch):
         compose(Form(1, 0, 9), Form(1, 0, 1))
+    # the identity shortcut (an operand with a = 1) comes after the check
+    for one in (Form(1, 0, 9), Form(1, 4, 13)):
+        with pytest.raises(DiscriminantMismatch):
+            compose(one, Form(2, 1, 3))
+        with pytest.raises(DiscriminantMismatch):
+            compose(Form(2, 1, 3), one)
 
 
 # each example checks every element of one group, so few examples are needed
@@ -236,6 +242,16 @@ def test_compose_matches_ideal_multiplication():
         f, g = (_scrambled(rng.choice(enumerate_reduced(D)), rng) for _ in range(2))
         expected = ideal_class(lattice_product(form_to_lattice(f), form_to_lattice(g)))[1]
         assert compose(f, g) == expected, (f, g)
+    # non-reduced identities (1, b + 2k, c'), translates of the principal
+    # form, take compose's a = 1 shortcut from either side
+    for _ in range(200):
+        D = rng.choice(all_discriminants(300))
+        e, k = principal_form(D), rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+        one = Form(1, e.b + 2 * k, k * k + e.b * k + e.c)
+        g = _scrambled(rng.choice(enumerate_reduced(D)), rng)
+        expected = ideal_class(lattice_product(form_to_lattice(one), form_to_lattice(g)))[1]
+        assert compose(one, g) == expected == compose(g, one), (one, g)
+        assert compose(one, one) == e
 
 
 def test_enumerate_reduced_paper_tables():
@@ -383,6 +399,40 @@ def test_element_order_and_power():
     assert power(Form(5, 4, 8), -1) == Form(5, -4, 8)
     assert power(Form(5, 4, 8), 0) == principal_form(-144)
     assert power(Form(5, 4, 8), 3) == power(Form(5, 4, 8), -1)
+
+
+def test_power_matches_repeated_ideal_multiplication():
+    # f^k for |k| <= 9 on every class with |D| <= 300, reduced and scrambled,
+    # against the k-fold lattice product of the ideal of f (of its conjugate
+    # for k < 0), read back as a class
+    rng = random.Random(30)
+    for D in all_discriminants(300):
+        for f in enumerate_reduced(D):
+            g = _scrambled(f, rng)
+            assert power(f, 0) == power(g, 0) == principal_form(D)
+            for sign, base in ((1, f), (-1, f.conjugate())):
+                lat = prod = form_to_lattice(base)
+                for k in range(1, 10):
+                    expected = ideal_class(prod)[1]
+                    assert power(f, sign * k) == expected == power(g, sign * k), (f, sign * k)
+                    prod = lattice_product(prod, lat)
+
+
+def test_memos_are_bounded_and_recompute_evicted_answers():
+    # a sweep over more discriminants than quadfield.MEMO_SIZE fills every per-D memo
+    # to the bound; the first answers, evicted, come back equal
+    memos = (
+        class_group, binforms._enumerate_reduced, fundamental_decomposition, quadfield.is_squarefree
+    )
+    sweep = all_discriminants(2 * quadfield.MEMO_SIZE + 200)
+    assert len(sweep) > quadfield.MEMO_SIZE + 50
+    answers = [(class_group(D), fundamental_decomposition(D), quadfield.is_squarefree(D)) for D in sweep]
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize == quadfield.MEMO_SIZE and info.currsize == quadfield.MEMO_SIZE, memo
+    again = [(class_group(D), fundamental_decomposition(D), quadfield.is_squarefree(D)) for D in sweep[:50]]
+    assert again == answers[:50]
+    assert all(new[0] is not old[0] for new, old in zip(again, answers))
 
 
 def test_fundamental_decomposition():

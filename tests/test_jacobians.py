@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightjac import binforms, cmlattice, jacobians
+from weightjac import cmlattice, jacobians
 from weightjac.binforms import Form, compose, enumerate_reduced, power
 from weightjac.cmlattice import LatticeTuple, Order, canonicalize
 from weightjac.errors import (
@@ -81,6 +81,11 @@ def test_phi_identity_and_surjectivity():
     for c in (2.0, 4.0, True):
         with pytest.raises(NotCM, match="positive integer"):
             phi(CurveClass.principal(Order(GAUSS, 4)), c)
+    # at f = 1, 1.0 and True equal the conductor: the c = f shortcut still refuses them
+    for e in classes_of(-20):
+        for c in (1.0, True):
+            with pytest.raises(NotCM, match="positive integer"):
+                phi(e, c)
 
 
 # conductor chains e | c | f with f <= 12
@@ -352,12 +357,7 @@ def test_n_decompose_chain_matches_compare_exchange():
 
 
 def test_class_number_one_discriminants_are_the_thirteen():
-    # the oracle enumerates every D in [-20000, -3], about 54 MB of cached
-    # forms, so the cache is emptied afterwards
-    try:
-        one = {D for D in range(-20000, -2) if D % 4 in (0, 1) and len(enumerate_reduced(D)) == 1}
-    finally:
-        binforms._enumerate_reduced.cache_clear()
+    one = {D for D in range(-20000, -2) if D % 4 in (0, 1) and len(enumerate_reduced(D)) == 1}
     assert jacobians.CLASS_NUMBER_ONE == one
 
 
@@ -378,6 +378,25 @@ def test_phi_into_class_number_one_matches_the_lattice_product():
     assert lifts > 1000
 
 
+def test_phi_from_a_principal_source_matches_the_lattice_product():
+    # every O_f with c | f and f^2*|dK| <= 20000, over every field: the
+    # principal class of O_f times the order of conductor c, read back as a
+    # class, is what phi returns
+    squareful = {m for p in range(2, 142) for m in range(p * p, 20001, p * p)}
+    lifts = 0
+    for n in range(1, 20001):
+        if n in squareful or (n % 4 != 3 and 4 * n > 20000):
+            continue
+        field = FieldTag(-n)
+        for f in range(1, math.isqrt(20000 // -field.dK) + 1):
+            source = CurveClass.principal(Order(field, f))
+            for c in (c for c in range(1, f + 1) if f % c == 0):
+                lifted = cmlattice.lattice_product(source.lattice(), Order(field, c).as_lattice())
+                assert phi(source, c) == CurveClass(*cmlattice.ideal_class(lifted)), (source, c)
+                lifts += 1
+    assert lifts > 10000
+
+
 def test_phi_into_class_number_one_skips_the_lattice_product(monkeypatch):
     calls = []
     lattice_product = cmlattice.lattice_product
@@ -392,6 +411,18 @@ def test_phi_into_class_number_one_skips_the_lattice_product(monkeypatch):
     assert phi(GEN_144, 1).is_principal() and phi(GEN_144, 2).is_principal()
     assert phi(CurveClass(Order(EISEN, 6), Form(4, 2, 7)), 3).is_principal()
     assert calls == []
+
+
+def test_phi_onto_itself_builds_no_order_and_a_principal_source_no_lattice_product(monkeypatch):
+    calls = []
+    monkeypatch.setattr(jacobians, "Order", lambda *args: calls.append(args) or Order(*args))
+    # c = f builds no target order ...
+    assert phi(GEN_144, 6) is GEN_144
+    assert calls == []
+    # ... and a principal source into Cl(-36) (h = 2) no lattice product
+    monkeypatch.setattr(cmlattice, "lattice_product", lambda a, b: calls.append(b))
+    assert phi(CurveClass.principal(Order(GAUSS, 6)), 3) == CurveClass.principal(Order(GAUSS, 3))
+    assert calls == [(GAUSS, 3)]
 
 
 def test_m_jacobian_lifts_each_curve_once_per_conductor(monkeypatch):
