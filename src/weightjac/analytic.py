@@ -40,7 +40,7 @@ from mpmath.libmp import (
 )
 
 from .binforms import (
-    Form, element_order, enumerate_reduced, form_to_lattice, reduce, validate_discriminant
+    Form, _order_at_most_two, enumerate_reduced, form_to_lattice, reduce, validate_discriminant
 )
 from .cmlattice import CMLattice, ideal_class, parse_lattice
 from .errors import DivisionByZero, LowerHalfPlane, ParseError, PrecisionExhausted
@@ -704,7 +704,7 @@ def verify_appendix(prec: int = 256) -> list[dict]:
         # tolerance is still 2^15 times the lemma's error bound
         j = j_of_lattice(lat, prec + 16)
         ok = _matches_exact(j, rec["exact"], prec)
-        real_ok = _is_real(j) == (element_order(form) <= 2)
+        real_ok = _is_real(j) == _order_at_most_two(form)
         results.append(
             {
                 "lattice": rec["lattice"],

@@ -203,6 +203,17 @@ def element_order(form: Form) -> int:
     return k
 
 
+def _order_at_most_two(form: Form) -> bool:
+    """Whether element_order(form) <= 2, read off the reduced form.
+
+    The inverse of a reduced (a, b, c) is (a, -b, c).  It is reduced, and so a
+    different class, unless b = 0, b = a or a = c: the ambiguous forms (Cox,
+    Primes of the form x^2 + ny^2, section 3).
+    """
+    a, b, c = reduce(form).as_tuple()
+    return b == 0 or b == a or a == c
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _enumerate_reduced(D: int) -> tuple[Form, ...]:
     validate_discriminant(D)

@@ -2,24 +2,32 @@
 
 One report object per invocation: {schema, command, input, result, timings}.
 Exit codes: 0 success, 2 input error (machine-readable error record on
-stdout), 1 internal failure.  Each literal has one reader: a form, under
---form, --forms or inside a curve class (D:a,b,c), is read by
-binforms.parse_form; a lattice by cmlattice.parse_lattices; every integer, in
-a literal or in -D, -m and --prec (read as strings, so a bad one is a
-ParseError), by quadfield.parse_int.  hcp results are appended to a JSON-lines
-cache file selected by --cache or the WJ_CACHE environment variable, which is
-never rewritten and must be a regular file; every other command accepts and
-ignores both.  Python's int/str digit limit is kept, not lifted: hcp refuses a
-D whose coefficients it could not print, before any j evaluation or cache read.
-Under a limit below the default, a report that cannot print is an internal
-failure (exit 1), and an integer literal past the limit a ParseError.
+stdout), 1 internal failure.  The weightjac console script, python -m
+weightjac.cli and python -m weightjac all call run(); main(argv) runs the same
+command for tests and library callers, without exiting or touching the garbage
+collector.  Each literal has one reader: a form, under --form, --forms or
+inside a curve class (D:a,b,c), is read by binforms.parse_form; a lattice by
+cmlattice.parse_lattices; every integer, in a literal or in -D, -m and --prec
+(read as strings, so a bad one is a ParseError), by quadfield.parse_int.  hcp
+results are appended to a JSON-lines cache file selected by --cache or the
+WJ_CACHE environment variable, which is never rewritten and must be a regular
+file; every other command accepts and ignores both.  Python's int/str digit
+limit is kept, not lifted: hcp refuses a D whose coefficients it could not
+print, before any j evaluation or cache read.  Under a limit below the
+default, a report that cannot print is an internal failure (exit 1), and an
+integer literal past the limit a ParseError.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 _IMPORTS_STARTED = time.monotonic()
+if __name__ == "__main__":
+    # a program run collects nothing while it loads; run() turns the collector
+    # back on once it has frozen what loaded
+    gc.disable()
 
 import argparse
 import fcntl
@@ -31,7 +39,7 @@ import sys
 from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 # the one weightjac module every command uses; each handler imports the rest
 from . import binforms
@@ -581,5 +589,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """The program: main() on the command line, then exit with its status.
+
+    Every object loaded before the command, and every object alive after it,
+    lives until the process exits, so it is frozen out of the cyclic garbage
+    collector: no collection during the command, nor at exit, scans it again.
+    main() leaves the collector as it finds it, for library callers and tests.
+    """
+    gc.freeze()
+    gc.enable()
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -368,4 +368,4 @@ def product_definable_over_jacobian_field(e1: CurveClass, e2: CurveClass) -> boo
     f1, f2 = e1.conductor, e2.conductor
     if math.gcd(f1, f2) != math.lcm(f1, f2):
         raise PrimitivityViolation("defined only for equal orders (primitive case)")
-    return element_order(brauer_jacobian_pair(e1, e2).form) <= 2
+    return binforms._order_at_most_two(brauer_jacobian_pair(e1, e2).form)

@@ -146,9 +146,6 @@ class QuadElem:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
     def __add__(self, other: "QuadElem") -> "QuadElem":
         self._check(other)
         return QuadElem(self.field, self.x + other.x, self.y + other.y)
@@ -190,9 +187,6 @@ class QuadElem:
     def norm(self) -> Fraction:
         """x^2 - d*y^2; nonnegative, zero only at zero."""
         return self.x * self.x - self.field.d * self.y * self.y
-
-    def trace(self) -> Fraction:
-        return 2 * self.x
 
     def minimal_polynomial(self) -> tuple[int, int, int]:
         """Primitive integer (a, b, c), a > 0, with a*z^2 + b*z + c = 0.

@@ -313,6 +313,17 @@ def test_class_group_structure_matches_element_orders():
     assert class_group(-114992).structure == (150,)
 
 
+def test_order_at_most_two_matches_element_order():
+    # the ambiguous-form test against repeated composition, on every reduced
+    # form with |D| <= 3000 and on a non-reduced translate of each
+    for D in all_discriminants(3000):
+        for f in enumerate_reduced(D):
+            expected = element_order(f) <= 2
+            translate = Form(f.a, f.b + 2 * f.a, f.a + f.b + f.c)
+            assert binforms._order_at_most_two(f) == expected, f
+            assert binforms._order_at_most_two(translate) == expected, f
+
+
 def _kronecker(a, n):
     """Kronecker symbol (a/n) for n >= 1."""
     if n == 1:

@@ -26,6 +26,16 @@ def strip_timings(report):
     return report
 
 
+def child_env(*paths, **extra):
+    """os.environ for a child that imports this checkout's weightjac.
+
+    paths go first on PYTHONPATH, then the checkout's src.
+    """
+    src = str(Path(weightjac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (*paths, src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def test_classgroup_report(capsys):
     code, report = run_cli(capsys, "classgroup", "-D", "-144")
     assert code == 0
@@ -350,9 +360,7 @@ for i in range(50):
 
 def test_cache_concurrent_appends_stay_whole(tmp_path):
     cache = tmp_path / "cache.jsonl"
-    src = str(Path(weightjac.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = child_env()
     workers = [
         subprocess.Popen(
             [sys.executable, "-c", _APPEND_WORKER, str(cache), str(tag)],
@@ -383,11 +391,9 @@ def test_hcp_refuses_a_cache_that_is_not_a_regular_file(tmp_path):
     # child so that a regression fails on the timeout instead of hanging
     fifo = tmp_path / "cache.fifo"
     os.mkfifo(fifo)
-    src = str(Path(weightjac.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-m", "weightjac.cli", "hcp", "-D", "-23", "--cache", str(fifo)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 2
     assert json.loads(out.stdout)["error"]["type"] == "CacheUnusable"
@@ -400,9 +406,7 @@ def test_a_lower_int_digit_limit_gives_exit_2_or_a_clean_internal_error():
     # report (722 digits) could not print is HodgeTooLarge, each before any
     # work.  A report that still cannot print, here from a handler returning a
     # 701-digit int, is the one-line "internal error", exit 1, not a traceback
-    src = str(Path(weightjac.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"}
+    env = child_env(PYTHONINTMAXSTRDIGITS="640")
     big, wide = "1" + "0" * 700, "1" + "0" * 600
     cli = ["-m", "weightjac.cli"]
     unprintable = [
@@ -431,6 +435,122 @@ def test_a_lower_int_digit_limit_gives_exit_2_or_a_clean_internal_error():
             assert out.stderr.count("\n") == 1
         else:
             assert json.loads(out.stdout)["result"]["reduced"] == [4, 4, 5]
+
+
+# the program's three entries: python -m weightjac.cli, python -m weightjac,
+# and the wrapper pip writes for the weightjac console script
+ENTRY_POINTS = {
+    "module": ["-m", "weightjac.cli"],
+    "package": ["-m", "weightjac"],
+    "script": ["-c", "import sys; from weightjac.cli import run; sys.exit(run())"],
+}
+
+
+def _crash(form):
+    raise RuntimeError("synthetic crash")
+
+
+# a sitecustomize module runs in a child before its entry point: this one
+# makes binforms.reduce _crash there, as monkeypatch does in process
+_CRASHING_SITE = """
+from weightjac import binforms
+
+
+def reduce(form):
+    raise RuntimeError("synthetic crash")
+
+
+binforms.reduce = reduce
+"""
+
+_GC_STATE_AT_EXIT_SITE = """
+import atexit, gc
+
+atexit.register(lambda: print("gc", gc.isenabled(), gc.get_freeze_count() > 0))
+"""
+
+
+def run_entry(entry, argv, env):
+    return subprocess.run(
+        [sys.executable, *ENTRY_POINTS[entry], *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_console_script_is_the_program_entry():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'weightjac = "weightjac.cli:run"' in pyproject.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, code, crash",
+    [
+        (["reduce", "--form", "5,14,13"], 0, False),
+        (["reduce", "--form", "2,4,6"], 2, False),  # not primitive: ParseError
+        (["jacobian", "-m", "2"], 2, False),  # no --curves: UsageError
+        (["reduce", "--form", "5,14,13"], 1, True),
+    ],
+    ids=["ok", "parse-error", "usage-error", "internal-error"],
+)
+def test_entry_points_print_what_main_prints(capsys, monkeypatch, tmp_path, argv, code, crash):
+    if crash:
+        (tmp_path / "sitecustomize.py").write_text(_CRASHING_SITE)
+        monkeypatch.setattr(weightjac.binforms, "reduce", _crash)
+    env = child_env(str(tmp_path))
+    assert main(list(argv)) == code
+    expected = capsys.readouterr()
+    for entry in ENTRY_POINTS:
+        out = run_entry(entry, argv, env)
+        assert out.returncode == code, (entry, out.stderr)
+        assert out.stderr == expected.err, entry
+        if code == 1:
+            assert out.stdout == expected.out == ""
+            assert out.stderr == "internal error: RuntimeError: synthetic crash\n"
+        else:
+            assert strip_timings(json.loads(out.stdout)) == strip_timings(json.loads(expected.out))
+
+
+def test_entry_points_deliver_a_report_larger_than_a_pipe_buffer(capsys):
+    argv = ["classgroup", "-D", "-9999991"]
+    assert main(argv) == 0
+    expected = strip_timings(json.loads(capsys.readouterr().out))
+    assert expected["result"]["h"] == 1715
+    for entry in ("module", "package"):
+        out = run_entry(entry, argv, child_env())
+        assert out.returncode == 0 and out.stderr == ""
+        assert len(out.stdout.encode()) > 1 << 16
+        assert strip_timings(json.loads(out.stdout)) == expected
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_program_run_exits_with_its_objects_frozen(tmp_path, entry):
+    # run() freezes what is alive before sys.exit, and the collector that
+    # python -m weightjac.cli pauses while it loads is on again
+    (tmp_path / "sitecustomize.py").write_text(_GC_STATE_AT_EXIT_SITE)
+    out = run_entry(entry, ["reduce", "--form", "5,14,13"], child_env(str(tmp_path)))
+    assert out.returncode == 0, out.stderr
+    report, _, last = out.stdout.rstrip("\n").rpartition("\n")
+    assert json.loads(report)["result"]["reduced"] == [4, 4, 5]
+    assert last == "gc True True"
+
+
+_LIBRARY_CALLER = """
+import contextlib, gc, io, json
+import weightjac.cli as cli
+
+state = [gc.isenabled(), gc.get_freeze_count()]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["reduce", "--form", "5,14,13"])
+print(json.dumps([code, state, [gc.isenabled(), gc.get_freeze_count()]]))
+"""
+
+
+def test_library_callers_keep_their_collector_state():
+    out = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_CALLER],
+        env=child_env(), capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert json.loads(out.stdout) == [0, [True, 0], [True, 0]]
 
 
 def test_hcp_cache_roundtrip_through_env(capsys, tmp_path, monkeypatch):

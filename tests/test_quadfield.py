@@ -124,8 +124,7 @@ def test_componentwise_addition():
     assert a + b == q(1, 1)
 
 
-def test_trace_and_conj():
-    assert q(F(1, 2), F(1, 2), EISEN).trace() == 1
+def test_conj():
     real = q(3, 0, EISEN)
     assert real.conj() == real
     assert q(1, 2).conj() == q(1, -2)
@@ -167,7 +166,7 @@ def test_minimal_polynomial_resubstitutes_to_zero():
         tau = q(x, y, field)
         a, b, c = tau.minimal_polynomial()
         value = tau * tau * a + tau * b + QuadElem.from_rational(field, c)
-        assert value.is_zero()
+        assert value == q(0, 0, field)
         assert a > 0 and math.gcd(a, math.gcd(abs(b), abs(c))) == 1
 
 
