@@ -13,10 +13,10 @@ by quarter turns (_unit).  Nothing in the j kernel reads libmp's
 process-wide memos, so no lock is taken anywhere.  The docstring of
 j_of_lattice proves its error bound.  Class polynomials come from the real
 root product over conjugate pairs of reduced forms of the discriminant, one
-j per pair, starting at Enge's a-priori bound on the coefficient size; every
-accepted polynomial passes an a-posteriori error bound, with automatic
-precision escalation.  The expansion runs on fixed-point integers; the
-embedding of tau, the reality test, the size bound and the appendix check
+j per pair, at one precision: Enge's a-priori bound on the coefficient size
+plus guard bits, which _expand_pairs proves always passes its a-posteriori
+error bound.  The expansion runs on fixed-point integers; the embedding of
+tau, the reality test, the size bound and the appendix check
 (evaluate_expression, _matches_exact) call libmp at explicit precisions and
 never mpmath's global context.
 """
@@ -48,7 +48,7 @@ from .quadfield import QuadElem, factorize
 
 _GUARD_BITS = 48
 _FIXED_GUARD_BITS = 64
-_ESCALATION_CAP = 1 << 16
+_PRECISION_CAP = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,7 +392,8 @@ class ClassPolynomial:
     """Monic integer polynomial with the j-invariants of a discriminant as roots.
 
     Coefficients are listed from the leading 1 down to the constant term;
-    prec is the precision in bits at which they were recognized.
+    prec is the one precision in bits at which they were computed,
+    start_precision(D, p) for the p that hilbert_class_polynomial was given.
     Irreducibility over Q holds classically but is not verified here.
     """
 
@@ -406,13 +407,15 @@ class ClassPolynomial:
 
 
 def start_precision(D: int, prec: int = 128) -> int:
-    """First precision of hilbert_class_polynomial(D, prec), in bits.
+    """The precision of hilbert_class_polynomial(D, prec), in bits.
 
     The caller's prec is raised to Enge's a-priori bound on the bit size of the
     coefficients of H_D (Math. Comp. 78, 2009),
         log2 C(h, h//2) + sum over reduced forms of log2(exp(pi*sqrt|D|/a) + 2079),
-    plus guard bits: below it a coefficient can be a multiple of its ulp, so
-    a wrong value passes the rounding test.
+    plus _GUARD_BITS, which _expand_pairs' proof spends on ceil(log2 h) + 13
+    and its margins.  Below the bound a coefficient can be a multiple of its
+    ulp, so a wrong value would pass the rounding test; the size bound
+    refuses such a precision.
     """
     forms = enumerate_reduced(D)
     h = len(forms)
@@ -493,47 +496,62 @@ def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
     j is evaluated once per conjugate pair: for 0 < b < a < c the form
     (a, -b, c) is reduced too and its j is the conjugate of j(a, b, c), which
     gives the real factor X^2 - 2 Re(j) X + |j|^2; the ambiguous forms (b = 0,
-    b = a or a = c) have real j and give X - Re(j).  Starts at
-    start_precision(D, prec).  A precision is accepted only when every
-    ambiguous j passes the reality test _is_real, run inside _expand_pairs,
-    and the a-posteriori bound of _expand_pairs puts every coefficient within
-    1/16 of its true value; each rounded coefficient must then sit within
-    0.25 of its fixed-point value.  Otherwise the precision doubles (cap 2^16 bits)
-    before failing.
+    b = a or a = c) have real j and give X - Re(j).  Every j is evaluated
+    once, at start_precision(D, prec), and expanded once: _expand_pairs
+    proves that this precision passes its three checks whenever the lemma of
+    j_of_lattice holds, so a failed check is a defect, raised as
+    RuntimeError.  A start above the _PRECISION_CAP-bit cap is refused before
+    any j is evaluated.
     """
     validate_discriminant(D)
-    forms = enumerate_reduced(D)
-    upper = [f for f in forms if f.b >= 0]
-    paired = [0 < f.b < f.a < f.c for f in upper]
+    upper = [f for f in enumerate_reduced(D) if f.b >= 0]
     prec = start_precision(D, max(prec, 64))
-    if prec > _ESCALATION_CAP:
-        raise PrecisionExhausted(f"H_{D} needs {prec} bits, above the {_ESCALATION_CAP}-bit cap")
-    while True:
-        roots = [j_of_lattice(form_to_lattice(f), prec) for f in upper]
-        coeffs = _expand_pairs(roots, paired, prec)
-        if coeffs is not None:
-            return ClassPolynomial(D, coeffs, prec)
-        if prec * 2 > _ESCALATION_CAP:
-            raise PrecisionExhausted(f"coefficients of H_{D} not recognized at {prec} bits")
-        prec *= 2
+    if prec > _PRECISION_CAP:
+        raise PrecisionExhausted(f"H_{D} needs {prec} bits, above the {_PRECISION_CAP}-bit cap")
+    roots = [j_of_lattice(form_to_lattice(f), prec) for f in upper]
+    paired = [0 < f.b < f.a < f.c for f in upper]
+    return ClassPolynomial(D, _expand_pairs(roots, paired, prec), prec)
 
 
-def _expand_pairs(
-    roots: list[PrecComplex], paired: list[bool], prec: int
-) -> tuple[int, ...] | None:
-    """Integer coefficients of prod (X - j), or None if prec cannot certify them.
+def _expand_pairs(roots: list[PrecComplex], paired: list[bool], prec: int) -> tuple[int, ...]:
+    """Integer coefficients of prod (X - j), certified by three checks at prec.
 
     roots are the j of the reduced forms with b >= 0 at prec bits, paired
     marks those whose conjugate is a root too, and h = len(roots) +
     sum(paired) is the degree.  Each j carries an error |dr| <= eps (1 + |r|)
-    with eps = 2^(8-prec) (the lemma of j_of_lattice proves 2^(1-prec)), so
-    every coefficient is off by at most
-    ((1+eps)^h - 1) prod(1 + |r_i|) <= 2 h eps prod(1 + |r_i|) over all h
-    roots.  mag(prod) + ceil(log2 h) + 12 < prec puts that at or below 1/16,
-    so the nearest integer is the true coefficient and the 0.25 rounding test
-    only checks consistency; the slack below 1/4 covers the 53-bit product,
-    whose every step rounds to nearest.  Enge's start (bound + 48 bits)
-    always clears this test.
+    with eps = 2^(8-prec) (the lemma of j_of_lattice proves 2^(1-prec)).
+    Each check that fails raises RuntimeError naming it and prec.
+    - The size bound.  Every coefficient is off by at most
+      ((1+eps)^h - 1) prod(1 + |r_i|) <= 2 h eps prod(1 + |r_i|) over all h
+      roots.  mag(prod) + ceil(log2 h) + 12 < prec puts that at or below
+      1/16, so the nearest integer is the true coefficient; prod is taken at
+      53 bits, every step rounded to nearest.
+    - The reality test (_is_real) for every ambiguous j.
+    - The rounding test: each rounded coefficient lies within 1/4 of its
+      fixed-point value.  After the size bound this only checks consistency;
+      the slack below 1/4 covers the 53-bit product.
+
+    Theorem.  At prec = start_precision(D, p), for any p, roots computed by
+    j_of_lattice pass all three checks.
+
+    Proof.  Let P = prec >= B + 48, B Enge's bound of start_precision (its
+    floats move B by less than 2^-20 below the 2^16-bit cap).  Each form
+    puts tau in the fundamental domain with |q|^-1 = e^x, x = pi sqrt|D| / a
+    >= pi sqrt 3, and Enge bounds |j| <= e^x + 2079 there; (a, -b, c) has the
+    same a, so each of the h roots has its own term in B, and h < 5900 under
+    the cap (each term is over 11 bits).  By the lemma 1 + |r_i| <=
+    (1 + |j_i|)(1 + 2^(1-P)), and 1 + |j_i| <= (e^x + 2079)(1 + 1/2309); the
+    at most 4h roundings of the 53-bit product raise it by a factor below
+    1 + 2^-38.  So log2 size <= B - log2 C(h, h//2) + h/1600 + 2^-19, and
+    mag(size) exceeds log2 size by at most 1.  Since ceil(log2 h) <=
+    log2 C(h, h//2) + 1, mag(size) + ceil(log2 h) + 12 <= B + 14 + h/1600 +
+    2^-19 < P - 30: the size bound passes with 30 bits to spare.  An
+    ambiguous j is real, so |Im r| <= 2^(1-P) (1 + |j|) <= 2^(1-P) (1 + |r|)
+    (1 + 2^(2-P)), while 1 + |r|, rounded twice to nearest at P bits, is at
+    least (1 + |r|)(1 - 2^-P)^2: the reality test passes with a margin of
+    2^15.  The size bound puts each fixed-point coefficient within 1/16 (times
+    1 + 2^-38, plus the expansion's floors below) of the true integer, so
+    the rounding test passes, 1/16 against 1/4.
 
     The expansion runs on integers scaled by 2^W, W = prec + 48 (u = 2^-W).
     The parts of each root are floored to W bits, so s = 2 Re r is off by
@@ -555,7 +573,7 @@ def _expand_pairs(
         size = mpf_mul(size, factor, 53, rnd)
     _, _, exp, bc = size
     if exp + bc + (h - 1).bit_length() + 12 >= prec:
-        return None
+        raise RuntimeError(f"class polynomial fails the size bound at {prec} bits")
     w = prec + _GUARD_BITS
     coeffs = [1 << w]
     for r, pair in zip(roots, paired):
@@ -572,11 +590,11 @@ def _expand_pairs(
             for k in range(len(coeffs) - 1, 0, -1):
                 coeffs[k] -= (re * coeffs[k - 1]) >> w
         else:
-            return None
+            raise RuntimeError(f"class polynomial fails the reality test at {prec} bits")
     half, quarter = 1 << (w - 1), 1 << (w - 2)
     rounded = tuple((c + half) >> w for c in coeffs)
     if any(abs(c - (n << w)) >= quarter for c, n in zip(coeffs, rounded)):
-        return None
+        raise RuntimeError(f"class polynomial fails the rounding test at {prec} bits")
     return rounded
 
 

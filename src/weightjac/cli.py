@@ -212,9 +212,9 @@ def _check_prec(args) -> int:
     from . import analytic
 
     prec = parse_int(args.prec)
-    if not 64 <= prec <= analytic._ESCALATION_CAP:
+    if not 64 <= prec <= analytic._PRECISION_CAP:
         raise ParseError(
-            f"--prec must be between 64 and {analytic._ESCALATION_CAP} bits, got {prec}"
+            f"--prec must be between 64 and {analytic._PRECISION_CAP} bits, got {prec}"
         )
     return prec
 
@@ -549,6 +549,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse reads "--option=--" as an empty list, not a string
+        if [] in vars(args).values():
+            parser.error("an option value cannot be '--'")
     except SystemExit as exc:
         if exc.code in (0, None):
             return 0

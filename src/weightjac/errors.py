@@ -98,7 +98,8 @@ class LowerHalfPlane(WeightjacError):
 
 
 class PrecisionExhausted(WeightjacError):
-    """Coefficient recognition failed even at the precision-escalation cap."""
+    """A class polynomial needs more precision than the 2^16-bit cap, or more
+    digits than the int/str limit prints (both by Enge's bound, before any j)."""
 
 
 class CacheUnusable(WeightjacError):

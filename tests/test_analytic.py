@@ -410,13 +410,14 @@ def test_hilbert_class_polynomial_evaluates_one_j_per_conjugate_pair(monkeypatch
 
 
 def test_hilbert_class_polynomial_rejects_nonreal_ambiguous_j(monkeypatch):
-    from weightjac.errors import PrecisionExhausted
-
     # the real expansion reads only Re j of an ambiguous form, so its reality
-    # test is the one place a spurious imaginary part can show
+    # test is the one place a spurious imaginary part can show; a failure at
+    # the proven precision is a defect, raised after one round
     ambiguous = form_to_lattice(Form(1, 0, 36))
+    calls = []
 
     def perturbed_j(lat, prec=128):
+        calls.append(prec)
         value = j_of_lattice(lat, prec)
         if lat == ambiguous:
             with mp.workprec(prec):
@@ -424,9 +425,10 @@ def test_hilbert_class_polynomial_rejects_nonreal_ambiguous_j(monkeypatch):
         return value
 
     monkeypatch.setattr(analytic, "j_of_lattice", perturbed_j)
-    monkeypatch.setattr(analytic, "_ESCALATION_CAP", analytic.start_precision(-144, 128))
-    with pytest.raises(PrecisionExhausted, match="not recognized"):
+    prec = analytic.start_precision(-144, 128)
+    with pytest.raises(RuntimeError, match=f"reality test at {prec} bits"):
         hilbert_class_polynomial(-144, 128)
+    assert calls == [prec] * sum(f.b >= 0 for f in enumerate_reduced(-144))
 
 
 def _evaluate(poly, z):
@@ -459,8 +461,8 @@ def test_hilbert_class_polynomial_precision_exhausted(monkeypatch):
     from weightjac.errors import PrecisionExhausted
 
     # Enge's bound puts H_-1999 far above a 64-bit cap: it fails before any j
-    # is evaluated (the "not recognized" tests cover failures after evaluation)
-    monkeypatch.setattr(analytic_module, "_ESCALATION_CAP", 64)
+    # is evaluated
+    monkeypatch.setattr(analytic_module, "_PRECISION_CAP", 64)
     calls = []
     real_j = analytic_module.j_of_lattice
 
@@ -474,17 +476,22 @@ def test_hilbert_class_polynomial_precision_exhausted(monkeypatch):
     assert calls == []
 
 
-def test_hilbert_class_polynomial_escalates_below_start_bound(monkeypatch):
-    from weightjac.errors import PrecisionExhausted
-
-    # without the start bound, 64 bits cannot resolve H_-144 and the loop doubles
+def test_hilbert_class_polynomial_catches_a_start_below_the_bound(monkeypatch):
+    # without Enge's bound, 64 bits cannot certify H_-144 or H_-1999: the size
+    # bound refuses after one j per form with b >= 0, and nothing doubles
     monkeypatch.setattr(analytic, "start_precision", lambda D, prec: prec)
-    h144 = hilbert_class_polynomial(-144, 64)
-    assert h144.prec == 128
-    assert h144.coefficients == hilbert_class_polynomial(-144, 256).coefficients
-    monkeypatch.setattr(analytic, "_ESCALATION_CAP", 512)
-    with pytest.raises(PrecisionExhausted, match="not recognized"):
-        hilbert_class_polynomial(-1999, 64)
+    calls = []
+
+    def counting_j(lat, prec=128):
+        calls.append(prec)
+        return j_of_lattice(lat, prec)
+
+    monkeypatch.setattr(analytic, "j_of_lattice", counting_j)
+    for D in (-144, -1999):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="size bound at 64 bits"):
+            hilbert_class_polynomial(D, 64)
+        assert calls == [64] * sum(f.b >= 0 for f in enumerate_reduced(D)), D
 
 
 def test_j_is_real_examples():
@@ -547,18 +554,17 @@ def _assert_threads_match_serial(jobs):
         assert _bits(value) == serial[k % len(jobs)], jobs[k % len(jobs)]
 
 
-def test_concurrent_evaluation_is_bit_identical(monkeypatch):
+def test_concurrent_evaluation_is_bit_identical():
     forms = [f for D in (-36, -144, -108, -192) for f in enumerate_reduced(D)]
     lats = [form_to_lattice(f) for f in forms]
     # rising precisions, threaded first: the threads raise mpmath's memos of
     # pi and log 2 while others read them, and the serial reference comes after
     jobs = [(j_of_lattice, lat, prec) for prec in (192, 640, 2048, 8192) for lat in lats]
     # from 128 bits, -1155 and -1320 start at Enge's bound, 361 and 460 bits
-    polys = [(hilbert_class_polynomial, D, 128) for D in (-1155, -1320, -108, -192)]
-    _assert_threads_match_serial(jobs + polys)
-    # from 128 bits without the start bound, -1155 and -1320 double to 512
-    monkeypatch.setattr(analytic, "start_precision", lambda D, prec: prec)
-    _assert_threads_match_serial(polys)
+    Ds = (-1155, -1320, -108, -192)
+    _assert_threads_match_serial(jobs + [(hilbert_class_polynomial, D, 128) for D in Ds])
+    # and the threads meet at 512 bits, above every one of these bounds
+    _assert_threads_match_serial([(hilbert_class_polynomial, D, 512) for D in Ds])
 
 
 def _mpmath_size_threshold(roots, paired):
@@ -598,7 +604,8 @@ def test_expand_pairs_decides_like_the_mpmath_size_test(D):
         expected = hilbert_class_polynomial(D).coefficients
     threshold = _mpmath_size_threshold(roots, paired)
     assert threshold <= min(r.prec for r in roots)
-    assert analytic._expand_pairs(roots, paired, threshold - 1) is None
+    with pytest.raises(RuntimeError, match=f"size bound at {threshold - 1} bits"):
+        analytic._expand_pairs(roots, paired, threshold - 1)
     assert analytic._expand_pairs(roots, paired, threshold) == expected
 
 

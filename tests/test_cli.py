@@ -670,6 +670,13 @@ def test_usage_error_exit_two(capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert json.loads(out)["error"]["type"] == "UsageError"
+    # argparse (before 3.12) reads "--option=--" as an empty list, which no
+    # reader takes; a later one passes the string "--" to the reader
+    for argv in (["classgroup", "--discriminant=--"], ["reduce", "--form=--"],
+                 ["hcp", "-D", "-4", "--prec=--"]):
+        code, record = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert record["error"]["type"] in ("UsageError", "ParseError")
 
 
 def test_internal_failure_exit_one(capsys, monkeypatch):
@@ -684,6 +691,29 @@ def test_internal_failure_exit_one(capsys, monkeypatch):
     assert code == 1
     assert captured.out.strip() == ""
     assert "synthetic crash" in captured.err
+
+
+def test_hcp_defect_is_an_internal_error_with_no_cache_record(capsys, monkeypatch, tmp_path):
+    import weightjac.analytic as analytic
+    from weightjac.binforms import Form, form_to_lattice
+
+    # a non-real j of an ambiguous form fails the reality test at the one
+    # proven precision: a defect, not an input error
+    ambiguous, real_j = form_to_lattice(Form(1, 0, 36)), analytic.j_of_lattice
+
+    def perturbed_j(lat, prec=128):
+        j = real_j(lat, prec)
+        return analytic.PrecComplex(j.re, j.re, prec) if lat == ambiguous else j
+
+    monkeypatch.setattr(analytic, "j_of_lattice", perturbed_j)
+    cache = tmp_path / "cache.jsonl"
+    code = main(["hcp", "-D", "-144", "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError: ")
+    assert "reality test" in captured.err and captured.err.count("\n") == 1
+    assert not cache.exists()
 
 
 def test_json_flag_accepted(capsys):

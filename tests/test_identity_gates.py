@@ -1,0 +1,257 @@
+"""Identity gates: golden digests of what the program prints, and a literal fuzzer.
+
+The digests were recorded from the code as it stood before a change and must
+pass unchanged after it.  A change that alters an output on purpose updates
+the digest it alters and says in CHANGES.md which verdict changed and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weightjac import analytic
+from weightjac.binforms import Form, form_to_lattice
+from weightjac.cli import _COMMANDS, main
+from weightjac.cmlattice import parse_lattice
+
+# sha256 over "D:coefficients:prec" lines for every D with -2500 < D <= -3
+CLASS_POLYNOMIAL_SHA256 = "71e6ce88511ab40ca91f82fac2dfe65c124a97d4965dfb1ff7f9e71289b68210"
+# sha256 over the (sign, man, exp, bc) of .re and .im of j at each precision
+J_BITS_SHA256 = "94e577432defafce8f3f3fb0c3080e02b3b3efd6136907a54e92c8af76d05202"
+
+
+def test_class_polynomial_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for D in range(-3, -2500, -1):
+        if D % 4 in (0, 1):
+            poly = analytic.hilbert_class_polynomial(D)
+            digest.update(f"{D}:{','.join(map(str, poly.coefficients))}:{poly.prec}\n".encode())
+            count += 1
+    assert count == 1249
+    assert digest.hexdigest() == CLASS_POLYNOMIAL_SHA256
+
+
+# reduced forms with b = 0, with b = a, and with 4 Re tau = 2b/a not an integer;
+# (1, 1, 500) has |j| near e^(pi sqrt 1999)
+J_FORMS = [Form(1, 0, 36), Form(4, 0, 9), Form(2, 2, 5), Form(1, 1, 500), Form(5, 4, 8),
+           Form(7, 6, 73), Form(13, 10, 41)]
+
+
+def test_j_bit_pattern_digest():
+    lattices = [parse_lattice(rec["lattice"]) for rec in analytic.appendix_fixtures()]
+    lattices += [form_to_lattice(f) for f in J_FORMS]
+    assert len(lattices) == 20
+    digest = hashlib.sha256()
+    for lat in lattices:
+        for prec in (128, 1024, 4096):
+            j = analytic.j_of_lattice(lat, prec)
+            parts = [tuple(map(int, x._mpf_)) for x in (j.re, j.im)]
+            digest.update(f"{prec}:{parts}\n".encode())
+    assert digest.hexdigest() == J_BITS_SHA256
+
+
+def _run(argv):
+    """cli.main(argv) in process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _record(code, out, err):
+    """The one JSON record on stdout, with timings dropped, for exit 0 or 2
+    (argparse writes its usage to stderr too)."""
+    assert code in (0, 2), err
+    record = json.loads(out)
+    assert out == json.dumps(record, indent=2) + "\n"
+    assert record["schema"] == 1
+    assert ("result" if code == 0 else "error") in record
+    record.pop("timings", None)
+    return record
+
+
+GAUSS_LATTICE = "⟨1, 1/3+2/3*sqrt(-1)⟩"
+CURVES = "(-144:5,4,8),(-144:5,4,8)"
+
+# README's examples, a few more for the commands it has none of, and literal
+# exit-2 inputs; {cache} is a fresh cache file, read once cold and once warm
+CLI_DECK = {
+    "classgroup": [["-D", "-144"], ["-D", "-1999"], ["-D", "-5"], ["-D", "-1000000000000"]],
+    "reduce": [["--form", "5,14,13"], ["--form", "nonsense"], ["--form=-1,1,-1"]],
+    "compose": [["--forms", "2,2,5;2,2,5"], ["--forms", "1,0,9;1,0,1"]],
+    "latprod": [
+        ["--lattices", f"{GAUSS_LATTICE}, {GAUSS_LATTICE}"],
+        ["--lattices", "<1;1/3+2/3*sqrt(-1)>@-1,<3;1+2*sqrt(-3)>@-3"],
+        ["--lattices", "<1;1/0*sqrt(-1)>@-1,<1;sqrt(-1)>@-1"],
+    ],
+    "homothety": [
+        ["--lattices", f"{GAUSS_LATTICE}, <3;1+2*sqrt(-1)>@-1"],
+        ["--lattices", f"{GAUSS_LATTICE}, ⟨1, 3*sqrt(-1)⟩"],
+        ["--lattices", GAUSS_LATTICE],
+    ],
+    "endring": [["--lattices", "⟨1/3+0*sqrt(-1), 0+2/9*sqrt(-1)⟩"], ["--lattices", "⟨1, 1_0*sqrt(-1)⟩"]],
+    "jacobian": [["--curves", CURVES, "-m", "2"], ["--curves", "(-144:5,4,8)", "-m", "2"]],
+    "decompose": [
+        ["--curves", CURVES],
+        ["--curves", "(-192:4,4,13),(-108:4,2,7)"],
+        ["--curves", "(-144:5,4,8),(-108:4,2,7)"],
+    ],
+    "orbit": [["--curves", f"{CURVES},(-144:5,4,8)"], ["--curves", "(-144:5,4,8,1)"]],
+    "fixedpoint": [["--curves", f"{CURVES},(-144:5,4,8)"], ["--curves", "(-144:5,4,9),(-144:5,4,8)"]],
+    "fod": [["--curves", "(-108:1,0,27),(-108:4,2,7)"], ["--curves", "(-144:5,4,8),(-108:4,2,7)"]],
+    "jinv": [
+        ["--lattices", "⟨1, 3*sqrt(-1)⟩", "--prec", "256"],
+        ["--lattices", "<2;1+1*sqrt(-3)>@-3"],
+        ["--lattices", "<2;1+sqrt(-3)>@-3"],
+        ["--lattices", "<1;3*sqrt(-1)>@-1", "--prec", "32"],
+    ],
+    "hcp": [
+        ["-D", "-144", "--prec", "256", "--cache", "{cache}"],
+        ["-D", "-144", "--prec", "256", "--cache", "{cache}"],
+        ["-D", "-1999"],
+        ["-D", "-4", "--prec", "65537"],
+        ["-D", "-61871"],
+    ],
+    "hodge": [
+        ["--data", "weight 2; h = [1, 4, 1]; rankL = 2"],
+        ["--abelian", "4,2"],
+        ["--abelian", "10000,5000"],
+        ["--data", "weight 2; h = [1,,0,,1,]; rankL = 0"],
+    ],
+    "kummer": [["--curves", CURVES, "-m", "2"], ["--curves", CURVES, "-m", "3"]],
+    "verify-appendix": [["--prec", "256"], ["--prec", "١٢٨"]],
+}
+
+# sha256 per command over its deck's exit codes and reports without timings
+CLI_DIGESTS = {
+    "classgroup": "f90651c8af0670afe46d2e55b019966074382adb09ec2c387c871a53e2adc1d7",
+    "reduce": "85ced4f1a79a43322ee18e2678fea46eae9af9cf4dad73aedf0868291202693d",
+    "compose": "c2d42e295d6b2404bcc6a8a6c694b787dd69b4549fa265394d5bd3dcaed2b1bc",
+    "latprod": "a2ea878c42cc3ede408e224a6b30ffd5cad5f920c345fed94972f3ec4dd64341",
+    "homothety": "f5a821a433524a776bb8485507744b317d141e0e653ebeba3e6de221d433e492",
+    "endring": "00b25fc8a2bc3b1d42b0fae3fae6433319cb6f284b2a69dc2150f46150f0fd05",
+    "jacobian": "9f0577044fe61c8c5aad71265aac0ef8a647722f4b794edaf6dacb1c2040845f",
+    "decompose": "c429db32051e374d3e42796ad025dc95f42924977bc678064068de4d309c194b",
+    "orbit": "09c9dd1c1fc6189d1e2c73838b781e95ca25faae8e54ae4407b751fd1ee01749",
+    "fixedpoint": "84b4eb3b0640660035c9ccdd62cb0ea09c566ae3d43d801d4f9cfed5c8eff9fe",
+    "fod": "86b439047a21d254a027abcd198b176964a28de8efcf6657ab76e47e6051758f",
+    "jinv": "9ddde7cc50ce1e3e5e5e97cbc465f4d999a10181481010a76fc8ce73572f592d",
+    "hcp": "f69d49c7bbcaea5bcbccd2f6e3ba7d54697859b81b2a02f1f95eb35d498bb880",
+    "hodge": "8723cec2571822d8657de597cce80398e89ca21386d26d6950b8e71a2c506fa0",
+    "kummer": "e531a76083400fb438b123374adef473805a81bb3581fe57937e02341ac52d97",
+    "verify-appendix": "b386b1b473277173b95cc338ed813b5b954d7709aaa74631e88d7bcbae7c5922",
+}
+
+
+def test_cli_report_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("WJ_CACHE", raising=False)
+    cache = str(tmp_path / "hcp.jsonl")
+    assert sorted(CLI_DECK) == sorted(_COMMANDS)
+    got = {}
+    for command, deck in CLI_DECK.items():
+        digest = hashlib.sha256()
+        for args in deck:
+            code, out, err = _run([command, *(a.replace("{cache}", cache) for a in args)])
+            record = _record(code, out, err)
+            digest.update(f"{code}\n{json.dumps(record, indent=2)}\n".encode())
+        got[command] = digest.hexdigest()
+    assert got == CLI_DIGESTS
+
+
+# (command and options, the option a literal is mutated in, a valid literal)
+LITERALS = [
+    (["classgroup"], "--discriminant", "-144"),
+    (["reduce"], "--form", "5,14,13"),
+    (["compose"], "--forms", "2,2,5;2,2,5"),
+    (["latprod"], "--lattices", f"{GAUSS_LATTICE}, <1;1/3+2/3*sqrt(-1)>@-1"),
+    (["homothety"], "--lattices", "<2;1+1*sqrt(-3)>@-3, ⟨1, 1/2+1/2*sqrt(-3)⟩"),
+    (["endring"], "--lattices", "⟨1/3+0*sqrt(-1), 0+2/9*sqrt(-1)⟩"),
+    (["jacobian", "-m", "2"], "--curves", CURVES),
+    (["jacobian", "--curves", CURVES], "--weight", "2"),
+    (["kummer", "--curves", CURVES], "--weight", "2"),
+    (["decompose"], "--curves", "(-192:4,4,13),(-108:4,2,7)"),
+    (["orbit"], "--curves", f"{CURVES},(-144:1,0,36)"),
+    (["fixedpoint"], "--curves", "(-36:1,0,9),(-36:2,2,5),(-36:1,0,9)"),
+    (["fod"], "--curves", "(-108:1,0,27),(-108:4,2,7)"),
+    (["jinv", "--prec", "128"], "--lattices", "⟨1, 3*sqrt(-1)⟩"),
+    (["jinv", "--lattices", "<1;3*sqrt(-1)>@-1"], "--prec", "256"),
+    (["hcp"], "--discriminant", "-144"),
+    (["hcp", "-D", "-108"], "--prec", "256"),
+    (["hodge"], "--data", "weight 2; h = [1, 4, 1]; rankL = 2"),
+    (["hodge"], "--abelian", "4,2"),
+    (["verify-appendix"], "--prec", "128"),
+]
+
+# tokens that broke readers before: signs, "_", non-ASCII digits, 2000- and
+# 2001-digit integers, a zero denominator and an empty entry
+INTEGER_MUTATIONS = [
+    lambda n: "-" + n,
+    lambda n: "+" + n,
+    lambda n: n[0] + "_" + n[1:],
+    lambda n: chr(0x660 + int(n[0])) + n[1:],
+    lambda n: n[:-1] + chr(0xFF10 + int(n[-1])),
+    lambda n: "1" + "0" * 1999,
+    lambda n: "1" + "0" * 2000,
+    lambda n: "1/0",
+    lambda n: "",
+]
+# mixed fields, the other lattice spelling, and a dropped or an empty entry
+TEXT_MUTATIONS = [
+    ("sqrt(-1)", "sqrt(-3)"),
+    ("@-1", "@-3"),
+    ("(-144:5,4,8)", "(-108:4,2,7)"),
+    ("⟨1, 3*sqrt(-1)⟩", "<1;3*sqrt(-1)>@-1"),
+    ("<1;1/3+2/3*sqrt(-1)>@-1", "⟨1, 1/3+2/3*sqrt(-3)⟩"),
+    (",", ""),
+    (",", ",,"),
+]
+
+
+def mutated(literal):
+    """literal with one to three mutations."""
+
+    @st.composite
+    def strategy(draw):
+        text = literal
+        for _ in range(draw(st.integers(1, 3))):
+            spans = list(re.finditer("[0-9]+", text))
+            if spans and draw(st.booleans()):
+                m = spans[draw(st.integers(0, len(spans) - 1))]
+                token = draw(st.sampled_from(INTEGER_MUTATIONS))(m[0])
+                text = text[: m.start()] + token + text[m.end():]
+            else:
+                old, new = draw(st.sampled_from(TEXT_MUTATIONS))
+                text = text.replace(old, new, 1)
+        return text
+
+    return strategy()
+
+
+@pytest.mark.parametrize(
+    "argv, option, literal", LITERALS, ids=[" ".join([*argv, option]) for argv, option, _ in LITERALS]
+)
+def test_mutated_literals_exit_0_or_2_with_one_record(monkeypatch, argv, option, literal):
+    """Every mutated literal gives exit 0 or 2, each run within 5 s, one
+    schema-1 record on stdout, and the same record again apart from timings."""
+    monkeypatch.delenv("WJ_CACHE", raising=False)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10)
+    @given(mutated(literal))
+    def check(text):
+        records = []
+        for _ in range(2):
+            started = time.monotonic()
+            code, out, err = _run([*argv, f"{option}={text}"])
+            assert time.monotonic() - started < 5, text
+            records.append(_record(code, out, err))
+        assert records[0] == records[1]
+
+    check()
