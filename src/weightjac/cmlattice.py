@@ -27,7 +27,7 @@ from itertools import combinations
 from . import binforms
 from .binforms import Form, fundamental_decomposition
 from .errors import BadWeight, DegenerateBasis, FieldMismatch, JacobianTooLarge, NotCM, ParseError
-from .quadfield import FieldTag, QuadElem, digit_budget, parse_int, parse_quadelem
+from .quadfield import MEMO_SIZE, FieldTag, QuadElem, digit_budget, parse_int, parse_quadelem
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,14 +45,17 @@ class Order:
     def discriminant(self) -> int:
         return self.f * self.f * self.field.dK
 
-    @classmethod
-    def from_discriminant(cls, D: int) -> "Order":
+    @staticmethod
+    @functools.lru_cache(maxsize=MEMO_SIZE, typed=True)
+    def from_discriminant(D: int) -> "Order":
+        """The order of discriminant D, built once per D (typed: -4.0 is not -4)."""
         dK, f = fundamental_decomposition(D)
         d = dK if dK % 4 == 1 else dK // 4
-        return cls(FieldTag(d), f)
+        return Order(FieldTag(d), f)
 
+    @functools.lru_cache(maxsize=MEMO_SIZE)
     def as_lattice(self) -> "CMLattice":
-        """The order itself, from its integer basis {1, f*omega}.
+        """The order itself, from its integer basis {1, f*omega}, built once per order.
 
         omega = (dK + sqrt(dK))/2 (Cox, Primes of the form x^2+ny^2, §7), and
         sqrt(dK) = s*sqrt(d) with s = 1 when dK = d is odd and s = 2 when

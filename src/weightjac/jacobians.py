@@ -12,7 +12,9 @@ cmlattice.image_lattice_L, which the test suite uses as an oracle.
 phi returns the principal class without lattice arithmetic when the source
 class is principal or the target order has class number one; every other
 lift is a lattice_product followed by ideal_class, so for those lifts the
-two routes still share these functions, until a forms-only phi lands.
+two routes still share these functions, until a forms-only phi lands.  The
+order a lift lands in, its lattice and its principal class are each built
+once per discriminant, in memos bounded by MEMO_SIZE.
 """
 
 from __future__ import annotations
@@ -33,12 +35,17 @@ from .errors import (
     OrderMismatch,
     PrimitivityViolation,
 )
-from .quadfield import FieldTag, factorize
+from .quadfield import MEMO_SIZE, FieldTag, factorize
 
 # the 13 discriminants of imaginary quadratic orders with class number one
 # (Cox, Primes of the form x^2+ny^2, Thm 7.30): phi into such an order can
 # only land on the principal class
 CLASS_NUMBER_ONE = frozenset({-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163})
+
+# the order of conductor c in a field, built once per (field, c) for phi's
+# targets and the composed classes; typed, so that a bool or float c misses
+# the entry of the int it equals and reaches Order, which refuses it
+_order = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(Order)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,9 +62,11 @@ class CurveClass:
                 f"form disc {self.form.discriminant} != order disc {self.order.discriminant}"
             )
 
-    @classmethod
-    def principal(cls, order: Order) -> "CurveClass":
-        return cls(order, principal_form(order.discriminant))
+    @staticmethod
+    @functools.lru_cache(maxsize=MEMO_SIZE)
+    def principal(order: Order) -> "CurveClass":
+        """The principal class of the order, built once per order."""
+        return CurveClass(order, principal_form(order.discriminant))
 
     @classmethod
     def of_lattice(cls, lat: CMLattice) -> "CurveClass":
@@ -119,15 +128,18 @@ def phi(cls: CurveClass, c: int) -> CurveClass:
     group homomorphism, phi_{f,f} is the identity and phi_{d,c} o phi_{c,f}
     = phi_{d,f}.  Three answers are known without the lattice round trip:
     c = f returns cls itself, before any target order is built; a principal
-    source maps to the principal class of the target; and so does every class when the target has class number one
-    (CLASS_NUMBER_ONE), as its class group is trivial.
+    source maps to the principal class of the target; and so does every
+    class when the target has class number one (CLASS_NUMBER_ONE), as its
+    class group is trivial.  The target order, its lattice and its principal
+    class are each built once per discriminant and then looked up; the lift
+    itself, lattice_product and ideal_class, runs on every call.
     """
     f = cls.conductor
     if c < 1 or f % c != 0:
         raise NotADivisor(f"{c} does not divide the conductor {f}")
     if c == f and type(c) is int:  # bools are ints to isinstance
         return cls
-    target = Order(cls.field, c)  # refuses a c that is not an int
+    target = _order(cls.field, c)  # refuses a c that is not an int
     if cls.is_principal() or target.discriminant in CLASS_NUMBER_ONE:
         return CurveClass.principal(target)
     lifted = cmlattice.lattice_product(cls.lattice(), target.as_lattice())
@@ -142,7 +154,7 @@ def _compose_lifts(curves, lift) -> CurveClass:
     """
     d = math.gcd(*(e.conductor for e in curves))
     form = functools.reduce(compose, (lift(e, d).form for e in curves))
-    return CurveClass(Order(curves[0].field, d), form)
+    return CurveClass(_order(curves[0].field, d), form)
 
 
 def brauer_jacobian_pair(e1: CurveClass, e2: CurveClass) -> CurveClass:

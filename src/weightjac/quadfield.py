@@ -27,9 +27,11 @@ from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseEr
 # at most 4,001 and prints under Python's default limit of 4,300 digits per
 # int/str conversion (sys.set_int_max_str_digits, CVE-2020-10735)
 MAX_LITERAL_DIGITS = 2000
-# entries kept by each per-discriminant memo (here and in binforms): room for
-# every discriminant of a few hundred class polynomials or of the orders of
-# |D| <= 20,000 over a dozen fields, while a sweep over many D stays bounded
+# entries kept by each memo of a per-discriminant object (here, in binforms,
+# and the orders, their lattices and principal classes in cmlattice and
+# jacobians): room for every discriminant of a few hundred class polynomials
+# or of the orders of |D| <= 20,000 over a dozen fields, while a sweep over
+# many D stays bounded
 MEMO_SIZE = 1024
 _INT_RE = re.compile(r"\s*[+-]?([0-9]+)\s*")
 

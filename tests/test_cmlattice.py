@@ -23,8 +23,15 @@ from weightjac.cmlattice import (
     lattice_product,
     parse_lattice,
 )
-from weightjac.errors import BadWeight, DegenerateBasis, FieldMismatch, NotCM, ParseError
-from weightjac.quadfield import FieldTag, QuadElem, is_squarefree
+from weightjac.errors import (
+    BadWeight,
+    DegenerateBasis,
+    FieldMismatch,
+    InvalidDiscriminant,
+    NotCM,
+    ParseError,
+)
+from weightjac.quadfield import MEMO_SIZE, FieldTag, QuadElem, is_squarefree
 
 GAUSS = FieldTag(-1)
 EISEN = FieldTag(-3)
@@ -99,6 +106,24 @@ def test_order_refuses_conductors_that_are_not_ints():
         with pytest.raises(NotCM, match="positive integer"):
             Order(GAUSS, f)
     assert Order(GAUSS, 2).discriminant == -16
+
+
+def test_order_and_its_lattice_are_built_once_in_bounded_memos():
+    order = Order.from_discriminant(-144)
+    assert order is Order.from_discriminant(-144)
+    assert order.as_lattice() is order.as_lattice()
+    # nothing is cached on an exception, so an invalid D raises on every call
+    for _ in range(2):
+        with pytest.raises(InvalidDiscriminant):
+            Order.from_discriminant(-5)
+    sweep = [D for D in range(-3, -4 * MEMO_SIZE, -1) if D % 4 in (0, 1)]
+    assert len(sweep) > MEMO_SIZE
+    for D in sweep:
+        order = Order.from_discriminant(D)
+        assert order.discriminant == D
+        assert order.as_lattice() == binforms.form_to_lattice(binforms.principal_form(D))
+    for memo in (Order.from_discriminant, Order.as_lattice):
+        assert memo.cache_info().currsize <= MEMO_SIZE
 
 
 def test_order_lattice_is_ring_lattice():

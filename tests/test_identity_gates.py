@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightjac import analytic
+from weightjac import analytic, cmlattice
 from weightjac.binforms import Form, form_to_lattice
 from weightjac.cli import _COMMANDS, main
 from weightjac.cmlattice import parse_lattice
@@ -151,19 +151,54 @@ CLI_DIGESTS = {
 }
 
 
+# inputs that lift a non-principal class into an order of class number above
+# one, so phi runs lattice_product and ideal_class: none of CLI_DECK does
+LIFT_CURVES = "(-144:5,4,8),(-36:2,2,5)"
+CLI_LIFT_DECK = {
+    "jacobian": [["--curves", LIFT_CURVES, "-m", "2"]],
+    "decompose": [["--curves", LIFT_CURVES]],
+    "fod": [["--curves", "(-36:2,2,5),(-144:5,4,8)"]],
+    "orbit": [["--curves", f"{LIFT_CURVES},(-144:5,4,8)"]],
+    "kummer": [["--curves", f"{LIFT_CURVES},(-16:1,0,4)", "-m", "2"]],
+}
+CLI_LIFT_DIGESTS = {
+    "jacobian": "5cb3c4ea6a49db836e1f8219fd92efdfba3efaa82af3d1db90ccfc018d4b8e71",
+    "decompose": "0add6bbf7e448dda5d70ac7aaec3f18674014dd2176950f9696475aa40d4aba9",
+    "fod": "f61e36e80b37b34d798ba2b2f5f45cd66af404dfead7f36cf67099d77e1acce1",
+    "orbit": "96c88c5afe1af764b0279e134e3da7221d7d07c9c5505136e04b018c60540d5d",
+    "kummer": "130c4fdc150a3629f4c967b04247833f91bfd58c163fedb31d29950537118f17",
+}
+
+
+def _deck_digest(command, deck, cache):
+    digest = hashlib.sha256()
+    for args in deck:
+        code, out, err = _run([command, *(a.replace("{cache}", cache) for a in args)])
+        record = _record(code, out, err)
+        digest.update(f"{code}\n{json.dumps(record, indent=2)}\n".encode())
+    return digest.hexdigest()
+
+
 def test_cli_report_digests(tmp_path, monkeypatch):
     monkeypatch.delenv("WJ_CACHE", raising=False)
     cache = str(tmp_path / "hcp.jsonl")
     assert sorted(CLI_DECK) == sorted(_COMMANDS)
-    got = {}
-    for command, deck in CLI_DECK.items():
-        digest = hashlib.sha256()
-        for args in deck:
-            code, out, err = _run([command, *(a.replace("{cache}", cache) for a in args)])
-            record = _record(code, out, err)
-            digest.update(f"{code}\n{json.dumps(record, indent=2)}\n".encode())
-        got[command] = digest.hexdigest()
+    got = {command: _deck_digest(command, deck, cache) for command, deck in CLI_DECK.items()}
     assert got == CLI_DIGESTS
+
+
+def test_cli_lift_report_digests(monkeypatch):
+    products = []
+    original = cmlattice.lattice_product
+    monkeypatch.setattr(
+        cmlattice, "lattice_product", lambda a, b: products.append(a) or original(a, b)
+    )
+    got = {}
+    for command, deck in CLI_LIFT_DECK.items():
+        products.clear()
+        got[command] = _deck_digest(command, deck, "")
+        assert len(products) >= len(deck), command
+    assert got == CLI_LIFT_DIGESTS
 
 
 # (command and options, the option a literal is mutated in, a valid literal)

@@ -40,7 +40,7 @@ from weightjac.jacobians import (
     same_field_of_definition,
     surface_decompose,
 )
-from weightjac.quadfield import FieldTag, QuadElem
+from weightjac.quadfield import MEMO_SIZE, FieldTag, QuadElem
 
 GAUSS = FieldTag(-1)
 EISEN = FieldTag(-3)
@@ -86,6 +86,32 @@ def test_phi_identity_and_surjectivity():
         for c in (1.0, True):
             with pytest.raises(NotCM, match="positive integer"):
                 phi(e, c)
+
+
+def test_memoized_orders_refuse_a_conductor_that_is_not_an_int():
+    # phi(cls, 1) and phi(cls, 2) fill the per-(field, c) memo of target orders
+    principal = CurveClass.principal(Order(GAUSS, 4))
+    assert principal is CurveClass.principal(Order(GAUSS, 4))
+    assert phi(principal, 1).is_principal() and phi(principal, 2).is_principal()
+    # ... and True, 1.0 and 2.0, which equal and hash like them, still reach Order
+    for c in (True, 1.0, 2.0):
+        with pytest.raises(NotCM, match="positive integer"):
+            phi(principal, c)
+        with pytest.raises(NotCM, match="positive integer"):
+            jacobians._order(GAUSS, c)
+    # _compose_lifts builds the composed class's order from the same memo
+    assert brauer_jacobian_pair(GEN_144, SQ_144).order is jacobians._order(GAUSS, 6)
+
+
+def test_principal_classes_and_target_orders_stay_bounded():
+    sweep = [(FieldTag(d), f) for d in (-1, -2, -3) for f in range(1, MEMO_SIZE // 2)]
+    assert len(sweep) > MEMO_SIZE
+    for field, f in sweep:
+        order = jacobians._order(field, f)
+        assert order == Order(field, f)
+        assert CurveClass.principal(order).is_principal()
+    for memo in (jacobians._order, CurveClass.principal):
+        assert memo.cache_info().currsize <= MEMO_SIZE
 
 
 # conductor chains e | c | f with f <= 12
@@ -415,7 +441,8 @@ def test_phi_into_class_number_one_skips_the_lattice_product(monkeypatch):
 
 def test_phi_onto_itself_builds_no_order_and_a_principal_source_no_lattice_product(monkeypatch):
     calls = []
-    monkeypatch.setattr(jacobians, "Order", lambda *args: calls.append(args) or Order(*args))
+    # phi takes its target order from the per-(field, c) memo
+    monkeypatch.setattr(jacobians, "_order", lambda *args: calls.append(args) or Order(*args))
     # c = f builds no target order ...
     assert phi(GEN_144, 6) is GEN_144
     assert calls == []
