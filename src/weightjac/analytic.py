@@ -89,7 +89,7 @@ def fundamental_domain_exact(tau: QuadElem) -> QuadElem:
     a, b, c = tau.minimal_polynomial()
     r = reduce(Form(a, -b, c))
     t = math.isqrt(r.discriminant // tau.field.d)  # sqrt(D) = t*sqrt(d)
-    return QuadElem.make(tau.field, Fraction(r.b, 2 * r.a), Fraction(t, 2 * r.a))
+    return QuadElem(tau.field, Fraction(r.b, 2 * r.a), Fraction(t, 2 * r.a))
 
 
 def _mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
@@ -97,9 +97,13 @@ def _mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
 
     Three big-integer products (Gauss): with rr = ar br and ii = ai bi,
     (ar + ai)(br + bi) - rr - ii = ar bi + ai br exactly, so the result is
-    ((ar br - ai bi) >> w, (ar bi + ai br) >> w), bit for bit.
+    ((ar br - ai bi) >> w, (ar bi + ai br) >> w), bit for bit.  When ai = bi =
+    0 that is ((ar br) >> w, 0), one product: j_of_lattice meets this case
+    on every operand when q is real (Re tau is 0 or 1/2).
     """
     (ar, ai), (br, bi) = a, b
+    if not ai and not bi:
+        return (ar * br) >> w, 0
     rr, ii = ar * br, ai * bi
     return (rr - ii) >> w, ((ar + ai) * (br + bi) - rr - ii) >> w
 
@@ -291,13 +295,17 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     from tau embedded to W + e bits, where 2^e >= 8 Im tau, times pi; the
     split 2 pi Im tau = n ln 2 + r, e^r from _cos_sin and the unit
     e^(2 pi i Re tau) from the exact Re tau (_unit).  j = q^-1 F is an exact
-    integer product, rounded once to prec bits.
+    integer product, rounded once to prec bits.  When Re tau is 0 or 1/2 (the
+    forms with b = 0 or b = a), _unit is exact with sin 0, so q is real, every
+    _mul takes its one-product case, and the imaginary part of j is exactly
+    0.
 
     Lemma.  The result j~ satisfies |j~ - j| <= 2^(1-prec) (1 + |j|), within
     the 2^(8-prec) (1 + |j|) that _expand_pairs and _is_real assume.
 
-    Proof.  embed is within 2^(1-W-e) relative (its docstring), _PI and _LN2
-    are exact floors and _cos_sin and _unit are within the ulps their
+    Proof.  embed is within 2^(1-W-e) relative (its docstring; its square
+    root runs on math.isqrt and rounds exactly as libmp's mpf_sqrt), _PI and
+    _LN2 are exact floors and _cos_sin and _unit are within the ulps their
     docstrings prove.  Errors below are in ulps u; a fixed-point product
     (_mul, _sqr) floors each component of the exact integer product, adding
     < 1 per component and < 1.5 in modulus.
@@ -345,7 +353,8 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     tau = fundamental_domain_exact(lat.tau)
     w = prec + _FIXED_GUARD_BITS
     # (8 Im tau)^2 = 64 y^2 |d| <= 2^(2e)
-    e = (math.ceil(64 * tau.y * tau.y * -tau.field.d).bit_length() + 1) // 2
+    yn, yd = tau.y.numerator, tau.y.denominator
+    e = ((-(64 * yn * yn * tau.field.d // (yd * yd))).bit_length() + 1) // 2
     # pi and ln 2 take e + 2 bits more than p, the integer bits of t and n
     p = w + 8
     bits = p + e + 2
@@ -577,9 +586,10 @@ def _expand_pairs(roots: list[PrecComplex], paired: list[bool], prec: int) -> tu
     w = prec + _GUARD_BITS
     coeffs = [1 << w]
     for r, pair in zip(roots, paired):
-        re = to_fixed(r.re._mpf_, w)
+        # int(): under mpmath's gmpy backend to_fixed returns a gmpy2.mpz
+        re = int(to_fixed(r.re._mpf_, w))
         if pair:
-            im = to_fixed(r.im._mpf_, w)
+            im = int(to_fixed(r.im._mpf_, w))
             s, p = 2 * re, (re * re + im * im) >> w
             coeffs += [0, 0]
             for k in range(len(coeffs) - 1, 1, -1):

@@ -308,4 +308,4 @@ def form_to_lattice(form: Form):
     t = math.isqrt(D // field.d)
     g1 = QuadElem(field, Fraction(form.a), Fraction(0))
     g2 = QuadElem(field, Fraction(-form.b, 2), Fraction(t, 2))
-    return cmlattice.canonicalize(g1, g2)
+    return cmlattice.from_generators(field, [g1, g2])

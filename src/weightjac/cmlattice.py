@@ -98,20 +98,16 @@ class CMLattice:
 
     @property
     def g1(self) -> QuadElem:
-        return QuadElem.make(self.field, Fraction(self.p, self.den), 0)
+        return QuadElem(self.field, Fraction(self.p, self.den), Fraction(0))
 
     @property
     def g2(self) -> QuadElem:
-        return QuadElem.make(
-            self.field, Fraction(self.q, self.den), Fraction(self.r, self.den)
-        )
+        return QuadElem(self.field, Fraction(self.q, self.den), Fraction(self.r, self.den))
 
     @property
     def tau(self) -> QuadElem:
         """g2/g1, normalized to the upper half-plane by construction."""
-        return QuadElem.make(
-            self.field, Fraction(self.q, self.p), Fraction(self.r, self.p)
-        )
+        return QuadElem(self.field, Fraction(self.q, self.p), Fraction(self.r, self.p))
 
     def generators(self) -> tuple[QuadElem, QuadElem]:
         return (self.g1, self.g2)
@@ -172,7 +168,7 @@ def from_generators(field: FieldTag, gens: list[QuadElem]) -> CMLattice:
     """Canonical lattice spanned over Z by the given elements."""
     den = 1
     for g in gens:
-        if g.field != field:
+        if g.field is not field and g.field != field:
             raise FieldMismatch(f"{g} not in Q(sqrt({field.d}))")
         den = math.lcm(den, g.x.denominator, g.y.denominator)
     rows = [
@@ -219,7 +215,7 @@ def ideal_class(lat: CMLattice) -> tuple[Order, Form]:
     """(endomorphism order, reduced form of the homothety class)."""
     a, b, c = lat.tau.minimal_polynomial()
     order = Order.from_discriminant(b * b - 4 * a * c)
-    if order.field != lat.field:
+    if order.field is not lat.field and order.field != lat.field:
         raise NotCM(f"tau of {lat} lives in the wrong field")
     return (order, binforms.reduce(Form(a, b, c)))
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pos, mpf_sqrt, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul, mpf_pos, round_nearest
 
 from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseError, RationalInput
 
@@ -211,8 +211,10 @@ class QuadElem:
 
         Each component is computed to nearest at prec + 8 bits (the numerator
         rounded, then divided, then times sqrt(-d)) and rounded to nearest at
-        prec bits, so it has relative error below 2^(1-prec).  The libmp calls
-        take explicit precisions and never read mpmath's global context.
+        prec bits, so it has relative error below 2^(1-prec).  sqrt(-d) is
+        _sqrt_nearest, libmp's correctly rounded mpf_sqrt on math.isqrt, so
+        every rounding is the one libmp makes.  The libmp calls take explicit
+        precisions and never read mpmath's global context.
         """
         if prec < 64:
             raise ValueError("prec must be at least 64")
@@ -221,7 +223,7 @@ class QuadElem:
             mpf_div(from_int(q.numerator, wp, rnd), from_int(q.denominator), wp, rnd)
             for q in (self.x, self.y)
         )
-        im = mpf_mul(im, mpf_sqrt(from_int(-self.field.d), wp, rnd), wp, rnd)
+        im = mpf_mul(im, _sqrt_nearest(-self.field.d, wp), wp, rnd)
         return mpmath.mp.make_mpc((mpf_pos(re, prec, rnd), mpf_pos(im, prec, rnd)))
 
     def __str__(self):
@@ -230,6 +232,27 @@ class QuadElem:
 
     def __repr__(self):
         return f"QuadElem({self})"
+
+
+def _sqrt_nearest(n: int, prec: int) -> tuple:
+    """mpf_sqrt(from_int(n), prec, round_nearest), bit for bit, for squarefree n > 0.
+
+    libmp's steps on integers: from_int(n) strips n's trailing zero bits, at
+    most one for squarefree n, and mpf_sqrt shifts an odd exponent back, so it
+    takes the mantissa n at exponent 0 (n = 1 takes a shortcut to 1, which the
+    steps below give too).  It then shifts n left by an even number of bits,
+    at least 4 and enough for prec + 2 bits of root, takes the floor root, and
+    on a nonzero remainder appends a sticky 1 bit, so that rounding to nearest
+    never meets a false tie.  math.isqrt takes the place of libmp's
+    pure-Python sqrtrem, the larger part of embed's time.
+    """
+    shift = max(4, 2 * prec - n.bit_length() + 4)
+    shift += shift & 1
+    scaled = n << shift
+    root = math.isqrt(scaled)
+    if root * root != scaled:
+        root, shift = 2 * root + 1, shift + 2
+    return from_man_exp(root, -shift // 2, prec, round_nearest)
 
 
 # x is taken only when a sign or the end follows it, so "12*sqrt(-1)" is 12i and

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import operator
 import random
 import sys
 from fractions import Fraction as F
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from weightjac import analytic
+from weightjac import analytic, cli
 from weightjac.analytic import (
     PrecComplex,
     evaluate_expression,
@@ -25,6 +27,8 @@ from weightjac.binforms import Form, element_order, enumerate_reduced, form_to_l
 from weightjac.cmlattice import ideal_class, parse_lattice
 from weightjac.errors import DivisionByZero, LowerHalfPlane, ParseError
 from weightjac.quadfield import FieldTag, QuadElem
+
+from test_identity_gates import J_FORMS
 
 GAUSS = FieldTag(-1)
 EISEN = FieldTag(-3)
@@ -245,6 +249,31 @@ def test_products_shift_the_four_product_integers(a, b, w):
     assert analytic._sqr(a, w) == analytic._mul(a, a, w)
 
 
+@given(_BIG, _BIG, st.integers(0, 200))
+@example(3, -5, 0)
+@example(0, 7, 2)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_real_products_equal_the_three_product_formula(ar, br, w):
+    # _mul's one-product case on real operands gives Gauss's integers bit for bit
+    ai = bi = 0
+    rr, ii = ar * br, ai * bi
+    assert analytic._mul((ar, ai), (br, bi), w) == (
+        (rr - ii) >> w, ((ar + ai) * (br + bi) - rr - ii) >> w
+    )
+    assert analytic._sqr((ar, ai), w) == (((ar + ai) * (ar - ai)) >> w, (2 * ar * ai) >> w)
+
+
+@pytest.mark.parametrize("prec", [128, 1024, 4096])
+def test_real_q_gives_j_with_zero_imaginary_part(prec):
+    # Re tau = 0 (b = 0) or 1/2 (b = a): q is real, and so is every product
+    forms = [f for f in J_FORMS if f.b in (0, f.a)]
+    assert len(forms) == 4
+    for form in forms:
+        j = j_of_lattice(form_to_lattice(form), prec)
+        assert j.im._mpf_ == mpmath.libmp.fzero, (form, prec)
+        assert j.re != 0
+
+
 def _pentagonal_terms(last):
     """Number of terms q^g, 1 <= g <= last, of Euler's pentagonal series."""
     count, k = 0, 1
@@ -379,6 +408,49 @@ def test_hilbert_class_polynomial_at_default_precision_matches_digests():
         assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == expected, D
         assert is_plausible_class_polynomial(D, list(coeffs)), D
         assert not is_plausible_class_polynomial(D, [*coeffs[:-1], coeffs[-1] + 1]), D
+
+
+class _WideInt:
+    """An integer type that is not int and keeps its type under arithmetic, as
+    gmpy2.mpz does: mpmath's gmpy backend stores mantissas as mpz, and
+    to_fixed hands them out."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = int(v)
+
+    def __int__(self):
+        return self.v
+
+    __index__ = __int__
+
+    def __neg__(self):
+        return _WideInt(-self.v)
+
+    def __abs__(self):
+        return _WideInt(abs(self.v))
+
+
+for _name in ("add", "sub", "mul", "floordiv", "mod", "lshift", "rshift"):
+    _op = getattr(operator, _name)
+    setattr(_WideInt, f"__{_name}__", lambda a, b, op=_op: _WideInt(op(a.v, int(b))))
+    setattr(_WideInt, f"__r{_name}__", lambda a, b, op=_op: _WideInt(op(int(b), a.v)))
+for _name in ("eq", "ne", "lt", "le", "gt", "ge"):
+    setattr(_WideInt, f"__{_name}__", lambda a, b, op=getattr(operator, _name): op(a.v, int(b)))
+
+
+def test_class_polynomial_coefficients_are_int_on_any_mpmath_backend(monkeypatch, capsys):
+    expected = hilbert_class_polynomial(-71).coefficients
+    to_fixed = analytic.to_fixed
+    monkeypatch.setattr(analytic, "to_fixed", lambda s, prec: _WideInt(to_fixed(s, prec)))
+    monkeypatch.delenv("WJ_CACHE", raising=False)
+    coefficients = hilbert_class_polynomial(-71).coefficients
+    assert all(type(c) is int for c in coefficients)
+    assert coefficients == expected
+    # a coefficient that is not an int fails json.dumps, and hcp would exit 1
+    assert cli.main(["hcp", "-D", "-71"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["coefficients"] == list(expected)
 
 
 def test_class_polynomial_check_rejects_wrong_polynomials():

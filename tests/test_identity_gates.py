@@ -11,6 +11,7 @@ import io
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,39 @@ def test_cli_lift_report_digests(monkeypatch):
         got[command] = _deck_digest(command, deck, "")
         assert len(products) >= len(deck), command
     assert got == CLI_LIFT_DIGESTS
+
+
+# the 272 argvs of the cli-mix benchmark at seed 0, frozen so that a change to
+# the benchmark cannot move this gate; {cache} is one cache file for the deck,
+# so its repeated hcp requests are read warm (only hcp reads the cache, so
+# running each command's argvs in their order keeps every hit and miss)
+CLI_MIX_ARGVS = json.loads((Path(__file__).parent / "cli_mix_deck.json").read_text(encoding="utf-8"))
+CLI_MIX_DIGESTS = {
+    "classgroup": "a8d99d210d6d3f8677066ff752a9747f06da11c6da455484cab625f634666f2b",
+    "compose": "e530766b2e1361818fbf8d7b36363d19a11fa9a126b331f1e672e1dc9bff4237",
+    "decompose": "50fd5c40ecbef94e1447462d40c99222c677cd0d73cf50a180a4529c00040272",
+    "fod": "1d0b70da960f6778e2cc1747066ea72700c420724b49514fa879427857dce826",
+    "hcp": "080cdfac9b2624a0768b5b8608ac2d1ded5ede318e1602f8b13644c1731f7c8c",
+    "hodge": "673c62356db336db0502ea65649493e6610b0ed236080136a02b41109efa5219",
+    "jacobian": "23eadc751602baa9a8a08e852a0e0dfa2b33ea0efc2c053fa11e6170473b0b9c",
+    "jinv": "e7da64fdd2ec3352f73c6255196346ea9e5f08131c3040799e52fc36c82529a6",
+    "kummer": "b8ab6001b07c07b781f0e98f9fc245f4cdbcbfda9818cb5ddd8ec9579fd703c3",
+    "latprod": "a97fc2dcae5f7c42253e7d362b7f536cd23011efd61a574e939cf02fda40c588",
+    "orbit": "02c4ea5641b916d7a46b76da81c2ed88ac2e8824d6cc4022c0ec29847ad944d0",
+    "reduce": "5a19781cff1bf40c3a80669bca906d46c6a59f8dd722065cca51e29fef63ef2f",
+    "verify-appendix": "bbbea8689df53c86fdfab59b8279149a4bca8ab0bd033dae3d1b3fb7f9037324",
+}
+
+
+def test_cli_mix_deck_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("WJ_CACHE", raising=False)
+    cache = str(tmp_path / "hcp.jsonl")
+    assert len(CLI_MIX_ARGVS) == 272
+    decks = {}
+    for command, *args in CLI_MIX_ARGVS:
+        decks.setdefault(command, []).append(args)
+    got = {command: _deck_digest(command, deck, cache) for command, deck in decks.items()}
+    assert got == CLI_MIX_DIGESTS
 
 
 # (command and options, the option a literal is mutated in, a valid literal)

@@ -6,7 +6,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, mpf_sqrt, round_nearest
 
+from weightjac import quadfield
 from weightjac.errors import DivisionByZero, FieldMismatch, ParseError, RationalInput
 from weightjac.quadfield import (
     MAX_LITERAL_DIGITS,
@@ -235,6 +237,18 @@ def test_embed_is_bit_identical_to_the_workprec_formula():
         for z in points:
             got, expected = z.embed(prec), _embed_oracle(z, prec)
             assert got._mpc_ == expected._mpc_, (str(z), prec)
+
+
+@pytest.mark.parametrize("prec", [64, 65, 127, 128, 1100, 4096, 4097])
+def test_embed_square_root_is_libmp_mpf_sqrt_bit_for_bit(prec):
+    # every branch of libmp's steps: n = 1 has mantissa 1 and the zero
+    # remainder of an exact root, n = 2 an odd exponent (from_int(2) is
+    # 1 * 2^1), and every other squarefree n a nonzero remainder
+    ns = [n for n in range(1, 3001) if is_squarefree(n)]
+    assert ns[:2] == [1, 2] and from_int(2) == (0, 1, 1, 1)
+    for n in ns:
+        oracle = mpf_sqrt(from_int(n), prec, round_nearest)
+        assert quadfield._sqrt_nearest(n, prec) == oracle, (n, prec)
 
 
 def test_serialization_round_trip():
