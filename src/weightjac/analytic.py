@@ -51,6 +51,13 @@ _FIXED_GUARD_BITS = 64
 _PRECISION_CAP = 1 << 16
 
 
+def _require_prec(prec: int) -> None:
+    # on entry, before any work: at a negative precision libmp's rounding
+    # never returns
+    if prec < 64:
+        raise ValueError("prec must be at least 64")
+
+
 @dataclass(frozen=True, slots=True)
 class PrecComplex:
     """A complex value carried together with its precision in bits."""
@@ -60,8 +67,7 @@ class PrecComplex:
     prec: int
 
     def __post_init__(self):
-        if self.prec < 64:
-            raise ValueError("prec must be at least 64")
+        _require_prec(self.prec)
 
     @classmethod
     def from_mpc(cls, z, prec: int) -> "PrecComplex":
@@ -298,7 +304,7 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     integer product, rounded once to prec bits.  When Re tau is 0 or 1/2 (the
     forms with b = 0 or b = a), _unit is exact with sin 0, so q is real, every
     _mul takes its one-product case, and the imaginary part of j is exactly
-    0.
+    0.  A prec below 64 raises ValueError on entry, before any of this.
 
     Lemma.  The result j~ satisfies |j~ - j| <= 2^(1-prec) (1 + |j|), within
     the 2^(8-prec) (1 + |j|) that _expand_pairs and _is_real assume.
@@ -350,6 +356,7 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
       sqrt(prec) (n <= 41 at 4096 bits), so the total is below
       2^-prec (1 + |j|) (1 + 2^-39 (n + 2)) <= 2^(1-prec) (1 + |j|).
     """
+    _require_prec(prec)
     tau = fundamental_domain_exact(lat.tau)
     w = prec + _FIXED_GUARD_BITS
     # (8 Im tau)^2 = 64 y^2 |d| <= 2^(2e)
@@ -677,8 +684,10 @@ def evaluate_expression(expr: str, prec: int = 128) -> PrecComplex:
     exponent, unary signs, parentheses, zeta3, and sqrt(n), cbrt(n), root4(n)
     of a signed integer literal, each the principal root.  Python's parser
     builds the syntax tree, so precedence is Python's: 2*-3^2 is -18.  Every
-    operation rounds to nearest at prec + 16 bits, through libmp.
+    operation rounds to nearest at prec + 16 bits, through libmp.  A prec
+    below 64 raises ValueError on entry.
     """
+    _require_prec(prec)
     if not _ALPHABET_RE.fullmatch(expr):
         raise ParseError(f"bad character or '**' in expression {expr!r}")
     # whitespace runs become single spaces: ast.parse rejects a leading indent

@@ -79,7 +79,6 @@ def validate_discriminant(D: int) -> int:
     return D
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def fundamental_decomposition(D: int) -> tuple[int, int]:
     """Split D = f^2 * dK with dK a fundamental discriminant; returns (dK, f)."""
     validate_discriminant(D)

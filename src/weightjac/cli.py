@@ -5,17 +5,19 @@ Exit codes: 0 success, 2 input error (machine-readable error record on
 stdout), 1 internal failure.  The weightjac console script, python -m
 weightjac.cli and python -m weightjac all call run(); main(argv) runs the same
 command for tests and library callers, without exiting or touching the garbage
-collector.  Each literal has one reader: a form, under --form, --forms or
-inside a curve class (D:a,b,c), is read by binforms.parse_form; a lattice by
-cmlattice.parse_lattices; every integer, in a literal or in -D, -m and --prec
-(read as strings, so a bad one is a ParseError), by quadfield.parse_int.  hcp
-results are appended to a JSON-lines cache file selected by --cache or the
-WJ_CACHE environment variable, which is never rewritten and must be a regular
-file; every other command accepts and ignores both.  Python's int/str digit
-limit is kept, not lifted: hcp refuses a D whose coefficients it could not
-print, before any j evaluation or cache read.  Under a limit below the
-default, a report that cannot print is an internal failure (exit 1), and an
-integer literal past the limit a ParseError.
+collector.  A command is declared once, as one _COMMANDS entry: its handler,
+its help line and the names of the _OPTIONS it takes, so adding a command is
+adding one entry.  Each literal has one reader: a form, under --form, --forms
+or inside a curve class (D:a,b,c), is read by binforms.parse_form; a lattice
+by cmlattice.parse_lattices; every integer, in a literal or in -D, -m and
+--prec (read as strings, so a bad one is a ParseError), by
+quadfield.parse_int.  hcp results are appended to a JSON-lines cache file
+selected by --cache or the WJ_CACHE environment variable, which is never
+rewritten and must be a regular file; every other command accepts and ignores
+both.  Python's int/str digit limit is kept, not lifted: hcp refuses a D whose
+coefficients it could not print, before any j evaluation or cache read.  Under
+a limit below the default, a report that cannot print is an internal failure
+(exit 1), and an integer literal past the limit a ParseError.
 """
 
 from __future__ import annotations
@@ -100,6 +102,10 @@ def _lattices(args, count: int) -> tuple[list[CMLattice], dict]:
 
 def _order_record(order: Order) -> dict:
     return {"d": order.field.d, "conductor": order.f, "discriminant": order.discriminant}
+
+
+def _class_record(order: Order, form: binforms.Form) -> dict:
+    return {"order": _order_record(order), "class": list(form.as_tuple())}
 
 
 def _curve_record(e: CurveClass) -> dict:
@@ -250,15 +256,7 @@ def _cmd_latprod(args):
 
     lats, echo = _lattices(args, 2)
     prod = cmlattice.lattice_product(lats[0], lats[1])
-    order, form = cmlattice.ideal_class(prod)
-    return (
-        echo,
-        {
-            "product": str(prod),
-            "order": _order_record(order),
-            "class": list(form.as_tuple()),
-        },
-    )
+    return echo, {"product": str(prod), **_class_record(*cmlattice.ideal_class(prod))}
 
 
 def _cmd_homothety(args):
@@ -284,8 +282,7 @@ def _cmd_endring(args):
     from . import cmlattice
 
     (lat,), echo = _lattices(args, 1)
-    order, form = cmlattice.ideal_class(lat)
-    return echo, {"order": _order_record(order), "class": list(form.as_tuple())}
+    return echo, _class_record(*cmlattice.ideal_class(lat))
 
 
 def _cmd_jacobian(args):
@@ -295,11 +292,7 @@ def _cmd_jacobian(args):
     m = parse_int(args.weight)
     jac = jacobians.m_jacobian(x, m)
     factors = [
-        {
-            "indices": list(subset),
-            "discriminant": factor.order.discriminant,
-            "form": list(factor.form.as_tuple()),
-        }
+        {"indices": list(subset), **_curve_record(factor)}
         for subset, factor in zip(combinations(range(x.n), m), jac.factors)
     ]
     return {**echo, "m": m}, {"weight": m, "factors": factors}
@@ -389,7 +382,6 @@ def _cmd_jinv(args):
     prec = _check_prec(args)
     (lat,), echo = _lattices(args, 1)
     value = analytic.j_of_lattice(lat, prec)
-    order, form = cmlattice.ideal_class(lat)
     tau = analytic.fundamental_domain_exact(lat.tau)
     return (
         {**echo, "prec": prec},
@@ -398,8 +390,7 @@ def _cmd_jinv(args):
             "im": _mpf_str(value.im, prec),
             "prec": prec,
             "fundamental_tau": str(tau),
-            "order": _order_record(order),
-            "class": list(form.as_tuple()),
+            **_class_record(*cmlattice.ideal_class(lat)),
         },
     )
 
@@ -476,23 +467,40 @@ def _cmd_verify_appendix(args):
     )
 
 
+# each command, in the order -h lists them: its handler, its help line and the
+# _OPTIONS it takes after --cache and --json
 _COMMANDS = {
-    "classgroup": _cmd_classgroup,
-    "reduce": _cmd_reduce,
-    "compose": _cmd_compose,
-    "latprod": _cmd_latprod,
-    "homothety": _cmd_homothety,
-    "endring": _cmd_endring,
-    "jacobian": _cmd_jacobian,
-    "decompose": _cmd_decompose,
-    "orbit": _cmd_orbit,
-    "fixedpoint": _cmd_fixedpoint,
-    "fod": _cmd_fod,
-    "jinv": _cmd_jinv,
-    "hcp": _cmd_hcp,
-    "hodge": _cmd_hodge,
-    "kummer": _cmd_kummer,
-    "verify-appendix": _cmd_verify_appendix,
+    "classgroup": (_cmd_classgroup, "reduced forms and group structure", ("discriminant",)),
+    "reduce": (_cmd_reduce, "reduce a binary quadratic form", ("form",)),
+    "compose": (_cmd_compose, "Gauss composition of two forms", ("forms",)),
+    "latprod": (_cmd_latprod, "lattice product", ("lattices",)),
+    "homothety": (_cmd_homothety, "homothety test", ("lattices",)),
+    "endring": (_cmd_endring, "endomorphism order of a lattice", ("lattices",)),
+    "jacobian": (_cmd_jacobian, "weight-m Jacobian of a product", ("curves", "weight")),
+    "kummer": (_cmd_kummer, "Jacobian of the Kummer variety", ("curves", "weight")),
+    "decompose": (_cmd_decompose, "canonical decomposition", ("curves",)),
+    "orbit": (_cmd_orbit, "orbit under the (n-1)-Jacobian", ("curves",)),
+    "fixedpoint": (_cmd_fixedpoint, "is X isomorphic to its (n-1)-Jacobian", ("curves",)),
+    "fod": (_cmd_fod, "field-of-definition predicates", ("curves",)),
+    "jinv": (_cmd_jinv, "j-invariant of a lattice", ("lattices", "prec")),
+    "hcp": (_cmd_hcp, "Hilbert class polynomial", ("discriminant", "prec")),
+    "hodge": (_cmd_hodge, "synthetic Hodge calculus", ("data", "abelian")),
+    "verify-appendix": (_cmd_verify_appendix, "check all golden j-values", ("prec",)),
+}
+
+# each option's argparse flags and keywords; every value is read as a string
+_OPTIONS = {
+    "cache": (("--cache",), {"help": "hcp cache file path (overrides WJ_CACHE)"}),
+    "json": (("--json",), {"action": "store_true", "help": "JSON output (the default)"}),
+    "discriminant": (("-D", "--discriminant"), {"required": True}),
+    "form": (("--form",), {"required": True, "help": "'a,b,c'"}),
+    "forms": (("--forms",), {"required": True, "help": "'a,b,c;a,b,c'"}),
+    "curves": (("--curves",), {"required": True, "help": "'(D:a,b,c),(D:a,b,c),...'"}),
+    "lattices": (("--lattices",), {"required": True, "help": "'⟨g1, g2⟩,...' or '<g1;g2>@d,...'"}),
+    "weight": (("-m", "--weight"), {"default": "2"}),
+    "prec": (("--prec",), {"default": "128", "help": "precision in bits"}),
+    "data": (("--data",), {"help": "'weight m; h = [...]; rankL = k'"}),
+    "abelian": (("--abelian",), {"help": "'n,m' for the 2-maximal product structure"}),
 }
 
 
@@ -503,45 +511,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "and exact j-invariant verification; JSON report on stdout.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, curves=False, lattices=False, weight=False, prec=False, disc=False):
-        p.add_argument("--cache", help="hcp cache file path (overrides WJ_CACHE)")
-        p.add_argument("--json", action="store_true", help="JSON output (the default)")
-        if disc:
-            p.add_argument("-D", "--discriminant", required=True)
-        if curves:
-            p.add_argument("--curves", required=True, help="'(D:a,b,c),(D:a,b,c),...'")
-        if lattices:
-            p.add_argument("--lattices", required=True, help="'⟨g1, g2⟩,...' or '<g1;g2>@d,...'")
-        if weight:
-            p.add_argument("-m", "--weight", default="2")
-        if prec:
-            p.add_argument("--prec", default="128", help="precision in bits")
-
-    common(sub.add_parser("classgroup", help="reduced forms and group structure"), disc=True)
-    p = sub.add_parser("reduce", help="reduce a binary quadratic form")
-    common(p)
-    p.add_argument("--form", required=True, help="'a,b,c'")
-    p = sub.add_parser("compose", help="Gauss composition of two forms")
-    common(p)
-    p.add_argument("--forms", required=True, help="'a,b,c;a,b,c'")
-    common(sub.add_parser("latprod", help="lattice product"), lattices=True)
-    common(sub.add_parser("homothety", help="homothety test"), lattices=True)
-    common(sub.add_parser("endring", help="endomorphism order of a lattice"), lattices=True)
-    common(sub.add_parser("jacobian", help="weight-m Jacobian of a product"), curves=True, weight=True)
-    common(sub.add_parser("kummer", help="Jacobian of the Kummer variety"), curves=True, weight=True)
-    common(sub.add_parser("decompose", help="canonical decomposition"), curves=True)
-    common(sub.add_parser("orbit", help="orbit under the (n-1)-Jacobian"), curves=True)
-    common(sub.add_parser("fixedpoint", help="is X isomorphic to its (n-1)-Jacobian"), curves=True)
-    common(sub.add_parser("fod", help="field-of-definition predicates"), curves=True)
-    common(sub.add_parser("jinv", help="j-invariant of a lattice"), lattices=True, prec=True)
-    common(sub.add_parser("hcp", help="Hilbert class polynomial"), disc=True, prec=True)
-    p = sub.add_parser("hodge", help="synthetic Hodge calculus")
-    common(p)
-    p.add_argument("--data", help="'weight m; h = [...]; rankL = k'")
-    p.add_argument("--abelian", help="'n,m' for the 2-maximal product structure")
-    common(sub.add_parser("verify-appendix", help="check all golden j-values"), prec=True)
+    for name, (_, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for option in ("cache", "json", *options):
+            flags, kwargs = _OPTIONS[option]
+            p.add_argument(*flags, **kwargs)
     return parser
+
+
+def _error(command: str | None, kind: str, message: str) -> int:
+    """Print the error record of an input error; its exit status, 2."""
+    record = {"schema": SCHEMA, "command": command, "error": {"type": kind, "message": message}}
+    print(json.dumps(record, indent=2))
+    return 2
 
 
 def main(argv=None) -> int:
@@ -555,16 +537,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         if exc.code in (0, None):
             return 0
-        record = {
-            "schema": SCHEMA,
-            "command": argv[0] if argv else None,
-            "error": {"type": "UsageError", "message": "invalid arguments"},
-        }
-        print(json.dumps(record, indent=2))
-        return 2
+        return _error(argv[0] if argv else None, "UsageError", "invalid arguments")
     started = time.monotonic()
     try:
-        echo, result = _COMMANDS[args.command](args)
+        echo, result = _COMMANDS[args.command][0](args)
         report = {
             "schema": SCHEMA,
             "command": args.command,
@@ -578,13 +554,7 @@ def main(argv=None) -> int:
         # inside the try: an int past sys.get_int_max_str_digits() cannot print
         text = json.dumps(report, indent=2)
     except WeightjacError as exc:
-        record = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        print(json.dumps(record, indent=2))
-        return 2
+        return _error(args.command, type(exc).__name__, str(exc))
     except Exception as exc:  # internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@ import hashlib
 import json
 import operator
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
 
@@ -28,6 +29,7 @@ from weightjac.cmlattice import ideal_class, parse_lattice
 from weightjac.errors import DivisionByZero, LowerHalfPlane, ParseError
 from weightjac.quadfield import FieldTag, QuadElem
 
+from test_cli import child_env
 from test_identity_gates import J_FORMS
 
 GAUSS = FieldTag(-1)
@@ -726,3 +728,37 @@ def test_expansion_and_embedding_take_no_lock():
 def test_prec_complex_tracks_minimum_precision():
     with pytest.raises(ValueError):
         PrecComplex.from_mpc(mpmath.mpc(0), 32)
+
+
+def test_low_precision_is_refused_on_entry(monkeypatch):
+    # a negative prec once spun in libmp's rounding without end, so the calls
+    # run in a child with a timeout
+    script = """
+from weightjac import analytic
+from weightjac.cmlattice import parse_lattice
+lat = parse_lattice('<1;3*sqrt(-1)>@-1')
+for call in (
+    lambda: analytic.j_of_lattice(lat, -5),
+    lambda: analytic.evaluate_expression('1+sqrt(3)', -20),
+    lambda: analytic.verify_appendix(-20),
+):
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, timeout=30
+    )
+    assert out.stdout.splitlines() == ["prec must be at least 64"] * 3, out.stderr
+    # from 0 to 63 bits too the refusal comes before any work
+    def no_work(*args):
+        raise AssertionError("work began below 64 bits")
+
+    monkeypatch.setattr(analytic, "fundamental_domain_exact", no_work)
+    monkeypatch.setattr(analytic, "_evaluate", no_work)
+    for prec in (0, 63):
+        with pytest.raises(ValueError, match="at least 64"):
+            j_of_lattice(LAT_3I, prec)
+        with pytest.raises(ValueError, match="at least 64"):
+            evaluate_expression("1+sqrt(3)", prec)

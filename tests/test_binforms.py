@@ -432,9 +432,7 @@ def test_power_matches_repeated_ideal_multiplication():
 def test_memos_are_bounded_and_recompute_evicted_answers():
     # a sweep over more discriminants than quadfield.MEMO_SIZE fills every per-D memo
     # to the bound; the first answers, evicted, come back equal
-    memos = (
-        class_group, binforms._enumerate_reduced, fundamental_decomposition, quadfield.is_squarefree
-    )
+    memos = (class_group, binforms._enumerate_reduced, quadfield.is_squarefree)
     sweep = all_discriminants(2 * quadfield.MEMO_SIZE + 200)
     assert len(sweep) > quadfield.MEMO_SIZE + 50
     answers = [(class_group(D), fundamental_decomposition(D), quadfield.is_squarefree(D)) for D in sweep]

@@ -412,7 +412,8 @@ def test_a_lower_int_digit_limit_gives_exit_2_or_a_clean_internal_error():
     unprintable = [
         "-c",
         "import sys; from weightjac import cli; "
-        "cli._COMMANDS['reduce'] = lambda args: ({}, {'n': 10**700}); "
+        "_, help, options = cli._COMMANDS['reduce']; "
+        "cli._COMMANDS['reduce'] = (lambda args: ({}, {'n': 10**700}), help, options); "
         "sys.exit(cli.main(['reduce', '--form', '5,14,13']))",
     ]
     for argv, code, error in (
@@ -679,13 +680,79 @@ def test_usage_error_exit_two(capsys):
         assert record["error"]["type"] in ("UsageError", "ParseError")
 
 
+# every command in `weightjac -h` order, with the options it adds after -h,
+# --cache and --json: their option strings, and whether each is required
+CLI_SURFACE = {
+    "classgroup": [(("-D", "--discriminant"), True)],
+    "reduce": [(("--form",), True)],
+    "compose": [(("--forms",), True)],
+    "latprod": [(("--lattices",), True)],
+    "homothety": [(("--lattices",), True)],
+    "endring": [(("--lattices",), True)],
+    "jacobian": [(("--curves",), True), (("-m", "--weight"), False)],
+    "kummer": [(("--curves",), True), (("-m", "--weight"), False)],
+    "decompose": [(("--curves",), True)],
+    "orbit": [(("--curves",), True)],
+    "fixedpoint": [(("--curves",), True)],
+    "fod": [(("--curves",), True)],
+    "jinv": [(("--lattices",), True), (("--prec",), False)],
+    "hcp": [(("-D", "--discriminant"), True), (("--prec",), False)],
+    "hodge": [(("--data",), False), (("--abelian",), False)],
+    "verify-appendix": [(("--prec",), False)],
+}
+_OPTION_RE = r"(?<![\w-])-{1,2}\w[\w-]*"
+
+
+def _help_text(capsys, *argv) -> str:
+    assert main([*argv, "-h"]) == 0
+    return capsys.readouterr().out
+
+
+def _usage(text: str) -> str:
+    return text.split("\n\n")[0]
+
+
+def test_cli_surface_matches_its_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    top = _help_text(capsys)
+    assert re.search(r"\{([\w,-]+)\}", _usage(top))[1].split(",") == list(CLI_SURFACE)
+    for command, options in CLI_SURFACE.items():
+        text = _help_text(capsys, command)
+        expected = [(("-h", "--help"), False), (("--cache",), False), (("--json",), False)]
+        expected += options
+        # the options section: one line per option, its strings before the help
+        section = text.split("options:\n")[1]
+        listed = [
+            tuple(re.findall(_OPTION_RE, re.split(r"\s{2,}", line.strip())[0]))
+            for line in section.splitlines()
+            if re.match(r"  -", line)
+        ]
+        assert listed == [flags for flags, _ in expected], command
+        # the usage line names each option by its first string, bracketed
+        # unless it is required
+        usage = _usage(text).split(command, 1)[1]
+        shown = re.findall(r"(\[?)(" + _OPTION_RE + ")", usage)
+        assert shown == [("" if required else "[", flags[0]) for flags, required in expected]
+
+
+def test_cli_option_defaults():
+    from weightjac.cli import _build_parser
+
+    parser = _build_parser()
+    for argv in (["jinv", "--lattices", "<1;i>@-1"], ["hcp", "-D", "-23"], ["verify-appendix"]):
+        assert parser.parse_args(argv).prec == "128", argv
+    for command in ("jacobian", "kummer"):
+        assert parser.parse_args([command, "--curves", "(-4:1,0,1)"]).weight == "2"
+
+
 def test_internal_failure_exit_one(capsys, monkeypatch):
     import weightjac.cli as cli_module
 
     def boom(args):
         raise RuntimeError("synthetic crash")
 
-    monkeypatch.setitem(cli_module._COMMANDS, "classgroup", boom)
+    _, help, options = cli_module._COMMANDS["classgroup"]
+    monkeypatch.setitem(cli_module._COMMANDS, "classgroup", (boom, help, options))
     code = main(["classgroup", "-D", "-36"])
     captured = capsys.readouterr()
     assert code == 1
