@@ -14,11 +14,11 @@ only for the modules it uses.
 _EXPORTS = {
     "binforms": (
         "ClassGroup", "Form", "class_group", "compose", "element_order",
-        "enumerate_reduced", "form_to_lattice", "power", "principal_form", "reduce",
+        "enumerate_reduced", "power", "principal_form", "reduce",
     ),
     "cmlattice": (
         "CMLattice", "LatticeTuple", "Order", "canonicalize", "conjugate_lattice",
-        "endomorphism_order", "ideal_class", "image_lattice_L", "is_homothetic",
+        "form_to_lattice", "ideal_class", "image_lattice_L", "is_homothetic",
         "lattice_product",
     ),
     "hodgecalc": (

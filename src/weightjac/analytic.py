@@ -39,23 +39,14 @@ from mpmath.libmp import (
     mpf_sqrt, round_nearest, to_fixed,
 )
 
-from .binforms import (
-    Form, _order_at_most_two, enumerate_reduced, form_to_lattice, reduce, validate_discriminant
-)
-from .cmlattice import CMLattice, ideal_class, parse_lattice
+from .binforms import Form, _order_at_most_two, enumerate_reduced, reduce, validate_discriminant
+from .cmlattice import CMLattice, form_to_lattice, ideal_class, parse_lattice
 from .errors import DivisionByZero, LowerHalfPlane, ParseError, PrecisionExhausted
-from .quadfield import QuadElem, factorize
+from .quadfield import _MIN_PREC, QuadElem, _require_prec, factorize
 
 _GUARD_BITS = 48
 _FIXED_GUARD_BITS = 64
 _PRECISION_CAP = 1 << 16
-
-
-def _require_prec(prec: int) -> None:
-    # on entry, before any work: at a negative precision libmp's rounding
-    # never returns
-    if prec < 64:
-        raise ValueError("prec must be at least 64")
 
 
 @dataclass(frozen=True, slots=True)
@@ -521,7 +512,7 @@ def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
     """
     validate_discriminant(D)
     upper = [f for f in enumerate_reduced(D) if f.b >= 0]
-    prec = start_precision(D, max(prec, 64))
+    prec = start_precision(D, max(prec, _MIN_PREC))
     if prec > _PRECISION_CAP:
         raise PrecisionExhausted(f"H_{D} needs {prec} bits, above the {_PRECISION_CAP}-bit cap")
     roots = [j_of_lattice(form_to_lattice(f), prec) for f in upper]

@@ -1,23 +1,21 @@
 """Binary quadratic forms of negative discriminant.
 
 Reduction, Gauss composition (Cohen's Algorithm 5.4.7), enumeration of the
-reduced primitive forms of a discriminant, class-group structure, and the
-classical form/lattice dictionary: the form (a, b, c) corresponds to the
-proper ideal (a, (-b+sqrt(D))/2) of the order of discriminant D.
+reduced primitive forms of a discriminant, and class-group structure.  The
+lattice a form stands for is built in cmlattice (form_to_lattice).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 from .errors import (
     DiscriminantMismatch, DiscriminantTooLarge, InvalidDiscriminant, InvalidForm, ParseError
 )
-from .quadfield import MEMO_SIZE, QuadElem, factorize, parse_int, squarefree_part
+from .quadfield import MEMO_SIZE, factorize, parse_int, squarefree_part
 
 # enumerating the reduced forms takes time linear in |D|; larger discriminants
 # fail fast instead of running for hours
@@ -263,7 +261,6 @@ class ClassGroup:
         }
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def class_group(D: int) -> ClassGroup:
     """Class group with its invariant factors d_1 | d_2 | ..., read off element orders.
 
@@ -293,18 +290,3 @@ def class_group(D: int) -> ClassGroup:
                 grown, i = grown // p, i + 1
     return ClassGroup(D=D, elements=elements, structure=tuple(reversed(factors)))
 
-
-def form_to_lattice(form: Form):
-    """The lattice with basis {a, (-b+sqrt(D))/2} inside Q(sqrt(d)).
-
-    Its endomorphism order has discriminant D = b^2 - 4ac.
-    """
-    from . import cmlattice  # local import; cmlattice depends on this module
-
-    D = form.discriminant
-    field = cmlattice.Order.from_discriminant(D).field
-    # sqrt(D) = t*sqrt(d) with t = sqrt(D/d)
-    t = math.isqrt(D // field.d)
-    g1 = QuadElem(field, Fraction(form.a), Fraction(0))
-    g2 = QuadElem(field, Fraction(-form.b, 2), Fraction(t, 2))
-    return cmlattice.from_generators(field, [g1, g2])

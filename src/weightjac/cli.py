@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, NoReturn
 from . import binforms
 from .binforms import parse_form, validate_discriminant
 from .errors import CacheUnusable, FieldMismatch, ParseError, PrecisionExhausted, WeightjacError
-from .quadfield import parse_int
+from .quadfield import _MIN_PREC, parse_int
 
 if TYPE_CHECKING:
     from .cmlattice import CMLattice, Order
@@ -218,9 +218,9 @@ def _check_prec(args) -> int:
     from . import analytic
 
     prec = parse_int(args.prec)
-    if not 64 <= prec <= analytic._PRECISION_CAP:
+    if not _MIN_PREC <= prec <= analytic._PRECISION_CAP:
         raise ParseError(
-            f"--prec must be between 64 and {analytic._PRECISION_CAP} bits, got {prec}"
+            f"--prec must be between {_MIN_PREC} and {analytic._PRECISION_CAP} bits, got {prec}"
         )
     return prec
 

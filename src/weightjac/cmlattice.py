@@ -3,16 +3,19 @@
 A CMLattice is a rank-2 Z-module inside Q(sqrt(d)), stored in a canonical
 Hermite-normalized basis <p/den, (q + r*sqrt(d))/den>.  Every such lattice has
 complex multiplication, its endomorphism ring is an order, and homothety
-classes correspond to reduced binary quadratic forms.  The basis data are
-integers, so the lattice product and the Hermite normal form (Cohen, A Course
-in Computational Algebraic Number Theory, 2.4.2) run on integer rows (x, y)
-standing for (x + y*sqrt(d))/den; rational generators are first cleared to
-such rows over the lcm of their denominators.  The lattice product
-(additive span of pairwise element products), folded over wedge-image duals,
-is the lattice route to higher-weight Jacobians; until a forms-only phi lands,
-the class route shares lattice_product and ideal_class with it through phi's
-lifts of non-principal classes into orders of class number above one (any
-other lift returns the principal class directly).
+classes correspond to reduced binary quadratic forms (Cox, Primes of the form
+x^2+ny^2, §7): form_to_lattice takes (a, b, c) to the proper ideal
+(a, (-b+sqrt(D))/2) of the order of discriminant D, and ideal_class reads the
+order and the reduced form back off tau.  The basis data are integers, so the
+lattice product and the Hermite normal form (Cohen, A Course in Computational
+Algebraic Number Theory, 2.4.2) run on integer rows (x, y) standing for
+(x + y*sqrt(d))/den; rational generators are first cleared to such rows over
+the lcm of their denominators.  The lattice product (additive span of pairwise
+element products), folded over wedge-image duals, is the lattice route to
+higher-weight Jacobians; until a forms-only phi lands, the class route shares
+lattice_product and ideal_class with it through phi's lifts of non-principal
+classes into orders of class number above one (any other lift returns the
+principal class directly).
 """
 
 from __future__ import annotations
@@ -109,9 +112,6 @@ class CMLattice:
         """g2/g1, normalized to the upper half-plane by construction."""
         return QuadElem(self.field, Fraction(self.q, self.p), Fraction(self.r, self.p))
 
-    def generators(self) -> tuple[QuadElem, QuadElem]:
-        return (self.g1, self.g2)
-
     def scaled(self, factor) -> "CMLattice":
         """The homothetic lattice factor * L (factor a nonzero QuadElem or rational)."""
         if isinstance(factor, (int, Fraction)):
@@ -178,6 +178,20 @@ def from_generators(field: FieldTag, gens: list[QuadElem]) -> CMLattice:
     return _from_rows(field, den, rows)
 
 
+def form_to_lattice(form: Form) -> CMLattice:
+    """The lattice with basis {a, (-b+sqrt(D))/2} inside Q(sqrt(d)).
+
+    Its endomorphism order has discriminant D = b^2 - 4ac.
+    """
+    D = form.discriminant
+    field = Order.from_discriminant(D).field
+    # sqrt(D) = t*sqrt(d) with t = sqrt(D/d)
+    t = math.isqrt(D // field.d)
+    g1 = QuadElem(field, Fraction(form.a), Fraction(0))
+    g2 = QuadElem(field, Fraction(-form.b, 2), Fraction(t, 2))
+    return from_generators(field, [g1, g2])
+
+
 def _from_rows(field: FieldTag, den: int, rows: list[tuple[int, int]]) -> CMLattice:
     """Canonical lattice spanned by the (x + y*sqrt(d))/den for integer rows (x, y)."""
     p, q, r = _hnf_pairs(rows)
@@ -218,11 +232,6 @@ def ideal_class(lat: CMLattice) -> tuple[Order, Form]:
     if order.field is not lat.field and order.field != lat.field:
         raise NotCM(f"tau of {lat} lives in the wrong field")
     return (order, binforms.reduce(Form(a, b, c)))
-
-
-def endomorphism_order(lat: CMLattice) -> Order:
-    """The order {z : z*L inside L}, of discriminant disc(min poly of tau)."""
-    return ideal_class(lat)[0]
 
 
 def is_homothetic(lat1: CMLattice, lat2: CMLattice) -> bool:

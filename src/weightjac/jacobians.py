@@ -5,8 +5,9 @@ reduced form), a ProductAV is a tuple of classes over one field.  One
 kernel lifts a set of classes to the order of their gcd conductor and
 composes them: the m-Jacobian applies it to every m-subset, and the
 canonical decomposition is the conductor chain plus the kernel on all n
-curves (the weight-n Jacobian).  A Jacobian orbit lifts only X's own
-classes: its iterates follow in closed form from X's conductors and
+curves (the weight-n Jacobian); surface_decompose reads the report of a
+surface E1 x E2 off that decomposition.  A Jacobian orbit lifts only X's
+own classes: its iterates follow in closed form from X's conductors and
 terminal class.  The m-Jacobian is also computable from lattices through
 cmlattice.image_lattice_L, which the test suite uses as an oracle.
 phi returns the principal class without lattice arithmetic when the source
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import binforms, cmlattice
-from .binforms import Form, compose, element_order, form_to_lattice, power, principal_form
-from .cmlattice import CMLattice, LatticeTuple, Order, ideal_class
+from .binforms import Form, compose, element_order, power, principal_form
+from .cmlattice import CMLattice, LatticeTuple, Order, form_to_lattice, ideal_class
 from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -235,15 +236,15 @@ class SurfaceReport:
 
 
 def surface_decompose(e1: CurveClass, e2: CurveClass) -> SurfaceReport:
-    """E1 x E2 = C/O(A) x Jacobian with O(A) of conductor lcm(f1, f2)."""
+    """E1 x E2 = C/O(A) x Jacobian, read off n_decompose: O(A) has the
+    conductor lcm(f1, f2) that ends its chain, the Jacobian is its terminal class."""
     if e1.field != e2.field:
         raise FieldMismatch("curves with CM by different fields")
-    f1, f2 = e1.conductor, e2.conductor
-    big = Order(e1.field, math.lcm(f1, f2))
+    dec = n_decompose(ProductAV((e1, e2)))
     return SurfaceReport(
-        big_order=big,
-        jacobian=brauer_jacobian_pair(e1, e2),
-        primitivity_degree=math.lcm(f1, f2) // math.gcd(f1, f2),
+        big_order=Order(e1.field, dec.conductors[-1]),
+        jacobian=dec.terminal_class,
+        primitivity_degree=dec.primitivity_degree,
     )
 
 

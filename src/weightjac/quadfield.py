@@ -16,7 +16,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul, mpf_pos, round_nearest
@@ -27,13 +26,21 @@ from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseEr
 # at most 4,001 and prints under Python's default limit of 4,300 digits per
 # int/str conversion (sys.set_int_max_str_digits, CVE-2020-10735)
 MAX_LITERAL_DIGITS = 2000
-# entries kept by each memo of a per-discriminant object (here, in binforms,
-# and the orders, their lattices and principal classes in cmlattice and
-# jacobians): room for every discriminant of a few hundred class polynomials
+# entries kept by each memo of a per-discriminant object (the reduced forms in
+# binforms, and the orders, their lattices and principal classes in cmlattice
+# and jacobians): room for every discriminant of a few hundred class polynomials
 # or of the orders of |D| <= 20,000 over a dozen fields, while a sweep over
 # many D stays bounded
 MEMO_SIZE = 1024
 _INT_RE = re.compile(r"\s*[+-]?([0-9]+)\s*")
+# the lowest precision in bits that embed, the j kernel and the CLI accept
+_MIN_PREC = 64
+
+
+def _require_prec(prec: int) -> None:
+    # on entry, before any work: at a negative precision libmp's rounding never returns
+    if prec < _MIN_PREC:
+        raise ValueError(f"prec must be at least {_MIN_PREC}")
 
 
 def digit_budget(digits: int) -> int:
@@ -97,9 +104,8 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def is_squarefree(n: int) -> bool:
-    """True iff no prime square divides n (n != 0); memoized, since every FieldTag checks it."""
+    """True iff no prime square divides n (n != 0)."""
     return n != 0 and all(e == 1 for e in factorize(n).values())
 
 
@@ -216,8 +222,7 @@ class QuadElem:
         every rounding is the one libmp makes.  The libmp calls take explicit
         precisions and never read mpmath's global context.
         """
-        if prec < 64:
-            raise ValueError("prec must be at least 64")
+        _require_prec(prec)
         wp, rnd = prec + 8, round_nearest
         re, im = (
             mpf_div(from_int(q.numerator, wp, rnd), from_int(q.denominator), wp, rnd)

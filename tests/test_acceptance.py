@@ -24,12 +24,19 @@ from weightjac.binforms import (
     class_group,
     compose,
     enumerate_reduced,
-    form_to_lattice,
     fundamental_decomposition,
     power,
     principal_form,
 )
-from weightjac.cmlattice import LatticeTuple, Order, canonicalize, is_homothetic, lattice_product, parse_lattice
+from weightjac.cmlattice import (
+    LatticeTuple,
+    Order,
+    canonicalize,
+    form_to_lattice,
+    is_homothetic,
+    lattice_product,
+    parse_lattice,
+)
 from weightjac.hodgecalc import (
     SyntheticHodge,
     abelian_product_hodge,
@@ -109,7 +116,6 @@ def criterion(num, description):
 
 def test_criterion_1_class_group_tables():
     with criterion(1, "class group tables for the four appendix orders, exact, < 1 s"):
-        binforms.class_group.cache_clear()
         binforms._enumerate_reduced.cache_clear()
         t0 = time.monotonic()
         for D, (structure, forms) in APPENDIX_TABLES.items():

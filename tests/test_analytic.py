@@ -24,8 +24,8 @@ from weightjac.analytic import (
     split_prime,
     verify_appendix,
 )
-from weightjac.binforms import Form, element_order, enumerate_reduced, form_to_lattice
-from weightjac.cmlattice import ideal_class, parse_lattice
+from weightjac.binforms import Form, element_order, enumerate_reduced
+from weightjac.cmlattice import form_to_lattice, ideal_class, parse_lattice
 from weightjac.errors import DivisionByZero, LowerHalfPlane, ParseError
 from weightjac.quadfield import FieldTag, QuadElem
 

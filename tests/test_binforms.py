@@ -14,14 +14,13 @@ from weightjac.binforms import (
     compose,
     element_order,
     enumerate_reduced,
-    form_to_lattice,
     fundamental_decomposition,
     parse_form,
     power,
     principal_form,
     reduce,
 )
-from weightjac.cmlattice import endomorphism_order, ideal_class, lattice_product
+from weightjac.cmlattice import form_to_lattice, ideal_class, lattice_product
 from weightjac.errors import DiscriminantMismatch, InvalidDiscriminant, InvalidForm
 
 
@@ -432,7 +431,7 @@ def test_power_matches_repeated_ideal_multiplication():
 def test_memos_are_bounded_and_recompute_evicted_answers():
     # a sweep over more discriminants than quadfield.MEMO_SIZE fills every per-D memo
     # to the bound; the first answers, evicted, come back equal
-    memos = (class_group, binforms._enumerate_reduced, quadfield.is_squarefree)
+    memos = (binforms._enumerate_reduced,)
     sweep = all_discriminants(2 * quadfield.MEMO_SIZE + 200)
     assert len(sweep) > quadfield.MEMO_SIZE + 50
     answers = [(class_group(D), fundamental_decomposition(D), quadfield.is_squarefree(D)) for D in sweep]

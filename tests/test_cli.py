@@ -762,7 +762,8 @@ def test_internal_failure_exit_one(capsys, monkeypatch):
 
 def test_hcp_defect_is_an_internal_error_with_no_cache_record(capsys, monkeypatch, tmp_path):
     import weightjac.analytic as analytic
-    from weightjac.binforms import Form, form_to_lattice
+    from weightjac.binforms import Form
+    from weightjac.cmlattice import form_to_lattice
 
     # a non-real j of an ambiguous form fails the reality test at the one
     # proven precision: a defect, not an input error

@@ -7,6 +7,7 @@ the digest it alters and says in CHANGES.md which verdict changed and why.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import re
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightjac import analytic, cmlattice
-from weightjac.binforms import Form, form_to_lattice
+from weightjac import analytic, cmlattice, jacobians
+from weightjac.binforms import Form
 from weightjac.cli import _COMMANDS, main
-from weightjac.cmlattice import parse_lattice
+from weightjac.cmlattice import form_to_lattice, parse_lattice
 
 # sha256 over "D:coefficients:prec" lines for every D with -2500 < D <= -3
 CLASS_POLYNOMIAL_SHA256 = "71e6ce88511ab40ca91f82fac2dfe65c124a97d4965dfb1ff7f9e71289b68210"
@@ -233,6 +234,63 @@ def test_cli_mix_deck_digests(tmp_path, monkeypatch):
         decks.setdefault(command, []).append(args)
     got = {command: _deck_digest(command, deck, cache) for command, deck in decks.items()}
     assert got == CLI_MIX_DIGESTS
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bench_workload(name, tmp_path):
+    """The seed-0 Workload of perfbench/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Workload(0, tmp_path)
+
+
+def _counting(monkeypatch, module, name, weigh=lambda *args: 1):
+    """Replace module.name by a wrapper; returns [calls, sum of weigh(*args)]."""
+    tally, original = [0, 0], getattr(module, name)
+
+    def wrapper(*args):
+        tally[0] += 1
+        tally[1] += weigh(*args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return tally
+
+
+# exact work over the seed-0 decks of two benchmark workloads, recorded from
+# the code as it stood before a change: j evaluations and their precisions
+# over the classpoly discriminants, and phi's lattice lifts and the class
+# compositions over the jacobian-algebra products
+WORK_COUNTS = {
+    "classpoly ops": 320,
+    "j_of_lattice calls": 3140,
+    "j_of_lattice bits": 2842752,
+    "jacobian-algebra ops": 1200,
+    "lattice_product calls": 5459,
+    "compose calls": 14994,
+}
+
+
+def test_work_counts_of_the_benchmark_decks(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))  # the workloads import perfbench's inputs
+    got = {}
+    wl = _bench_workload("classpoly", tmp_path)
+    j = _counting(monkeypatch, analytic, "j_of_lattice", lambda lat, prec: prec)
+    for D in wl.ops:
+        wl.execute(D)
+    got["classpoly ops"], (got["j_of_lattice calls"], got["j_of_lattice bits"]) = len(wl.ops), j
+    wl = _bench_workload("algebra", tmp_path)
+    # the deck's ops reach lattice_product only through phi's lifts
+    lifts = _counting(monkeypatch, cmlattice, "lattice_product")
+    compositions = _counting(monkeypatch, jacobians, "compose")
+    for x in wl.ops:
+        wl.execute(x)
+    got["jacobian-algebra ops"] = len(wl.ops)
+    got["lattice_product calls"], got["compose calls"] = lifts[0], compositions[0]
+    assert got == WORK_COUNTS
 
 
 # (command and options, the option a literal is mutated in, a valid literal)

@@ -1,5 +1,6 @@
 """The package imports lazily, and each CLI command loads only its modules."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -20,7 +21,7 @@ PUBLIC_NAMES = [
     "Form", "LatticeTuple", "Order", "PrecComplex", "ProductAV", "QuadElem", "SurfaceReport",
     "SyntheticHodge", "abelian_product_hodge", "blowup", "brauer_jacobian_pair",
     "canonicalize", "class_group", "compose", "conjugate_lattice", "direct_sum",
-    "discrepancy", "element_order", "endomorphism_order", "enumerate_reduced",
+    "discrepancy", "element_order", "enumerate_reduced",
     "field_contains", "form_to_lattice", "has_jacobian", "hilbert_class_polynomial",
     "ideal_class", "image_lattice_L", "is_fixed_point", "is_homothetic", "is_isomorphic",
     "is_two_maximal", "j_is_real", "j_of_lattice", "jacobian_orbit", "kummer_jacobian",
@@ -105,6 +106,34 @@ def test_package_names_resolve_lazily():
         "print(before, 'weightjac.jacobians' in sys.modules)\n"
     )
     assert run_fresh(check).split() == ["['weightjac']", "True"]
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """The weightjac modules that one source file imports, at module level or
+    inside a function: "from .x import y" names x, "from . import x" names x."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_import_graph_has_no_cycle():
+    package = Path(weightjac.__file__).parent
+    graph = {path.stem: _relative_imports(path) for path in package.glob("*.py")}
+    assert "binforms" in graph and "cmlattice" in graph["jacobians"]
+    for start in graph:
+        # every module reachable from start through one or more imports
+        reached, todo = set(), list(graph[start])
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(graph.get(name, ()))
+        assert start not in reached, f"weightjac.{start} imports itself through {sorted(reached)}"
 
 
 def load_bench_module(name: str):
