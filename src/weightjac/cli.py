@@ -11,13 +11,14 @@ adding one entry.  Each literal has one reader: a form, under --form, --forms
 or inside a curve class (D:a,b,c), is read by binforms.parse_form; a lattice
 by cmlattice.parse_lattices; every integer, in a literal or in -D, -m and
 --prec (read as strings, so a bad one is a ParseError), by
-quadfield.parse_int.  hcp results are appended to a JSON-lines cache file
-selected by --cache or the WJ_CACHE environment variable, which is never
-rewritten and must be a regular file; every other command accepts and ignores
-both.  Python's int/str digit limit is kept, not lifted: hcp refuses a D whose
-coefficients it could not print, before any j evaluation or cache read.  Under
-a limit below the default, a report that cannot print is an internal failure
-(exit 1), and an integer literal past the limit a ParseError.
+quadfield.parse_int.  hcp uses a JSON-lines cache file, selected by --cache
+or the WJ_CACHE environment variable: _cached_hcp reads it and holds the one
+rule for serving a record, and _append_hcp adds a record per miss and never
+rewrites the file; every other command accepts and ignores both.  Python's
+int/str digit limit is kept, not lifted: hcp refuses a D whose coefficients
+it could not print, before any j evaluation or cache read.  Under a limit
+below the default, a report that cannot print is an internal failure (exit
+1), and an integer literal past the limit a ParseError.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import os
 import re
 import stat
 import sys
-from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
@@ -118,100 +118,73 @@ def _mpf_str(x, prec: int) -> str:
     return mpmath.nstr(x, max(int(prec * 0.30103) + 2, 17))
 
 
-@contextmanager
-def _locked(path: Path, mode: str, operation: int):
-    """path opened in mode and held under flock(operation).
+def _unusable(path: Path, why: str) -> CacheUnusable:
+    return CacheUnusable(f"cannot open cache file {str(path)!r}: {why}")
 
-    A path that cannot be opened, such as a file in a missing directory, is a
-    CacheUnusable input error.
+
+def _cached_hcp(path: Path, D: int, prec: int) -> list[int] | None:
+    """The cached coefficients of H_D that hcp may serve at prec, or None.
+
+    The one serve rule: the newest record of D that is well shaped (int D and
+    prec, a list of ints as hcp; JSON true and false load as bools, which are
+    ints to isinstance), was computed at at least start_precision(D, prec),
+    below which an entry may be wrong, and passes is_plausible_class_polynomial.
+    Other fields are ignored, and any other line, such as junk or a record torn
+    by a crash, is skipped.  A missing file is an empty cache.  A path that is
+    not a regular file in a directory, or cannot be opened, is CacheUnusable,
+    refused before hcp computes what it could not store.
     """
+    from . import analytic
+
+    if not path.parent.is_dir():
+        raise _unusable(path, f"{str(path.parent)!r} is not a directory")
     try:
-        fh = path.open(mode)
+        # a FIFO would block the open, and a device would be read without end
+        if not stat.S_ISREG(path.stat().st_mode):
+            raise _unusable(path, "not a regular file")
+        with path.open("rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_SH)  # no append is half written
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        return None
     except OSError as exc:
-        # to a reader a missing file is an empty cache
-        if mode == "rb" and isinstance(exc, FileNotFoundError):
-            raise
-        raise CacheUnusable(f"cannot open cache file {str(path)!r}: {exc.strerror}") from None
-    with fh:
-        fcntl.flock(fh, operation)
-        yield fh
-
-
-def _servable(rec) -> bool:
-    # int D and prec and a list of ints as hcp, other fields ignored; JSON true
-    # and false load as bools, which are ints to isinstance
-    return (
-        isinstance(rec, dict)
-        and type(rec.get("D")) is int
-        and type(rec.get("prec")) is int
-        and isinstance(rec.get("hcp"), list)
-        and all(type(c) is int for c in rec["hcp"])
-    )
-
-
-def _parse_records(data: bytes) -> list[dict]:
-    """The servable records of a cache file; any other line is skipped."""
-    entries = []
-    for line in data.splitlines():
+        raise _unusable(path, exc.strerror) from None
+    bound = analytic.start_precision(D, prec)
+    for line in reversed(lines):
         try:
             rec = json.loads(line)
         except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
             continue
-        if _servable(rec):
-            entries.append(rec)
-    return entries
+        if (
+            isinstance(rec, dict)
+            and type(rec.get("D")) is int
+            and rec["D"] == D
+            and type(rec.get("prec")) is int
+            and rec["prec"] >= bound
+            and isinstance(rec.get("hcp"), list)
+            and all(type(c) is int for c in rec["hcp"])
+        ):
+            hcp = rec["hcp"]
+            return hcp if analytic.is_plausible_class_polynomial(D, hcp) else None
+    return None
 
 
-class ResultCache:
-    """Append-only JSON-lines cache of class polynomials keyed by discriminant.
-
-    Records are {"D", "hcp", "prec"}; fields beyond these are ignored.  A line
-    that is not a servable record (_servable), such as one torn by a crash or
-    one with a null hcp, is skipped and never rewritten.
-
-    Readers hold a shared flock and writers an exclusive one, and each record
-    is appended in one write, so concurrent processes never see or write a
-    partial record.
-    """
-
-    def __init__(self, path: str):
-        self.path = Path(path)
-        self.entries: list[dict] = []
-        self._load()
-
-    def _load(self) -> None:
-        # refused here, before the command computes what it would fail to store
-        unusable = f"cannot open cache file {str(self.path)!r}"
-        if not self.path.parent.is_dir():
-            raise CacheUnusable(f"{unusable}: {str(self.path.parent)!r} is not a directory")
-        try:
-            # a FIFO would block the open, and a device would be read without end
-            if not stat.S_ISREG(self.path.stat().st_mode):
-                raise CacheUnusable(f"{unusable}: not a regular file")
-            with _locked(self.path, "rb", fcntl.LOCK_SH) as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return
-        except OSError as exc:
-            raise CacheUnusable(f"{unusable}: {exc.strerror}") from None
-        self.entries = _parse_records(data)
-
-    def hcp(self, D: int, prec: int) -> dict | None:
-        for rec in reversed(self.entries):
-            if rec["D"] == D and rec["prec"] >= prec:
-                return rec
-        return None
-
-    def put(self, rec: dict) -> None:
-        self.entries.append(rec)
-        line = (json.dumps(rec, sort_keys=True) + "\n").encode()
-        with _locked(self.path, "a+b", fcntl.LOCK_EX) as fh:
-            # end a line torn by a crash, so this record gets a line of its own
-            if fh.seek(0, os.SEEK_END):
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    line = b"\n" + line
-            fh.write(line)
+def _append_hcp(path: Path, rec: dict) -> None:
+    """Append rec to the cache at path as one line, in one write under an
+    exclusive flock, so that concurrent appends never interleave."""
+    line = (json.dumps(rec, sort_keys=True) + "\n").encode()
+    try:
+        fh = path.open("a+b")
+    except OSError as exc:
+        raise _unusable(path, exc.strerror) from None
+    with fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        # end a line torn by a crash, so this record gets a line of its own
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = b"\n" + line
+        fh.write(line)
 
 
 def _check_prec(args) -> int:
@@ -310,10 +283,11 @@ def _cmd_decompose(args):
     from . import jacobians
 
     x, echo = _product(args)
-    result = jacobians.n_decompose(x).to_record()
+    dec = jacobians.n_decompose(x)
+    result = dec.to_record()
     if x.n == 2:
         e1, e2 = x.factors
-        report = jacobians.surface_decompose(e1, e2)
+        report = jacobians._surface_report(dec)
         result["surface"] = {
             "big_order": _order_record(report.big_order),
             "jacobian": _curve_record(report.jacobian),
@@ -407,17 +381,13 @@ def _cmd_hcp(args):
     if limit and 1 << bits > 10**limit:
         raise PrecisionExhausted(f"coefficients of H_{D} may have {bits} bits, over {limit} digits")
     path = args.cache or os.environ.get("WJ_CACHE")
-    cache = ResultCache(path) if path else None
-    # entries computed below this request's start precision may be wrong
-    hit = cache.hcp(D, analytic.start_precision(D, prec)) if cache else None
-    # a hit that fails the exact checks counts as a miss
-    if hit and analytic.is_plausible_class_polynomial(D, hit["hcp"]):
-        coeffs = hit["hcp"]
-    else:
+    cache = Path(path) if path else None
+    coeffs = _cached_hcp(cache, D, prec) if cache else None
+    if coeffs is None:
         poly = analytic.hilbert_class_polynomial(D, prec)
         coeffs = list(poly.coefficients)
         if cache:
-            cache.put({"D": D, "hcp": coeffs, "prec": poly.prec})
+            _append_hcp(cache, {"D": D, "hcp": coeffs, "prec": poly.prec})
     return (
         {"D": D, "prec": prec},
         {"D": D, "degree": len(coeffs) - 1, "coefficients": coeffs, "prec": prec},

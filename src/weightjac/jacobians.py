@@ -236,13 +236,17 @@ class SurfaceReport:
 
 
 def surface_decompose(e1: CurveClass, e2: CurveClass) -> SurfaceReport:
-    """E1 x E2 = C/O(A) x Jacobian, read off n_decompose: O(A) has the
-    conductor lcm(f1, f2) that ends its chain, the Jacobian is its terminal class."""
+    """E1 x E2 = C/O(A) x Jacobian, read off n_decompose (_surface_report)."""
     if e1.field != e2.field:
         raise FieldMismatch("curves with CM by different fields")
-    dec = n_decompose(ProductAV((e1, e2)))
+    return _surface_report(n_decompose(ProductAV((e1, e2))))
+
+
+def _surface_report(dec: Decomposition) -> SurfaceReport:
+    """The SurfaceReport of a surface's decomposition: O(A) has the conductor
+    lcm(f1, f2) that ends its chain, the Jacobian is its terminal class."""
     return SurfaceReport(
-        big_order=Order(e1.field, dec.conductors[-1]),
+        big_order=_order(dec.terminal_class.field, dec.conductors[-1]),
         jacobian=dec.terminal_class,
         primitivity_degree=dec.primitivity_degree,
     )

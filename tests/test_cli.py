@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import weightjac
-from weightjac.cli import ResultCache, main
+from weightjac.cli import _append_hcp, _cached_hcp, main
 
 
 def run_cli(capsys, *argv):
@@ -309,10 +309,10 @@ def test_cache_append_after_torn_tail(capsys, tmp_path):
 def test_cache_put_recreates_a_deleted_file(tmp_path):
     cache = tmp_path / "cache.jsonl"
     cache.write_text("junk\n")
-    loaded = ResultCache(str(cache))
-    cache.unlink()  # by another process, between load and put
-    loaded.put({"D": -23, "hcp": H_23, "prec": 128})
-    assert ResultCache(str(cache)).hcp(-23, 128)["hcp"] == H_23
+    assert _cached_hcp(cache, -23, 128) is None
+    cache.unlink()  # by another process, between the read and the append
+    _append_hcp(cache, {"D": -23, "hcp": H_23, "prec": 128})
+    assert _cached_hcp(cache, -23, 128) == H_23
 
 
 @pytest.mark.parametrize(
@@ -347,14 +347,15 @@ def test_timings_report_import_ms(capsys):
 
 _APPEND_WORKER = """
 import sys
-from weightjac.cli import ResultCache
+from pathlib import Path
+from weightjac.cli import _append_hcp
 
-cache = ResultCache(sys.argv[1])
+cache = Path(sys.argv[1])
 tag = int(sys.argv[2])
 print("ready", flush=True)
 sys.stdin.readline()
 for i in range(50):
-    cache.put({"D": -(1000 * tag + i), "hcp": None, "prec": 0, "pad": "x" * 20000})
+    _append_hcp(cache, {"D": -(1000 * tag + i), "hcp": None, "prec": 0, "pad": "x" * 20000})
 """
 
 

@@ -11,6 +11,7 @@ import importlib.util
 import io
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -225,6 +226,26 @@ CLI_MIX_DIGESTS = {
 }
 
 
+# exact work per command over that deck, recorded from the code as it stood
+# before a change: lattice_product, jacobians.compose and n_decompose calls,
+# then j_of_lattice calls and the sum of their precisions in bits
+CLI_MIX_WORK = {
+    "classgroup": (0, 0, 0, 0, 0),
+    "compose": (0, 0, 0, 0, 0),
+    "decompose": (20, 36, 16, 0, 0),
+    "fod": (0, 14, 0, 0, 0),
+    "hcp": (0, 0, 0, 53, 12994),
+    "hodge": (0, 0, 0, 0, 0),
+    "jacobian": (22, 59, 0, 0, 0),
+    "jinv": (0, 0, 0, 16, 5248),
+    "kummer": (11, 28, 0, 0, 0),
+    "latprod": (16, 0, 0, 0, 0),
+    "orbit": (11, 40, 16, 0, 0),
+    "reduce": (0, 0, 0, 0, 0),
+    "verify-appendix": (0, 0, 0, 208, 41600),
+}
+
+
 def test_cli_mix_deck_digests(tmp_path, monkeypatch):
     monkeypatch.delenv("WJ_CACHE", raising=False)
     cache = str(tmp_path / "hcp.jsonl")
@@ -232,19 +253,38 @@ def test_cli_mix_deck_digests(tmp_path, monkeypatch):
     decks = {}
     for command, *args in CLI_MIX_ARGVS:
         decks.setdefault(command, []).append(args)
-    got = {command: _deck_digest(command, deck, cache) for command, deck in decks.items()}
+    tallies = [
+        _counting(monkeypatch, cmlattice, "lattice_product"),
+        _counting(monkeypatch, jacobians, "compose"),
+        _counting(monkeypatch, jacobians, "n_decompose"),
+        _counting(monkeypatch, analytic, "j_of_lattice", lambda lat, prec: prec),
+    ]
+    got, work = {}, {}
+    for command, deck in decks.items():
+        for tally in tallies:
+            tally[:] = [0, 0]
+        got[command] = _deck_digest(command, deck, cache)
+        lifts, compositions, decompositions, j = tallies
+        work[command] = (lifts[0], compositions[0], decompositions[0], *j)
     assert got == CLI_MIX_DIGESTS
+    assert work == CLI_MIX_WORK
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _bench_workload(name, tmp_path):
-    """The seed-0 Workload of perfbench/<name>.py, loaded from its file."""
+def _bench_workload(monkeypatch, name, tmp_path):
+    """The seed-0 Workload of perfbench/<name>.py, loaded from its file.
+
+    The workloads import perfbench's inputs, and dataclasses look their
+    module up in sys.modules, so both are set for the test's duration.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
-    return module.Workload(0, tmp_path)
+    return module, module.Workload(0, tmp_path)
 
 
 def _counting(monkeypatch, module, name, weigh=lambda *args: 1):
@@ -275,14 +315,13 @@ WORK_COUNTS = {
 
 
 def test_work_counts_of_the_benchmark_decks(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(BENCH))  # the workloads import perfbench's inputs
     got = {}
-    wl = _bench_workload("classpoly", tmp_path)
+    _, wl = _bench_workload(monkeypatch, "classpoly", tmp_path)
     j = _counting(monkeypatch, analytic, "j_of_lattice", lambda lat, prec: prec)
     for D in wl.ops:
         wl.execute(D)
     got["classpoly ops"], (got["j_of_lattice calls"], got["j_of_lattice bits"]) = len(wl.ops), j
-    wl = _bench_workload("algebra", tmp_path)
+    _, wl = _bench_workload(monkeypatch, "algebra", tmp_path)
     # the deck's ops reach lattice_product only through phi's lifts
     lifts = _counting(monkeypatch, cmlattice, "lattice_product")
     compositions = _counting(monkeypatch, jacobians, "compose")
@@ -291,6 +330,21 @@ def test_work_counts_of_the_benchmark_decks(monkeypatch, tmp_path):
     got["jacobian-algebra ops"] = len(wl.ops)
     got["lattice_product calls"], got["compose calls"] = lifts[0], compositions[0]
     assert got == WORK_COUNTS
+
+
+def test_cli_mix_verdict_in_process(monkeypatch, tmp_path):
+    # perfbench's own check of the seed-0 cli-mix deck, with each argv run
+    # through cli.main instead of a child process: the check reads library
+    # answers (surface_decompose, torsion_dim, lattices built by QuadElem
+    # addition), so a library change that breaks it fails here too
+    monkeypatch.delenv("WJ_CACHE", raising=False)
+    cli_mix, wl = _bench_workload(monkeypatch, "cli_mix", tmp_path)
+    records = []
+    for op in wl.ops:
+        code, out, err = _run(op.argv)
+        records.append((op, cli_mix.CliOutput(code, out, err, None, None, 0), None))
+    assert len(records) == 272
+    assert wl.check(records) == [None] * 272
 
 
 # (command and options, the option a literal is mutated in, a valid literal)
