@@ -7,18 +7,20 @@ weightjac.cli and python -m weightjac all call run(); main(argv) runs the same
 command for tests and library callers, without exiting or touching the garbage
 collector.  A command is declared once, as one _COMMANDS entry: its handler,
 its help line and the names of the _OPTIONS it takes, so adding a command is
-adding one entry.  Each literal has one reader: a form, under --form, --forms
-or inside a curve class (D:a,b,c), is read by binforms.parse_form; a lattice
-by cmlattice.parse_lattices; every integer, in a literal or in -D, -m and
---prec (read as strings, so a bad one is a ParseError), by
-quadfield.parse_int.  hcp uses a JSON-lines cache file, selected by --cache
-or the WJ_CACHE environment variable: _cached_hcp reads it and holds the one
-rule for serving a record, and _append_hcp adds a record per miss and never
-rewrites the file; every other command accepts and ignores both.  Python's
-int/str digit limit is kept, not lifted: hcp refuses a D whose coefficients
-it could not print, before any j evaluation or cache read.  Under a limit
-below the default, a report that cannot print is an internal failure (exit
-1), and an integer literal past the limit a ParseError.
+adding one entry.  fixedpoint reads its verdict and the decomposition it
+rests on from one jacobians._fixed_point call, so it decomposes once.  Each
+literal has one reader: a form, under --form, --forms or inside a curve class
+(D:a,b,c), is read by binforms.parse_form; a lattice by
+cmlattice.parse_lattices; every integer, in a literal or in -D, -m and --prec
+(read as strings, so a bad one is a ParseError), by quadfield.parse_int.  hcp
+uses a JSON-lines cache file, selected by --cache or the WJ_CACHE environment
+variable: _cached_hcp reads it and holds the one rule for serving a record,
+and _append_hcp adds a record per miss and never rewrites the file; every
+other command accepts and ignores both.  Python's int/str digit limit is kept,
+not lifted: hcp refuses a D whose coefficients it could not print, before any
+j evaluation or cache read.  Under a limit below the default, a report that
+cannot print is an internal failure (exit 1), and an integer literal past the
+limit a ParseError.
 """
 
 from __future__ import annotations
@@ -312,13 +314,8 @@ def _cmd_fixedpoint(args):
     from . import jacobians
 
     x, echo = _product(args)
-    return (
-        echo,
-        {
-            "fixed_point": jacobians.is_fixed_point(x),
-            "decomposition": jacobians.n_decompose(x).to_record(),
-        },
-    )
+    fixed, dec = jacobians._fixed_point(x)
+    return echo, {"fixed_point": fixed, "decomposition": dec.to_record()}
 
 
 def _cmd_fod(args):

@@ -8,14 +8,16 @@ canonical decomposition is the conductor chain plus the kernel on all n
 curves (the weight-n Jacobian); surface_decompose reads the report of a
 surface E1 x E2 off that decomposition.  A Jacobian orbit lifts only X's
 own classes: its iterates follow in closed form from X's conductors and
-terminal class.  The m-Jacobian is also computable from lattices through
-cmlattice.image_lattice_L, which the test suite uses as an oracle.
-phi returns the principal class without lattice arithmetic when the source
-class is principal or the target order has class number one; every other
-lift is a lattice_product followed by ideal_class, so for those lifts the
-two routes still share these functions, until a forms-only phi lands.  The
-order a lift lands in, its lattice and its principal class are each built
-once per discriminant, in memos bounded by MEMO_SIZE.
+terminal class.  _fixed_point returns a fixed-point verdict with the one
+decomposition it is read off, as _surface_report reads a surface's.  The
+m-Jacobian is also computable from lattices through cmlattice.image_lattice_L,
+which the test suite uses as an oracle.  phi returns the principal class
+without lattice arithmetic when the source class is principal or the target
+order has class number one; every other lift is a lattice_product followed by
+ideal_class, so for those lifts the two routes still share these functions,
+until a forms-only phi lands.  The order a lift lands in, its lattice and its
+principal class are each built once per discriminant, in memos bounded by
+MEMO_SIZE.
 """
 
 from __future__ import annotations
@@ -317,12 +319,16 @@ def is_fixed_point(x: ProductAV) -> bool:
     Holds iff all conductors agree and the terminal class has order
     dividing n - 2; for n = 3 that means X = (C/O)^3.
     """
+    return _fixed_point(x)[0]
+
+
+def _fixed_point(x: ProductAV) -> tuple[bool, Decomposition]:
+    """is_fixed_point's verdict and the one decomposition it is read off."""
     if x.n < 3:
         raise DimensionTooSmall("fixed points are defined for n >= 3")
     dec = n_decompose(x)
-    if len(set(dec.conductors)) != 1:
-        return False
-    return (x.n - 2) % element_order(dec.terminal_class.form) == 0
+    same = len(set(dec.conductors)) == 1
+    return same and (x.n - 2) % element_order(dec.terminal_class.form) == 0, dec
 
 
 def jacobian_orbit(x: ProductAV) -> list[Decomposition]:

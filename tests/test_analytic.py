@@ -29,7 +29,7 @@ from weightjac.cmlattice import form_to_lattice, ideal_class, parse_lattice
 from weightjac.errors import DivisionByZero, LowerHalfPlane, ParseError
 from weightjac.quadfield import FieldTag, QuadElem
 
-from test_cli import child_env
+from conftest import child_env
 from test_identity_gates import J_FORMS
 
 GAUSS = FieldTag(-1)
@@ -351,45 +351,6 @@ def test_hilbert_class_polynomial_values():
     h144 = hilbert_class_polynomial(-144, 64)
     assert h144.degree == 4
     assert h144 == hilbert_class_polynomial(-144, 256)
-
-
-def test_hilbert_class_polynomial_exact_expansion_oracle():
-    sympy = pytest.importorskip("sympy")
-    X = sympy.symbols("X")
-    sqrt3 = sympy.sqrt(3)
-    r12 = sympy.root(12, 4)
-    i = sympy.I
-    zeta3 = sympy.Rational(-1, 2) + sympy.sqrt(3) * i / 2
-    cbrt2 = sympy.root(2, 3)
-    cases = {
-        -4: [sympy.Integer(1728)],
-        -36: [76771008 + 44330496 * sqrt3, 76771008 - 44330496 * sqrt3],
-        -144: [
-            5894625992142600 + 3403263903336192 * sqrt3 + 3167093925247392 * r12 + 914261265145368 * r12 ** 3,
-            5894625992142600 - 3403263903336192 * sqrt3 - i * (3167093925247392 * r12 - 914261265145368 * r12 ** 3),
-            5894625992142600 - 3403263903336192 * sqrt3 + i * (3167093925247392 * r12 - 914261265145368 * r12 ** 3),
-            5894625992142600 + 3403263903336192 * sqrt3 - 3167093925247392 * r12 - 914261265145368 * r12 ** 3,
-        ],
-        -108: [
-            31710790944000 * cbrt2 ** 2 + 39953093016000 * cbrt2 + 50337742902000,
-            31710790944000 * (zeta3 * cbrt2) ** 2 + 39953093016000 * zeta3 * cbrt2 + 50337742902000,
-            31710790944000 * (zeta3 ** 2 * cbrt2) ** 2 + 39953093016000 * zeta3 ** 2 * cbrt2 + 50337742902000,
-        ],
-        -192: [
-            820762881440077125 * sympy.sqrt(6) + 1160733998424384000 * sqrt3 + 1421603011620136125 * sympy.sqrt(2) + 2010450259344609000,
-            -820762881440077125 * sympy.sqrt(6) - 1160733998424384000 * sqrt3 + 1421603011620136125 * sympy.sqrt(2) + 2010450259344609000,
-            -820762881440077125 * sympy.sqrt(6) + 1160733998424384000 * sqrt3 - 1421603011620136125 * sympy.sqrt(2) + 2010450259344609000,
-            820762881440077125 * sympy.sqrt(6) - 1160733998424384000 * sqrt3 - 1421603011620136125 * sympy.sqrt(2) + 2010450259344609000,
-        ],
-    }
-    for D, roots in cases.items():
-        poly = sympy.expand(sympy.prod([X - r for r in roots]))
-        coeffs = []
-        for c in sympy.Poly(poly, X).all_coeffs():
-            c = sympy.simplify(sympy.expand(c))
-            assert c.is_integer, (D, c)
-            coeffs.append(int(c))
-        assert hilbert_class_polynomial(D, 256).coefficients == tuple(coeffs), D
 
 
 # sha256 of the comma-joined coefficients, from perfbench/classpoly_digests.json

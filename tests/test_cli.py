@@ -13,6 +13,8 @@ import pytest
 import weightjac
 from weightjac.cli import _append_hcp, _cached_hcp, main
 
+from conftest import child_env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -24,16 +26,6 @@ def strip_timings(report):
     report = dict(report)
     report.pop("timings", None)
     return report
-
-
-def child_env(*paths, **extra):
-    """os.environ for a child that imports this checkout's weightjac.
-
-    paths go first on PYTHONPATH, then the checkout's src.
-    """
-    src = str(Path(weightjac.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (*paths, src, os.environ.get("PYTHONPATH"))))
-    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def test_classgroup_report(capsys):

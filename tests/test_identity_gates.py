@@ -7,11 +7,9 @@ the digest it alters and says in CHANGES.md which verdict changed and why.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import re
-import sys
 import time
 from pathlib import Path
 
@@ -172,43 +170,14 @@ CLI_LIFT_DIGESTS = {
     "kummer": "130c4fdc150a3629f4c967b04247833f91bfd58c163fedb31d29950537118f17",
 }
 
-
-def _deck_digest(command, deck, cache):
-    digest = hashlib.sha256()
-    for args in deck:
-        code, out, err = _run([command, *(a.replace("{cache}", cache) for a in args)])
-        record = _record(code, out, err)
-        digest.update(f"{code}\n{json.dumps(record, indent=2)}\n".encode())
-    return digest.hexdigest()
-
-
-def test_cli_report_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("WJ_CACHE", raising=False)
-    cache = str(tmp_path / "hcp.jsonl")
-    assert sorted(CLI_DECK) == sorted(_COMMANDS)
-    got = {command: _deck_digest(command, deck, cache) for command, deck in CLI_DECK.items()}
-    assert got == CLI_DIGESTS
-
-
-def test_cli_lift_report_digests(monkeypatch):
-    products = []
-    original = cmlattice.lattice_product
-    monkeypatch.setattr(
-        cmlattice, "lattice_product", lambda a, b: products.append(a) or original(a, b)
-    )
-    got = {}
-    for command, deck in CLI_LIFT_DECK.items():
-        products.clear()
-        got[command] = _deck_digest(command, deck, "")
-        assert len(products) >= len(deck), command
-    assert got == CLI_LIFT_DIGESTS
-
-
 # the 272 argvs of the cli-mix benchmark at seed 0, frozen so that a change to
 # the benchmark cannot move this gate; {cache} is one cache file for the deck,
 # so its repeated hcp requests are read warm (only hcp reads the cache, so
 # running each command's argvs in their order keeps every hit and miss)
 CLI_MIX_ARGVS = json.loads((Path(__file__).parent / "cli_mix_deck.json").read_text(encoding="utf-8"))
+CLI_MIX_DECK: dict[str, list] = {}
+for command, *args in CLI_MIX_ARGVS:
+    CLI_MIX_DECK.setdefault(command, []).append(args)
 CLI_MIX_DIGESTS = {
     "classgroup": "a8d99d210d6d3f8677066ff752a9747f06da11c6da455484cab625f634666f2b",
     "compose": "e530766b2e1361818fbf8d7b36363d19a11fa9a126b331f1e672e1dc9bff4237",
@@ -225,10 +194,34 @@ CLI_MIX_DIGESTS = {
     "verify-appendix": "bbbea8689df53c86fdfab59b8279149a4bca8ab0bd033dae3d1b3fb7f9037324",
 }
 
-
-# exact work per command over that deck, recorded from the code as it stood
+# exact work per command over each deck, recorded from the code as it stood
 # before a change: lattice_product, jacobians.compose and n_decompose calls,
 # then j_of_lattice calls and the sum of their precisions in bits
+CLI_WORK = {
+    "classgroup": (0, 0, 0, 0, 0),
+    "reduce": (0, 0, 0, 0, 0),
+    "compose": (0, 0, 0, 0, 0),
+    "latprod": (2, 0, 0, 0, 0),
+    "homothety": (0, 0, 0, 0, 0),
+    "endring": (0, 0, 0, 0, 0),
+    "jacobian": (0, 1, 0, 0, 0),
+    "decompose": (0, 3, 2, 0, 0),
+    "orbit": (0, 2, 1, 0, 0),
+    "fixedpoint": (0, 2, 1, 0, 0),
+    "fod": (0, 1, 0, 0, 0),
+    "jinv": (0, 0, 0, 2, 384),
+    "hcp": (0, 0, 0, 17, 14474),
+    "hodge": (0, 0, 0, 0, 0),
+    "kummer": (0, 1, 0, 0, 0),
+    "verify-appendix": (0, 0, 0, 13, 3536),
+}
+CLI_LIFT_WORK = {
+    "jacobian": (1, 1, 0, 0, 0),
+    "decompose": (1, 1, 1, 0, 0),
+    "fod": (1, 0, 0, 0, 0),
+    "orbit": (2, 2, 1, 0, 0),
+    "kummer": (1, 3, 0, 0, 0),
+}
 CLI_MIX_WORK = {
     "classgroup": (0, 0, 0, 0, 0),
     "compose": (0, 0, 0, 0, 0),
@@ -245,46 +238,12 @@ CLI_MIX_WORK = {
     "verify-appendix": (0, 0, 0, 208, 41600),
 }
 
-
-def test_cli_mix_deck_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("WJ_CACHE", raising=False)
-    cache = str(tmp_path / "hcp.jsonl")
-    assert len(CLI_MIX_ARGVS) == 272
-    decks = {}
-    for command, *args in CLI_MIX_ARGVS:
-        decks.setdefault(command, []).append(args)
-    tallies = [
-        _counting(monkeypatch, cmlattice, "lattice_product"),
-        _counting(monkeypatch, jacobians, "compose"),
-        _counting(monkeypatch, jacobians, "n_decompose"),
-        _counting(monkeypatch, analytic, "j_of_lattice", lambda lat, prec: prec),
-    ]
-    got, work = {}, {}
-    for command, deck in decks.items():
-        for tally in tallies:
-            tally[:] = [0, 0]
-        got[command] = _deck_digest(command, deck, cache)
-        lifts, compositions, decompositions, j = tallies
-        work[command] = (lifts[0], compositions[0], decompositions[0], *j)
-    assert got == CLI_MIX_DIGESTS
-    assert work == CLI_MIX_WORK
-
-
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _bench_workload(monkeypatch, name, tmp_path):
-    """The seed-0 Workload of perfbench/<name>.py, loaded from its file.
-
-    The workloads import perfbench's inputs, and dataclasses look their
-    module up in sys.modules, so both are set for the test's duration.
-    """
-    monkeypatch.syspath_prepend(str(BENCH))
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module, module.Workload(0, tmp_path)
+# (deck, its digests, its work): the README deck runs every command
+FROZEN_DECKS = {
+    "readme": (CLI_DECK, CLI_DIGESTS, CLI_WORK),
+    "lift": (CLI_LIFT_DECK, CLI_LIFT_DIGESTS, CLI_LIFT_WORK),
+    "cli-mix": (CLI_MIX_DECK, CLI_MIX_DIGESTS, CLI_MIX_WORK),
+}
 
 
 def _counting(monkeypatch, module, name, weigh=lambda *args: 1):
@@ -298,6 +257,36 @@ def _counting(monkeypatch, module, name, weigh=lambda *args: 1):
 
     monkeypatch.setattr(module, name, wrapper)
     return tally
+
+
+@pytest.mark.parametrize("name", FROZEN_DECKS)
+def test_frozen_cli_deck(name, tmp_path, monkeypatch):
+    """Each command's argvs, run in order through cli.main: a digest of their
+    exit codes and reports without timings, and the work they did."""
+    deck, digests, work = FROZEN_DECKS[name]
+    if name == "readme":
+        assert sorted(deck) == sorted(_COMMANDS)
+    monkeypatch.delenv("WJ_CACHE", raising=False)
+    cache = str(tmp_path / "hcp.jsonl")
+    tallies = [
+        _counting(monkeypatch, cmlattice, "lattice_product"),
+        _counting(monkeypatch, jacobians, "compose"),
+        _counting(monkeypatch, jacobians, "n_decompose"),
+        _counting(monkeypatch, analytic, "j_of_lattice", lambda lat, prec: prec),
+    ]
+    got_digests, got_work = {}, {}
+    for command, argvs in deck.items():
+        for tally in tallies:
+            tally[:] = [0, 0]
+        digest = hashlib.sha256()
+        for args in argvs:
+            code, out, err = _run([command, *(a.replace("{cache}", cache) for a in args)])
+            digest.update(f"{code}\n{json.dumps(_record(code, out, err), indent=2)}\n".encode())
+        got_digests[command] = digest.hexdigest()
+        lifts, compositions, decompositions, j = tallies
+        got_work[command] = (lifts[0], compositions[0], decompositions[0], *j)
+    assert got_digests == digests
+    assert got_work == work
 
 
 # exact work over the seed-0 decks of two benchmark workloads, recorded from
@@ -314,14 +303,14 @@ WORK_COUNTS = {
 }
 
 
-def test_work_counts_of_the_benchmark_decks(monkeypatch, tmp_path):
+def test_work_counts_of_the_benchmark_decks(perfbench, monkeypatch, tmp_path):
     got = {}
-    _, wl = _bench_workload(monkeypatch, "classpoly", tmp_path)
+    wl = perfbench("classpoly").Workload(0, tmp_path)
     j = _counting(monkeypatch, analytic, "j_of_lattice", lambda lat, prec: prec)
     for D in wl.ops:
         wl.execute(D)
     got["classpoly ops"], (got["j_of_lattice calls"], got["j_of_lattice bits"]) = len(wl.ops), j
-    _, wl = _bench_workload(monkeypatch, "algebra", tmp_path)
+    wl = perfbench("algebra").Workload(0, tmp_path)
     # the deck's ops reach lattice_product only through phi's lifts
     lifts = _counting(monkeypatch, cmlattice, "lattice_product")
     compositions = _counting(monkeypatch, jacobians, "compose")
@@ -332,17 +321,22 @@ def test_work_counts_of_the_benchmark_decks(monkeypatch, tmp_path):
     assert got == WORK_COUNTS
 
 
-def test_cli_mix_verdict_in_process(monkeypatch, tmp_path):
+def test_cli_mix_verdict_in_process(perfbench, monkeypatch, tmp_path):
     # perfbench's own check of the seed-0 cli-mix deck, with each argv run
     # through cli.main instead of a child process: the check reads library
     # answers (surface_decompose, torsion_dim, lattices built by QuadElem
-    # addition), so a library change that breaks it fails here too
+    # addition), so a library change that breaks it fails here too; the runs
+    # are traced, so a function that cli-mix pins and no argv reaches fails
+    # here rather than in a traced benchmark run
     monkeypatch.delenv("WJ_CACHE", raising=False)
-    cli_mix, wl = _bench_workload(monkeypatch, "cli_mix", tmp_path)
+    cli_mix = perfbench("cli_mix")
+    wl = cli_mix.Workload(0, tmp_path)
     records = []
-    for op in wl.ops:
-        code, out, err = _run(op.argv)
-        records.append((op, cli_mix.CliOutput(code, out, err, None, None, 0), None))
+    with perfbench("tracer").Tracer() as tracer:
+        for op in wl.ops:
+            code, out, err = _run(op.argv)
+            records.append((op, cli_mix.CliOutput(code, out, err, None, None, 0), None))
+    assert [name for name in cli_mix.EXPECTED_CALLS if tracer.calls(name) == 0] == []
     assert len(records) == 272
     assert wl.check(records) == [None] * 272
 

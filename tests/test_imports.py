@@ -1,9 +1,8 @@
 """The package imports lazily, and each CLI command loads only its modules."""
 
 import ast
-import importlib.util
+import importlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +11,7 @@ import pytest
 
 import weightjac
 
-SRC = str(Path(weightjac.__file__).resolve().parents[1])
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import child_env
 
 # the public names of the package before it became lazy
 PUBLIC_NAMES = [
@@ -69,11 +67,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "wei
 
 
 def run_fresh(code: str, *argv: str) -> str:
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-c", code, *argv],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True, timeout=120,
+        env=child_env(), capture_output=True, text=True, check=True, timeout=120,
     )
     return out.stdout
 
@@ -136,17 +132,10 @@ def test_import_graph_has_no_cycle():
         assert start not in reached, f"weightjac.{start} imports itself through {sorted(reached)}"
 
 
-def load_bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_benchmark_tracer_targets_resolve():
+def test_benchmark_tracer_targets_resolve(perfbench):
     # perfbench's tracer wraps these functions by name, and a traced run
     # crashes on one that no longer exists
-    tracer = load_bench_module("tracer")
+    tracer = perfbench("tracer")
     assert tracer.TARGETS
     for module_name, attr, _ in tracer.TARGETS:
         owner = importlib.import_module(module_name)
@@ -156,18 +145,18 @@ def test_benchmark_tracer_targets_resolve():
         assert callable(vars(owner).get(name)), f"{module_name}: {attr}"
 
 
-# a few ops of each in-process workload reach every function it pins
+# a few ops of each in-process workload reach every function it pins; the
+# cli-mix pins are checked by test_identity_gates::test_cli_mix_verdict_in_process
 PINNED_WORKLOADS = [("algebra", 12), ("classpoly", 2)]
 
 
 @pytest.mark.parametrize("workload, ops", PINNED_WORKLOADS)
-def test_benchmark_pinned_calls_are_reached(workload, ops, tmp_path, monkeypatch):
+def test_benchmark_pinned_calls_are_reached(workload, ops, tmp_path, perfbench):
     # a traced benchmark run fails when a function named in EXPECTED_CALLS is
     # never called; this catches a route left idle without that run
-    monkeypatch.syspath_prepend(str(BENCH))  # the workloads import perfbench's inputs
-    module = load_bench_module(workload)
+    module = perfbench(workload)
     wl = module.Workload(0, tmp_path)
-    with load_bench_module("tracer").Tracer() as tracer:
+    with perfbench("tracer").Tracer() as tracer:
         for op in wl.ops[:ops]:
             wl.execute(op)
     assert [name for name in module.EXPECTED_CALLS if tracer.calls(name) == 0] == []
