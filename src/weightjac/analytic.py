@@ -399,8 +399,8 @@ class ClassPolynomial:
     """Monic integer polynomial with the j-invariants of a discriminant as roots.
 
     Coefficients are listed from the leading 1 down to the constant term;
-    prec is the one precision in bits at which they were computed,
-    start_precision(D, p) for the p that hilbert_class_polynomial was given.
+    prec is the one precision in bits at which they were computed, the
+    precision hilbert_class_polynomial was given raised to start_precision(D).
     Irreducibility over Q holds classically but is not verified here.
     """
 
@@ -413,16 +413,15 @@ class ClassPolynomial:
         return len(self.coefficients) - 1
 
 
-def start_precision(D: int, prec: int = 128) -> int:
-    """The precision of hilbert_class_polynomial(D, prec), in bits.
+def start_precision(D: int) -> int:
+    """The least precision in bits at which H_D is computed, and proven exact.
 
-    The caller's prec is raised to Enge's a-priori bound on the bit size of the
-    coefficients of H_D (Math. Comp. 78, 2009),
+    Enge's a-priori bound on the bit size of H_D's coefficients (Math. Comp. 78, 2009),
         log2 C(h, h//2) + sum over reduced forms of log2(exp(pi*sqrt|D|/a) + 2079),
     plus _GUARD_BITS, which _expand_pairs' proof spends on ceil(log2 h) + 13
-    and its margins.  Below the bound a coefficient can be a multiple of its
-    ulp, so a wrong value would pass the rounding test; the size bound
-    refuses such a precision.
+    and its margins, and at least _MIN_PREC.  Below the bound a coefficient
+    can be a multiple of its ulp, so a wrong value would pass the rounding
+    test; the size bound refuses such a precision.
     """
     forms = enumerate_reduced(D)
     h = len(forms)
@@ -431,7 +430,7 @@ def start_precision(D: int, prec: int = 128) -> int:
         x = math.pi * math.sqrt(-D) / f.a
         # log2(e^x + 2079) without overflowing exp(x)
         bits += x / math.log(2) + math.log2(1 + 2079 * math.exp(-x))
-    return max(prec, math.ceil(bits) + _GUARD_BITS)
+    return max(_MIN_PREC, math.ceil(bits) + _GUARD_BITS)
 
 
 def split_prime(D: int) -> int:
@@ -504,15 +503,15 @@ def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
     (a, -b, c) is reduced too and its j is the conjugate of j(a, b, c), which
     gives the real factor X^2 - 2 Re(j) X + |j|^2; the ambiguous forms (b = 0,
     b = a or a = c) have real j and give X - Re(j).  Every j is evaluated
-    once, at start_precision(D, prec), and expanded once: _expand_pairs
-    proves that this precision passes its three checks whenever the lemma of
-    j_of_lattice holds, so a failed check is a defect, raised as
-    RuntimeError.  A start above the _PRECISION_CAP-bit cap is refused before
-    any j is evaluated.
+    once, at prec raised to start_precision(D), and expanded once:
+    _expand_pairs proves that this precision passes its three checks whenever
+    the lemma of j_of_lattice holds, so a failed check is a defect, raised as
+    RuntimeError, and the coefficients do not depend on prec.  A start above
+    the _PRECISION_CAP-bit cap is refused before any j is evaluated.
     """
     validate_discriminant(D)
     upper = [f for f in enumerate_reduced(D) if f.b >= 0]
-    prec = start_precision(D, max(prec, _MIN_PREC))
+    prec = max(prec, start_precision(D))
     if prec > _PRECISION_CAP:
         raise PrecisionExhausted(f"H_{D} needs {prec} bits, above the {_PRECISION_CAP}-bit cap")
     roots = [j_of_lattice(form_to_lattice(f), prec) for f in upper]
@@ -538,7 +537,7 @@ def _expand_pairs(roots: list[PrecComplex], paired: list[bool], prec: int) -> tu
       fixed-point value.  After the size bound this only checks consistency;
       the slack below 1/4 covers the 53-bit product.
 
-    Theorem.  At prec = start_precision(D, p), for any p, roots computed by
+    Theorem.  At any prec >= start_precision(D), roots computed by
     j_of_lattice pass all three checks.
 
     Proof.  Let P = prec >= B + 48, B Enge's bound of start_precision (its

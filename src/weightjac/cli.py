@@ -7,20 +7,20 @@ weightjac.cli and python -m weightjac all call run(); main(argv) runs the same
 command for tests and library callers, without exiting or touching the garbage
 collector.  A command is declared once, as one _COMMANDS entry: its handler,
 its help line and the names of the _OPTIONS it takes, so adding a command is
-adding one entry.  fixedpoint reads its verdict and the decomposition it
-rests on from one jacobians._fixed_point call, so it decomposes once.  Each
+adding one entry.  fixedpoint and decompose each decompose once: fixedpoint
+reads its verdict and decomposition from one jacobians._fixed_point call,
+decompose a same-order surface's verdict off the Jacobian it reports.  Each
 literal has one reader: a form, under --form, --forms or inside a curve class
 (D:a,b,c), is read by binforms.parse_form; a lattice by
 cmlattice.parse_lattices; every integer, in a literal or in -D, -m and --prec
 (read as strings, so a bad one is a ParseError), by quadfield.parse_int.  hcp
-uses a JSON-lines cache file, selected by --cache or the WJ_CACHE environment
-variable: _cached_hcp reads it and holds the one rule for serving a record,
-and _append_hcp adds a record per miss and never rewrites the file; every
-other command accepts and ignores both.  Python's int/str digit limit is kept,
-not lifted: hcp refuses a D whose coefficients it could not print, before any
-j evaluation or cache read.  Under a limit below the default, a report that
-cannot print is an internal failure (exit 1), and an integer literal past the
-limit a ParseError.
+uses the JSON-lines cache file named by --cache, keyed by D: _cached_hcp reads
+it and holds the one rule for serving a record, and _append_hcp adds a record
+per miss and never rewrites the file; every other command accepts and ignores
+--cache.  Python's int/str digit limit is kept, not lifted: hcp refuses a D
+whose coefficients it could not print, before any j evaluation or cache read.
+Under a limit below the default, a report that cannot print is an internal
+failure (exit 1), and an integer literal past the limit a ParseError.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, NoReturn
 from . import binforms
 from .binforms import parse_form, validate_discriminant
 from .errors import CacheUnusable, FieldMismatch, ParseError, PrecisionExhausted, WeightjacError
-from .quadfield import _MIN_PREC, parse_int
+from .quadfield import _MIN_PREC, _str_digit_limit, parse_int
 
 if TYPE_CHECKING:
     from .cmlattice import CMLattice, Order
@@ -124,13 +124,13 @@ def _unusable(path: Path, why: str) -> CacheUnusable:
     return CacheUnusable(f"cannot open cache file {str(path)!r}: {why}")
 
 
-def _cached_hcp(path: Path, D: int, prec: int) -> list[int] | None:
-    """The cached coefficients of H_D that hcp may serve at prec, or None.
+def _cached_hcp(path: Path, D: int) -> list[int] | None:
+    """The cached coefficients of H_D that hcp may serve, or None.
 
     The one serve rule: the newest record of D that is well shaped (int D and
     prec, a list of ints as hcp; JSON true and false load as bools, which are
-    ints to isinstance), was computed at at least start_precision(D, prec),
-    below which an entry may be wrong, and passes is_plausible_class_polynomial.
+    ints to isinstance), was computed at at least start_precision(D), from
+    which H_D is proven exact, and passes is_plausible_class_polynomial.
     Other fields are ignored, and any other line, such as junk or a record torn
     by a crash, is skipped.  A missing file is an empty cache.  A path that is
     not a regular file in a directory, or cannot be opened, is CacheUnusable,
@@ -151,7 +151,6 @@ def _cached_hcp(path: Path, D: int, prec: int) -> list[int] | None:
         return None
     except OSError as exc:
         raise _unusable(path, exc.strerror) from None
-    bound = analytic.start_precision(D, prec)
     for line in reversed(lines):
         try:
             rec = json.loads(line)
@@ -162,7 +161,7 @@ def _cached_hcp(path: Path, D: int, prec: int) -> list[int] | None:
             and type(rec.get("D")) is int
             and rec["D"] == D
             and type(rec.get("prec")) is int
-            and rec["prec"] >= bound
+            and rec["prec"] >= analytic.start_precision(D)
             and isinstance(rec.get("hcp"), list)
             and all(type(c) is int for c in rec["hcp"])
         ):
@@ -297,7 +296,7 @@ def _cmd_decompose(args):
         }
         if e1.order == e2.order:
             result["surface"]["definable_over_jacobian_field"] = (
-                jacobians.product_definable_over_jacobian_field(e1, e2)
+                jacobians._definable_over_jacobian_field(report.jacobian)
             )
     return echo, result
 
@@ -371,15 +370,13 @@ def _cmd_hcp(args):
 
     prec = _check_prec(args)
     D = validate_discriminant(parse_int(args.discriminant))
-    # coefficients below 2^(Enge's bound) print under the int/str digit limit
-    # (0, or none before Python 3.10.7, is no limit) when 2^bits <= 10^limit
-    bits = analytic.start_precision(D, 0) - analytic._GUARD_BITS
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # coefficients below 2^(Enge's bound) print under a digit limit 2^bits <= 10^limit
+    bits = analytic.start_precision(D) - analytic._GUARD_BITS
+    limit = _str_digit_limit()
     if limit and 1 << bits > 10**limit:
         raise PrecisionExhausted(f"coefficients of H_{D} may have {bits} bits, over {limit} digits")
-    path = args.cache or os.environ.get("WJ_CACHE")
-    cache = Path(path) if path else None
-    coeffs = _cached_hcp(cache, D, prec) if cache else None
+    cache = Path(args.cache) if args.cache else None
+    coeffs = _cached_hcp(cache, D) if cache else None
     if coeffs is None:
         poly = analytic.hilbert_class_polynomial(D, prec)
         coeffs = list(poly.coefficients)
@@ -457,7 +454,7 @@ _COMMANDS = {
 
 # each option's argparse flags and keywords; every value is read as a string
 _OPTIONS = {
-    "cache": (("--cache",), {"help": "hcp cache file path (overrides WJ_CACHE)"}),
+    "cache": (("--cache",), {"help": "hcp cache file path"}),
     "json": (("--json",), {"action": "store_true", "help": "JSON output (the default)"}),
     "discriminant": (("-D", "--discriminant"), {"required": True}),
     "form": (("--form",), {"required": True, "help": "'a,b,c'"}),

@@ -391,4 +391,9 @@ def product_definable_over_jacobian_field(e1: CurveClass, e2: CurveClass) -> boo
     f1, f2 = e1.conductor, e2.conductor
     if math.gcd(f1, f2) != math.lcm(f1, f2):
         raise PrimitivityViolation("defined only for equal orders (primitive case)")
-    return binforms._order_at_most_two(brauer_jacobian_pair(e1, e2).form)
+    return _definable_over_jacobian_field(brauer_jacobian_pair(e1, e2))
+
+
+def _definable_over_jacobian_field(jacobian: CurveClass) -> bool:
+    """product_definable_over_jacobian_field read off the Jacobian class alone."""
+    return binforms._order_at_most_two(jacobian.form)

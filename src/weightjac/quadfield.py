@@ -43,12 +43,16 @@ def _require_prec(prec: int) -> None:
         raise ValueError(f"prec must be at least {_MIN_PREC}")
 
 
+def _str_digit_limit() -> int:
+    """sys.get_int_max_str_digits() now; 0, or none before Python 3.10.7, is no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def digit_budget(digits: int) -> int:
     """A digit budget set for Python's default int/str limit of 4,300 digits,
-    times limit / 4,300 under a lower sys.get_int_max_str_digits(), so that
-    what fits the budget still prints; 0 (or no such function, before Python
-    3.10.7) is no limit, and a higher limit keeps the budget."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    times limit / 4,300 under a lower _str_digit_limit(), so that what fits
+    the budget still prints; no limit, or a higher one, keeps the budget."""
+    limit = _str_digit_limit()
     return digits * limit // 4300 if 0 < limit < 4300 else digits
 
 

@@ -407,7 +407,6 @@ def test_class_polynomial_coefficients_are_int_on_any_mpmath_backend(monkeypatch
     expected = hilbert_class_polynomial(-71).coefficients
     to_fixed = analytic.to_fixed
     monkeypatch.setattr(analytic, "to_fixed", lambda s, prec: _WideInt(to_fixed(s, prec)))
-    monkeypatch.delenv("WJ_CACHE", raising=False)
     coefficients = hilbert_class_polynomial(-71).coefficients
     assert all(type(c) is int for c in coefficients)
     assert coefficients == expected
@@ -460,7 +459,7 @@ def test_hilbert_class_polynomial_rejects_nonreal_ambiguous_j(monkeypatch):
         return value
 
     monkeypatch.setattr(analytic, "j_of_lattice", perturbed_j)
-    prec = analytic.start_precision(-144, 128)
+    prec = max(128, analytic.start_precision(-144))
     with pytest.raises(RuntimeError, match=f"reality test at {prec} bits"):
         hilbert_class_polynomial(-144, 128)
     assert calls == [prec] * sum(f.b >= 0 for f in enumerate_reduced(-144))
@@ -514,7 +513,7 @@ def test_hilbert_class_polynomial_precision_exhausted(monkeypatch):
 def test_hilbert_class_polynomial_catches_a_start_below_the_bound(monkeypatch):
     # without Enge's bound, 64 bits cannot certify H_-144 or H_-1999: the size
     # bound refuses after one j per form with b >= 0, and nothing doubles
-    monkeypatch.setattr(analytic, "start_precision", lambda D, prec: prec)
+    monkeypatch.setattr(analytic, "start_precision", lambda D: 64)
     calls = []
 
     def counting_j(lat, prec=128):

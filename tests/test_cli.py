@@ -193,12 +193,13 @@ def test_hcp_cache_cold_and_warm(capsys, tmp_path):
     assert code == 0
     assert strip_timings(cold) == strip_timings(warm)
     assert cold["result"]["coefficients"] == [1, -153542016, -1790957481984]
-    # lower-precision cache entries are not trusted at higher precision
+    # H_D is exact from start_precision(D) on, so a higher --prec is a hit too
+    written = cache.read_bytes()
     code, high = run_cli(capsys, "hcp", "-D", "-36", "--prec", "256", "--cache", str(cache))
     assert code == 0
     assert high["result"]["coefficients"] == cold["result"]["coefficients"]
-    lines = [json.loads(line) for line in cache.read_text().splitlines()]
-    assert [rec["prec"] for rec in lines] == [128, 256]
+    assert cache.read_bytes() == written
+    assert [json.loads(line)["prec"] for line in written.splitlines()] == [128]
 
 
 def test_hcp_cache_ignores_entries_below_start_precision(capsys, tmp_path):
@@ -251,15 +252,12 @@ CLASSGROUP_23 = {"D": -23, "h": 3, "structure": [3], "elements": [[1, 1, 6], [2,
 HCP_23 = {"D": -23, "degree": 3, "coefficients": H_23, "prec": 128}
 
 
-def test_classgroup_ignores_the_cache(capsys, tmp_path, monkeypatch):
+def test_classgroup_ignores_the_cache(capsys, tmp_path):
     # a record of the old classgroup cache with the wrong group of D = -23
     cache = tmp_path / "cache.jsonl"
     cache.write_text('{"D": -23, "forms": [[1,1,6]], "structure": [1], "hcp": null, "prec": 0}\n')
     old = cache.read_bytes()
     code, report = run_cli(capsys, "classgroup", "-D", "-23", "--cache", str(cache))
-    assert code == 0 and report["result"] == CLASSGROUP_23
-    monkeypatch.setenv("WJ_CACHE", str(cache))
-    code, report = run_cli(capsys, "classgroup", "-D", "-23")
     assert code == 0 and report["result"] == CLASSGROUP_23
     assert cache.read_bytes() == old
     # a path hcp would refuse is ignored too
@@ -301,10 +299,10 @@ def test_cache_append_after_torn_tail(capsys, tmp_path):
 def test_cache_put_recreates_a_deleted_file(tmp_path):
     cache = tmp_path / "cache.jsonl"
     cache.write_text("junk\n")
-    assert _cached_hcp(cache, -23, 128) is None
+    assert _cached_hcp(cache, -23) is None
     cache.unlink()  # by another process, between the read and the append
     _append_hcp(cache, {"D": -23, "hcp": H_23, "prec": 128})
-    assert _cached_hcp(cache, -23, 128) == H_23
+    assert _cached_hcp(cache, -23) == H_23
 
 
 @pytest.mark.parametrize(
@@ -547,18 +545,17 @@ def test_library_callers_keep_their_collector_state():
     assert json.loads(out.stdout) == [0, [True, 0], [True, 0]]
 
 
-def test_hcp_cache_roundtrip_through_env(capsys, tmp_path, monkeypatch):
+def test_hcp_ignores_the_cache_environment_variable(capsys, tmp_path, monkeypatch):
+    # the cache is named by --cache alone: WJ_CACHE, which once named it too,
+    # neither creates a file nor changes the report
+    code, plain = run_cli(capsys, "hcp", "-D", "-192")
+    assert code == 0
     cache = tmp_path / "hcp.jsonl"
     monkeypatch.setenv("WJ_CACHE", str(cache))
-    code, cold = run_cli(capsys, "hcp", "-D", "-192")
-    assert code == 0
-    written = cache.read_bytes()
-    code, warm = run_cli(capsys, "hcp", "-D", "-192")
-    assert code == 0
-    assert strip_timings(cold) == strip_timings(warm)
-    assert warm["result"]["degree"] == 4
-    # the warm run was a hit: it appended nothing
-    assert cache.read_bytes() == written and len(written.splitlines()) == 1
+    code, report = run_cli(capsys, "hcp", "-D", "-192")
+    assert code == 0 and strip_timings(report) == strip_timings(plain)
+    assert report["result"]["degree"] == 4
+    assert not cache.exists()
 
 
 def test_verify_appendix_cli(capsys):

@@ -205,7 +205,7 @@ CLI_WORK = {
     "homothety": (0, 0, 0, 0, 0),
     "endring": (0, 0, 0, 0, 0),
     "jacobian": (0, 1, 0, 0, 0),
-    "decompose": (0, 3, 2, 0, 0),
+    "decompose": (0, 2, 2, 0, 0),
     "orbit": (0, 2, 1, 0, 0),
     "fixedpoint": (0, 2, 1, 0, 0),
     "fod": (0, 1, 0, 0, 0),
@@ -225,7 +225,7 @@ CLI_LIFT_WORK = {
 CLI_MIX_WORK = {
     "classgroup": (0, 0, 0, 0, 0),
     "compose": (0, 0, 0, 0, 0),
-    "decompose": (20, 36, 16, 0, 0),
+    "decompose": (20, 35, 16, 0, 0),
     "fod": (0, 14, 0, 0, 0),
     "hcp": (0, 0, 0, 53, 12994),
     "hodge": (0, 0, 0, 0, 0),
@@ -266,7 +266,6 @@ def test_frozen_cli_deck(name, tmp_path, monkeypatch):
     deck, digests, work = FROZEN_DECKS[name]
     if name == "readme":
         assert sorted(deck) == sorted(_COMMANDS)
-    monkeypatch.delenv("WJ_CACHE", raising=False)
     cache = str(tmp_path / "hcp.jsonl")
     tallies = [
         _counting(monkeypatch, cmlattice, "lattice_product"),
@@ -321,14 +320,13 @@ def test_work_counts_of_the_benchmark_decks(perfbench, monkeypatch, tmp_path):
     assert got == WORK_COUNTS
 
 
-def test_cli_mix_verdict_in_process(perfbench, monkeypatch, tmp_path):
+def test_cli_mix_verdict_in_process(perfbench, tmp_path):
     # perfbench's own check of the seed-0 cli-mix deck, with each argv run
     # through cli.main instead of a child process: the check reads library
     # answers (surface_decompose, torsion_dim, lattices built by QuadElem
     # addition), so a library change that breaks it fails here too; the runs
     # are traced, so a function that cli-mix pins and no argv reaches fails
     # here rather than in a traced benchmark run
-    monkeypatch.delenv("WJ_CACHE", raising=False)
     cli_mix = perfbench("cli_mix")
     wl = cli_mix.Workload(0, tmp_path)
     records = []
@@ -413,10 +411,9 @@ def mutated(literal):
 @pytest.mark.parametrize(
     "argv, option, literal", LITERALS, ids=[" ".join([*argv, option]) for argv, option, _ in LITERALS]
 )
-def test_mutated_literals_exit_0_or_2_with_one_record(monkeypatch, argv, option, literal):
+def test_mutated_literals_exit_0_or_2_with_one_record(argv, option, literal):
     """Every mutated literal gives exit 0 or 2, each run within 5 s, one
     schema-1 record on stdout, and the same record again apart from timings."""
-    monkeypatch.delenv("WJ_CACHE", raising=False)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=10)
     @given(mutated(literal))
