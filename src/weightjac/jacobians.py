@@ -17,7 +17,9 @@ order has class number one; every other lift is a lattice_product followed by
 ideal_class, so for those lifts the two routes still share these functions,
 until a forms-only phi lands.  The order a lift lands in, its lattice and its
 principal class are each built once per discriminant, in memos bounded by
-MEMO_SIZE.
+MEMO_SIZE; the source class's lattice is built once per form, in a memo bounded
+by the few classes one product lifts (_lattice).  The lift itself,
+lattice_product and ideal_class, runs on every call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import binforms, cmlattice
-from .binforms import Form, compose, element_order, power, principal_form
+from .binforms import Form, compose, power, principal_form
 from .cmlattice import CMLattice, LatticeTuple, Order, form_to_lattice, ideal_class
 from .errors import (
     DimensionMismatch,
@@ -49,6 +51,17 @@ CLASS_NUMBER_ONE = frozenset({-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43,
 # targets and the composed classes; typed, so that a bool or float c misses
 # the entry of the int it equals and reaches Order, which refuses it
 _order = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(Order)
+
+# the lattice of a reduced form, built once for the classes in hand: phi lifts
+# one class into each divisor of its conductor, and the m-Jacobians, the
+# decomposition, the orbit and the field predicates of one product lift the
+# same few classes again.  The bound is that working set, not MEMO_SIZE: over
+# one pass of the 1,200 seed-0 jacobian-algebra products from an empty memo,
+# 16 entries build 1,001 lattices, 64 build 971 and 1,024 build 793, against
+# 5,459 without a memo; what more entries add beyond that is hits on products
+# that come back, which a benchmark loop replaying its deck sees and no caller
+# analysing its products once does
+_lattice = functools.lru_cache(maxsize=64)(form_to_lattice)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +102,9 @@ class CurveClass:
         return self.form.a == 1
 
     def lattice(self) -> CMLattice:
-        return form_to_lattice(self.form)
+        """The lattice of the reduced form (form_to_lattice), built once per
+        form while it stays among the 64 most recently used."""
+        return _lattice(self.form)
 
     def __str__(self):
         return f"({self.order.discriminant}:{self.form})"
@@ -134,7 +149,8 @@ def phi(cls: CurveClass, c: int) -> CurveClass:
     source maps to the principal class of the target; and so does every
     class when the target has class number one (CLASS_NUMBER_ONE), as its
     class group is trivial.  The target order, its lattice and its principal
-    class are each built once per discriminant and then looked up; the lift
+    class are each built once per discriminant, and the source class's
+    lattice once per form while it is in hand (CurveClass.lattice); the lift
     itself, lattice_product and ideal_class, runs on every call.
     """
     f = cls.conductor
@@ -317,7 +333,7 @@ def is_fixed_point(x: ProductAV) -> bool:
     """Whether X is isomorphic to its (n-1)-Jacobian (n >= 3).
 
     Holds iff all conductors agree and the terminal class has order
-    dividing n - 2; for n = 3 that means X = (C/O)^3.
+    dividing n - 2, that is t^(n-2) = 1; for n = 3 that means X = (C/O)^3.
     """
     return _fixed_point(x)[0]
 
@@ -328,7 +344,8 @@ def _fixed_point(x: ProductAV) -> tuple[bool, Decomposition]:
         raise DimensionTooSmall("fixed points are defined for n >= 3")
     dec = n_decompose(x)
     same = len(set(dec.conductors)) == 1
-    return same and (x.n - 2) % element_order(dec.terminal_class.form) == 0, dec
+    t = dec.terminal_class.form
+    return same and power(t, x.n - 2) == principal_form(t.discriminant), dec
 
 
 def jacobian_orbit(x: ProductAV) -> list[Decomposition]:
@@ -366,7 +383,7 @@ def same_field_of_definition(e1: CurveClass, e2: CurveClass) -> bool:
         raise OrderMismatch(
             "classes over distinct orders; use field_contains for the phi transfer"
         )
-    return power(e1.form, 2) == power(e2.form, 2)
+    return _same_square(e1.form, e2.form)
 
 
 def field_contains(e_small: CurveClass, e_big: CurveClass) -> bool:
@@ -379,7 +396,12 @@ def field_contains(e_small: CurveClass, e_big: CurveClass) -> bool:
     c, f = e_small.conductor, e_big.conductor
     if f % c != 0:
         raise NotADivisor(f"{c} does not divide {f}")
-    return power(e_small.form, 2) == power(phi(e_big, c).form, 2)
+    return _same_square(e_small.form, phi(e_big, c).form)
+
+
+def _same_square(f: Form, g: Form) -> bool:
+    """[f]^2 = [g]^2, asked once on the class group: [f][g]^-1 has order at most 2."""
+    return binforms._order_at_most_two(compose(f, g.conjugate()))
 
 
 def product_definable_over_jacobian_field(e1: CurveClass, e2: CurveClass) -> bool:

@@ -30,7 +30,8 @@ MAX_LITERAL_DIGITS = 2000
 # binforms, and the orders, their lattices and principal classes in cmlattice
 # and jacobians): room for every discriminant of a few hundred class polynomials
 # or of the orders of |D| <= 20,000 over a dozen fields, while a sweep over
-# many D stays bounded
+# many D stays bounded.  The memo of a class's lattice in jacobians is bounded
+# by the classes in hand instead (jacobians._lattice)
 MEMO_SIZE = 1024
 _INT_RE = re.compile(r"\s*[+-]?([0-9]+)\s*")
 # the lowest precision in bits that embed, the j kernel and the CLI accept

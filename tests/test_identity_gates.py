@@ -208,7 +208,7 @@ CLI_WORK = {
     "decompose": (0, 2, 2, 0, 0),
     "orbit": (0, 2, 1, 0, 0),
     "fixedpoint": (0, 2, 1, 0, 0),
-    "fod": (0, 1, 0, 0, 0),
+    "fod": (0, 2, 0, 0, 0),
     "jinv": (0, 0, 0, 2, 384),
     "hcp": (0, 0, 0, 17, 14474),
     "hodge": (0, 0, 0, 0, 0),
@@ -218,7 +218,7 @@ CLI_WORK = {
 CLI_LIFT_WORK = {
     "jacobian": (1, 1, 0, 0, 0),
     "decompose": (1, 1, 1, 0, 0),
-    "fod": (1, 0, 0, 0, 0),
+    "fod": (1, 1, 0, 0, 0),
     "orbit": (2, 2, 1, 0, 0),
     "kummer": (1, 3, 0, 0, 0),
 }
@@ -226,7 +226,7 @@ CLI_MIX_WORK = {
     "classgroup": (0, 0, 0, 0, 0),
     "compose": (0, 0, 0, 0, 0),
     "decompose": (20, 35, 16, 0, 0),
-    "fod": (0, 14, 0, 0, 0),
+    "fod": (0, 30, 0, 0, 0),
     "hcp": (0, 0, 0, 53, 12994),
     "hodge": (0, 0, 0, 0, 0),
     "jacobian": (22, 59, 0, 0, 0),
@@ -290,15 +290,17 @@ def test_frozen_cli_deck(name, tmp_path, monkeypatch):
 
 # exact work over the seed-0 decks of two benchmark workloads, recorded from
 # the code as it stood before a change: j evaluations and their precisions
-# over the classpoly discriminants, and phi's lattice lifts and the class
-# compositions over the jacobian-algebra products
+# over the classpoly discriminants, and phi's lattice lifts, the lattices
+# built from forms and the class compositions over the jacobian-algebra
+# products
 WORK_COUNTS = {
     "classpoly ops": 320,
     "j_of_lattice calls": 3140,
     "j_of_lattice bits": 2842752,
     "jacobian-algebra ops": 1200,
     "lattice_product calls": 5459,
-    "compose calls": 14994,
+    "form_to_lattice builds": 971,
+    "compose calls": 18709,
 }
 
 
@@ -310,13 +312,18 @@ def test_work_counts_of_the_benchmark_decks(perfbench, monkeypatch, tmp_path):
         wl.execute(D)
     got["classpoly ops"], (got["j_of_lattice calls"], got["j_of_lattice bits"]) = len(wl.ops), j
     wl = perfbench("algebra").Workload(0, tmp_path)
-    # the deck's ops reach lattice_product only through phi's lifts
+    # the deck's ops reach lattice_product only through phi's lifts, and
+    # from_generators only through form_to_lattice; the lattice memo starts
+    # empty, so the count does not depend on which tests ran before
+    jacobians._lattice.cache_clear()
     lifts = _counting(monkeypatch, cmlattice, "lattice_product")
+    builds = _counting(monkeypatch, cmlattice, "from_generators")
     compositions = _counting(monkeypatch, jacobians, "compose")
     for x in wl.ops:
         wl.execute(x)
     got["jacobian-algebra ops"] = len(wl.ops)
     got["lattice_product calls"], got["compose calls"] = lifts[0], compositions[0]
+    got["form_to_lattice builds"] = builds[0]
     assert got == WORK_COUNTS
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightjac import cmlattice, jacobians
-from weightjac.binforms import Form, compose, enumerate_reduced, power
+from weightjac.binforms import Form, compose, element_order, enumerate_reduced, power
 from weightjac.cmlattice import LatticeTuple, Order, canonicalize
 from weightjac.errors import (
     BadWeight,
@@ -650,6 +650,75 @@ def test_field_contains():
     assert field_contains(principal36, CurveClass.principal(Order(GAUSS, 6)))
     with pytest.raises(NotADivisor):
         field_contains(CurveClass.principal(Order(GAUSS, 4)), CurveClass.principal(Order(GAUSS, 6)))
+
+
+def test_field_predicates_match_the_squares_definition():
+    # the predicates ask whether [E1][E2]^-1 lies in Cl[2]; the definition squares both classes
+    rng = random.Random(1117)
+    verdicts = set()
+    for _ in range(400):
+        field = FieldTag(rng.choice([-1, -2, -3, -5, -7, -15]))
+        f = rng.choice([1, 2, 3, 4, 6, 8, 12, 15])
+        c = rng.choice([k for k in range(1, f + 1) if f % k == 0])
+        big, other = (rng.choice(classes_of(Order(field, f).discriminant)) for _ in range(2))
+        small = rng.choice(classes_of(Order(field, c).discriminant))
+        same = power(big.form, 2) == power(other.form, 2)
+        contained = power(small.form, 2) == power(phi(big, c).form, 2)
+        assert same_field_of_definition(big, other) == same
+        assert field_contains(small, big) == contained
+        verdicts |= {same, contained}
+    assert verdicts == {True, False}
+
+
+def test_fixed_point_matches_the_order_of_the_terminal_class():
+    # one power t^(n-2) against the definition by the order of t
+    rng = random.Random(1123)
+    verdicts = []
+    for _ in range(300):
+        field = FieldTag(rng.choice([-1, -2, -3, -7, -11]))
+        # mostly one conductor, so that the conductor test passes often
+        f, other = rng.choice([3, 5, 6, 9]), rng.choice([3, 5, 6, 9])
+        factors = []
+        for _ in range(rng.randint(3, 7)):
+            order = Order(field, other if rng.random() < 0.1 else f)
+            forms = enumerate_reduced(order.discriminant)
+            factors.append(CurveClass(order, forms[rng.randrange(len(forms))]))
+        x = ProductAV(tuple(factors))
+        dec = n_decompose(x)
+        t = dec.terminal_class.form
+        expected = len(set(dec.conductors)) == 1 and (x.n - 2) % element_order(t) == 0
+        assert is_fixed_point(x) == expected
+        verdicts.append(expected)
+    assert 10 < sum(verdicts) < len(verdicts) - 10
+
+
+def test_each_lifted_class_builds_its_lattice_once(monkeypatch):
+    # one product analysed as a jacobian-algebra op analyses it: every weight,
+    # the decomposition, the orbit and a field predicate lift the same
+    # classes again, but each source class's lattice is built once
+    small = classes_of(-36)[1]
+    x = ProductAV((classes_of(-576)[1], GEN_144, SQ_144, small))
+    jacobians._lattice.cache_clear()
+    built, sources = [], []
+    from_generators, lattice_product = cmlattice.from_generators, cmlattice.lattice_product
+
+    def build(*args):
+        built.append(from_generators(*args))
+        return built[-1]
+
+    def lift(source, target):
+        sources.append(source)
+        return lattice_product(source, target)
+
+    monkeypatch.setattr(cmlattice, "from_generators", build)
+    monkeypatch.setattr(cmlattice, "lattice_product", lift)
+    for m in range(2, x.n + 1):
+        m_jacobian(x, m)
+    n_decompose(x)
+    jacobian_orbit(x)
+    assert field_contains(small, GEN_144)
+    assert len(sources) > len(set(sources)) > 1
+    assert len(built) == len(set(built)) and set(built) == set(sources)
 
 
 def golden_product(rng):
