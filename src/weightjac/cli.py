@@ -16,9 +16,10 @@ cmlattice.parse_lattices; every integer, in a literal or in -D, -m and --prec
 (read as strings, so a bad one is a ParseError), by quadfield.parse_int.  hcp
 uses the JSON-lines cache file named by --cache, keyed by D: _cached_hcp reads
 it and holds the one rule for serving a record, and _append_hcp adds a record
-per miss and never rewrites the file; every other command accepts and ignores
---cache.  Python's int/str digit limit is kept, not lifted: hcp refuses a D
-whose coefficients it could not print, before any j evaluation or cache read.
+per miss and never rewrites the file; classgroup accepts --cache and ignores
+it, and no other command takes it.  Python's int/str digit limit is kept, not
+lifted: hcp refuses a D whose coefficients it could not print, before any j
+evaluation or cache read.
 Under a limit below the default, a report that cannot print is an internal
 failure (exit 1), and an integer literal past the limit a ParseError.
 """
@@ -132,14 +133,13 @@ def _cached_hcp(path: Path, D: int) -> list[int] | None:
     ints to isinstance), was computed at at least start_precision(D), from
     which H_D is proven exact, and passes is_plausible_class_polynomial.
     Other fields are ignored, and any other line, such as junk or a record torn
-    by a crash, is skipped.  A missing file is an empty cache.  A path that is
-    not a regular file in a directory, or cannot be opened, is CacheUnusable,
-    refused before hcp computes what it could not store.
+    by a crash, is skipped.  A missing file is an empty cache when the
+    directory it resolves into, through any symlink, exists.  Any other path
+    that is not a regular file, or cannot be opened, is CacheUnusable, refused
+    before hcp computes what it could not store.
     """
     from . import analytic
 
-    if not path.parent.is_dir():
-        raise _unusable(path, f"{str(path.parent)!r} is not a directory")
     try:
         # a FIFO would block the open, and a device would be read without end
         if not stat.S_ISREG(path.stat().st_mode):
@@ -148,6 +148,9 @@ def _cached_hcp(path: Path, D: int) -> list[int] | None:
             fcntl.flock(fh, fcntl.LOCK_SH)  # no append is half written
             lines = fh.read().splitlines()
     except FileNotFoundError:
+        parent = path.resolve().parent
+        if not parent.is_dir():
+            raise _unusable(path, f"{str(parent)!r} is not a directory") from None
         return None
     except OSError as exc:
         raise _unusable(path, exc.strerror) from None
@@ -432,9 +435,9 @@ def _cmd_verify_appendix(args):
 
 
 # each command, in the order -h lists them: its handler, its help line and the
-# _OPTIONS it takes after --cache and --json
+# _OPTIONS it takes
 _COMMANDS = {
-    "classgroup": (_cmd_classgroup, "reduced forms and group structure", ("discriminant",)),
+    "classgroup": (_cmd_classgroup, "reduced forms and group structure", ("cache", "discriminant")),
     "reduce": (_cmd_reduce, "reduce a binary quadratic form", ("form",)),
     "compose": (_cmd_compose, "Gauss composition of two forms", ("forms",)),
     "latprod": (_cmd_latprod, "lattice product", ("lattices",)),
@@ -447,7 +450,7 @@ _COMMANDS = {
     "fixedpoint": (_cmd_fixedpoint, "is X isomorphic to its (n-1)-Jacobian", ("curves",)),
     "fod": (_cmd_fod, "field-of-definition predicates", ("curves",)),
     "jinv": (_cmd_jinv, "j-invariant of a lattice", ("lattices", "prec")),
-    "hcp": (_cmd_hcp, "Hilbert class polynomial", ("discriminant", "prec")),
+    "hcp": (_cmd_hcp, "Hilbert class polynomial", ("cache", "discriminant", "prec")),
     "hodge": (_cmd_hodge, "synthetic Hodge calculus", ("data", "abelian")),
     "verify-appendix": (_cmd_verify_appendix, "check all golden j-values", ("prec",)),
 }
@@ -455,7 +458,6 @@ _COMMANDS = {
 # each option's argparse flags and keywords; every value is read as a string
 _OPTIONS = {
     "cache": (("--cache",), {"help": "hcp cache file path"}),
-    "json": (("--json",), {"action": "store_true", "help": "JSON output (the default)"}),
     "discriminant": (("-D", "--discriminant"), {"required": True}),
     "form": (("--form",), {"required": True, "help": "'a,b,c'"}),
     "forms": (("--forms",), {"required": True, "help": "'a,b,c;a,b,c'"}),
@@ -477,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, summary, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        for option in ("cache", "json", *options):
+        for option in options:
             flags, kwargs = _OPTIONS[option]
             p.add_argument(*flags, **kwargs)
     return parser

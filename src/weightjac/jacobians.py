@@ -254,9 +254,8 @@ class SurfaceReport:
 
 
 def surface_decompose(e1: CurveClass, e2: CurveClass) -> SurfaceReport:
-    """E1 x E2 = C/O(A) x Jacobian, read off n_decompose (_surface_report)."""
-    if e1.field != e2.field:
-        raise FieldMismatch("curves with CM by different fields")
+    """E1 x E2 = C/O(A) x Jacobian, read off n_decompose (_surface_report);
+    ProductAV refuses classes over different fields."""
     return _surface_report(n_decompose(ProductAV((e1, e2))))
 
 
@@ -389,14 +388,12 @@ def same_field_of_definition(e1: CurveClass, e2: CurveClass) -> bool:
 def field_contains(e_small: CurveClass, e_big: CurveClass) -> bool:
     """Q(j(e_small)) inside Q(j(e_big)) for conductors c | f.
 
-    Via the Galois description this is [e_small]^2 = phi_{c,f}([e_big])^2.
+    Via the Galois description this is [e_small]^2 = phi_{c,f}([e_big])^2;
+    phi refuses a c that does not divide f.
     """
     if e_small.field != e_big.field:
         raise FieldMismatch("classes over different fields")
-    c, f = e_small.conductor, e_big.conductor
-    if f % c != 0:
-        raise NotADivisor(f"{c} does not divide {f}")
-    return _same_square(e_small.form, phi(e_big, c).form)
+    return _same_square(e_small.form, phi(e_big, e_small.conductor).form)
 
 
 def _same_square(f: Form, g: Form) -> bool:

@@ -547,6 +547,19 @@ def test_j_is_real_matches_class_order_sampled():
         checked += 1
 
 
+@pytest.mark.parametrize("prec", [64, 128, 1024])
+@pytest.mark.parametrize("x", [0, 1728, -884736000, 10**40])
+def test_is_real_margin_is_two_to_the_sixteen_minus_prec(x, prec):
+    # z = x + iy with |y| an eighth under and an eighth over 2^(16-prec)
+    # (1 + |z|): the margin is that bound, not a looser one, on either sign
+    with mp.workprec(prec + 64):
+        margin = (1 + abs(mpmath.mpf(x))) * mpmath.mpf(2) ** (16 - prec)
+        for y, real in ((margin * 7 / 8, True), (margin * 9 / 8, False)):
+            for sign in (1, -1):
+                z = PrecComplex.from_mpc(mpmath.mpc(x, sign * y), prec)
+                assert analytic._is_real(z) is real, (x, prec, sign, real)
+
+
 def test_expression_language():
     with mp.workprec(200):
         z = evaluate_expression("zeta3^3", 128).to_mpc()

@@ -230,6 +230,34 @@ def test_hcp_cache_ignores_entries_below_start_precision(capsys, tmp_path):
     assert len(lines) == 2 and lines[1]["hcp"] == coeffs and lines[1]["prec"] > 128
 
 
+def test_hcp_cache_refuses_a_split_record_below_start_precision(capsys, tmp_path):
+    # a wrong record at 128 bits, under start_precision(D), that the split
+    # check alone would serve: prod over i = 1..h of (X - i) splits into
+    # distinct linear factors modulo split_prime(D) > h
+    from weightjac.analytic import is_plausible_class_polynomial, start_precision
+
+    D = -1320
+    stale = [1]
+    for i in range(1, 9):  # h(-1320) = 8
+        stale = [a - i * b for a, b in zip(stale + [0], [0] + stale)]
+    assert is_plausible_class_polynomial(D, stale) and start_precision(D) > 128
+    record = {"D": D, "hcp": stale, "prec": 128}
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(record) + "\n")
+    code, report = run_cli(capsys, "hcp", "-D", str(D), "--cache", str(cache))
+    assert code == 0
+    coeffs = report["result"]["coefficients"]
+    assert coeffs != stale
+    # digest from perfbench/classpoly_digests.json
+    assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == (
+        "d5827d747a51cb240c414d669bb4b1f2a3bb44f9f2781d8f2a1dc5617b9853fe"
+    )
+    lines = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert lines[0] == record
+    assert len(lines) == 2 and lines[1]["hcp"] == coeffs
+    assert lines[1]["prec"] >= start_precision(D)
+
+
 def test_cache_corrupt_recovery(capsys, tmp_path):
     # junk lines, one not even UTF-8, are skipped and kept byte for byte
     cache = tmp_path / "cache.jsonl"
@@ -388,6 +416,36 @@ def test_hcp_refuses_a_cache_that_is_not_a_regular_file(tmp_path):
     )
     assert out.returncode == 2
     assert json.loads(out.stdout)["error"]["type"] == "CacheUnusable"
+
+
+def test_hcp_refuses_a_symlink_into_a_missing_directory_before_computing(
+    capsys, tmp_path, monkeypatch
+):
+    # a dangling symlink into a directory that exists is an empty cache, and
+    # the append creates its target
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    code, report = run_cli(capsys, "hcp", "-D", "-23", "--cache", str(link))
+    assert code == 0 and report["result"] == HCP_23
+    assert json.loads(target.read_text())["hcp"] == H_23
+    # one into a missing directory names a file the append could not create,
+    # and a symlink to itself cannot be opened: each is refused before H_D is
+    # computed, not after
+    import weightjac.analytic
+
+    calls = []
+    monkeypatch.setattr(
+        weightjac.analytic, "hilbert_class_polynomial", lambda *args: calls.append(args)
+    )
+    dangling, loop = tmp_path / "dangling.jsonl", tmp_path / "loop.jsonl"
+    dangling.symlink_to(tmp_path / "missing" / "cache.jsonl")
+    loop.symlink_to(loop)
+    for cache in (dangling, loop):
+        code, record = run_cli(capsys, "hcp", "-D", "-23", "--cache", str(cache))
+        assert code == 2, cache
+        assert record["error"]["type"] == "CacheUnusable", cache
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
 
 
 def test_a_lower_int_digit_limit_gives_exit_2_or_a_clean_internal_error():
@@ -645,6 +703,20 @@ def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
     assert record["error"]["type"] == "JacobianTooLarge"
 
 
+def test_usage_checks_of_compose_fod_and_hodge(capsys):
+    for argv in (
+        ("compose", "--forms", "2,2,5"),
+        ("compose", "--forms", "2,2,5;2,2,5;2,2,5"),
+        ("fod", "--curves", "(-144:5,4,8)"),
+        ("fod", "--curves", "(-144:5,4,8),(-144:5,4,8),(-144:5,4,8)"),
+        ("hodge",),
+        ("hodge", "--data", "weight 2; h = [1, 4, 1]; rankL = 2", "--abelian", "2,2"),
+    ):
+        code, record = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert record["error"]["type"] == "ParseError", argv
+
+
 def test_low_precision_rejected_as_input_error(capsys):
     for argv in (
         ("jinv", "--lattices", "<1;3*sqrt(-1)>@-1", "--prec", "32"),
@@ -670,10 +742,10 @@ def test_usage_error_exit_two(capsys):
         assert record["error"]["type"] in ("UsageError", "ParseError")
 
 
-# every command in `weightjac -h` order, with the options it adds after -h,
-# --cache and --json: their option strings, and whether each is required
+# every command in `weightjac -h` order, with the options it adds after -h:
+# their option strings, and whether each is required
 CLI_SURFACE = {
-    "classgroup": [(("-D", "--discriminant"), True)],
+    "classgroup": [(("--cache",), False), (("-D", "--discriminant"), True)],
     "reduce": [(("--form",), True)],
     "compose": [(("--forms",), True)],
     "latprod": [(("--lattices",), True)],
@@ -686,7 +758,7 @@ CLI_SURFACE = {
     "fixedpoint": [(("--curves",), True)],
     "fod": [(("--curves",), True)],
     "jinv": [(("--lattices",), True), (("--prec",), False)],
-    "hcp": [(("-D", "--discriminant"), True), (("--prec",), False)],
+    "hcp": [(("--cache",), False), (("-D", "--discriminant"), True), (("--prec",), False)],
     "hodge": [(("--data",), False), (("--abelian",), False)],
     "verify-appendix": [(("--prec",), False)],
 }
@@ -708,8 +780,7 @@ def test_cli_surface_matches_its_help(capsys, monkeypatch):
     assert re.search(r"\{([\w,-]+)\}", _usage(top))[1].split(",") == list(CLI_SURFACE)
     for command, options in CLI_SURFACE.items():
         text = _help_text(capsys, command)
-        expected = [(("-h", "--help"), False), (("--cache",), False), (("--json",), False)]
-        expected += options
+        expected = [(("-h", "--help"), False), *options]
         # the options section: one line per option, its strings before the help
         section = text.split("options:\n")[1]
         listed = [
@@ -774,9 +845,14 @@ def test_hcp_defect_is_an_internal_error_with_no_cache_record(capsys, monkeypatc
     assert not cache.exists()
 
 
-def test_json_flag_accepted(capsys):
-    code, report = run_cli(capsys, "reduce", "--form", "5,14,13", "--json")
-    assert code == 0 and report["result"]["reduced"] == [4, 4, 5]
+def test_json_flag_is_a_usage_error(capsys):
+    # output is always JSON; no command takes --json, and only classgroup and
+    # hcp take --cache
+    for argv in (("reduce", "--form", "5,14,13", "--json"),
+                 ("reduce", "--form", "5,14,13", "--cache", "cache.jsonl")):
+        code, record = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert record["error"]["type"] == "UsageError", argv
 
 
 def test_mixed_fields_rejected(capsys):

@@ -91,6 +91,17 @@ def test_lattice_data_must_be_ints():
     assert CMLattice(GAUSS, 1, 1, 0, 1) == Order(GAUSS, 1).as_lattice()
 
 
+def test_from_generators_and_contains_at_the_field_boundary():
+    with pytest.raises(FieldMismatch):
+        from_generators(GAUSS, [q(1, 0), q(0, 1, EISEN)])
+    three_i = lat(1, 0, 0, 3)
+    assert three_i.contains(q(2, 6))
+    # another field, a sqrt(d) part off the lattice, a rational part off it
+    assert not three_i.contains(q(0, 3, EISEN))
+    assert not three_i.contains(q(0, 1))
+    assert not three_i.contains(q(F(1, 2), 3))
+
+
 def test_endomorphism_orders():
     assert ideal_class(lat(1, 0, 0, 3))[0] == Order(GAUSS, 3)
     assert ideal_class(lat(3, 0, 1, 2))[0] == Order(GAUSS, 6)

@@ -151,6 +151,12 @@ def test_split_h0():
         split_h0(SyntheticHodge(2, (2, 5, 2), 7))
 
 
+def test_split_h0_refuses_weight_zero():
+    # discrepancy 0 at weight 0, so only the weight refuses it
+    with pytest.raises(BadWeight):
+        split_h0(SyntheticHodge(0, (0,), 0))
+
+
 def test_abelian_product_hodge_values():
     h22 = abelian_product_hodge(2, 2)
     assert h22.total_rank == 6 and h22.h0m == 1 and h22.rank_image == 2

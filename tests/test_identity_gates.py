@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightjac import analytic, cmlattice, jacobians
+from weightjac import analytic, binforms, cmlattice, jacobians
 from weightjac.binforms import Form
 from weightjac.cli import _COMMANDS, main
 from weightjac.cmlattice import form_to_lattice, parse_lattice
@@ -195,18 +195,19 @@ CLI_MIX_DIGESTS = {
 }
 
 # exact work per command over each deck, recorded from the code as it stood
-# before a change: lattice_product, jacobians.compose and n_decompose calls,
-# then j_of_lattice calls and the sum of their precisions in bits
+# before a change: lattice_product calls, compositions (_compositions),
+# n_decompose calls, then j_of_lattice calls and the sum of their precisions
+# in bits
 CLI_WORK = {
-    "classgroup": (0, 0, 0, 0, 0),
+    "classgroup": (0, 141, 0, 0, 0),
     "reduce": (0, 0, 0, 0, 0),
-    "compose": (0, 0, 0, 0, 0),
+    "compose": (0, 2, 0, 0, 0),
     "latprod": (2, 0, 0, 0, 0),
     "homothety": (0, 0, 0, 0, 0),
     "endring": (0, 0, 0, 0, 0),
     "jacobian": (0, 1, 0, 0, 0),
     "decompose": (0, 2, 2, 0, 0),
-    "orbit": (0, 2, 1, 0, 0),
+    "orbit": (0, 5, 1, 0, 0),
     "fixedpoint": (0, 2, 1, 0, 0),
     "fod": (0, 2, 0, 0, 0),
     "jinv": (0, 0, 0, 2, 384),
@@ -219,12 +220,12 @@ CLI_LIFT_WORK = {
     "jacobian": (1, 1, 0, 0, 0),
     "decompose": (1, 1, 1, 0, 0),
     "fod": (1, 1, 0, 0, 0),
-    "orbit": (2, 2, 1, 0, 0),
+    "orbit": (2, 5, 1, 0, 0),
     "kummer": (1, 3, 0, 0, 0),
 }
 CLI_MIX_WORK = {
-    "classgroup": (0, 0, 0, 0, 0),
-    "compose": (0, 0, 0, 0, 0),
+    "classgroup": (0, 62490, 0, 0, 0),
+    "compose": (0, 18, 0, 0, 0),
     "decompose": (20, 35, 16, 0, 0),
     "fod": (0, 30, 0, 0, 0),
     "hcp": (0, 0, 0, 53, 12994),
@@ -233,7 +234,7 @@ CLI_MIX_WORK = {
     "jinv": (0, 0, 0, 16, 5248),
     "kummer": (11, 28, 0, 0, 0),
     "latprod": (16, 0, 0, 0, 0),
-    "orbit": (11, 40, 16, 0, 0),
+    "orbit": (11, 93, 16, 0, 0),
     "reduce": (0, 0, 0, 0, 0),
     "verify-appendix": (0, 0, 0, 208, 41600),
 }
@@ -246,9 +247,10 @@ FROZEN_DECKS = {
 }
 
 
-def _counting(monkeypatch, module, name, weigh=lambda *args: 1):
-    """Replace module.name by a wrapper; returns [calls, sum of weigh(*args)]."""
-    tally, original = [0, 0], getattr(module, name)
+def _counting(monkeypatch, module, name, weigh=lambda *args: 1, tally=None):
+    """Replace module.name by a wrapper; returns [calls, sum of weigh(*args)],
+    added into tally when one is given."""
+    tally, original = tally or [0, 0], getattr(module, name)
 
     def wrapper(*args):
         tally[0] += 1
@@ -256,6 +258,16 @@ def _counting(monkeypatch, module, name, weigh=lambda *args: 1):
         return original(*args)
 
     monkeypatch.setattr(module, name, wrapper)
+    return tally
+
+
+def _compositions(monkeypatch):
+    """One tally of every composition: through jacobians' binding, and
+    through binforms' own, which cli's compose, power, element_order and
+    class_group reach."""
+    tally = [0, 0]
+    for module in (jacobians, binforms):
+        _counting(monkeypatch, module, "compose", tally=tally)
     return tally
 
 
@@ -269,7 +281,7 @@ def test_frozen_cli_deck(name, tmp_path, monkeypatch):
     cache = str(tmp_path / "hcp.jsonl")
     tallies = [
         _counting(monkeypatch, cmlattice, "lattice_product"),
-        _counting(monkeypatch, jacobians, "compose"),
+        _compositions(monkeypatch),
         _counting(monkeypatch, jacobians, "n_decompose"),
         _counting(monkeypatch, analytic, "j_of_lattice", lambda lat, prec: prec),
     ]
@@ -300,7 +312,7 @@ WORK_COUNTS = {
     "jacobian-algebra ops": 1200,
     "lattice_product calls": 5459,
     "form_to_lattice builds": 971,
-    "compose calls": 18709,
+    "compose calls": 21789,
 }
 
 
@@ -318,7 +330,7 @@ def test_work_counts_of_the_benchmark_decks(perfbench, monkeypatch, tmp_path):
     jacobians._lattice.cache_clear()
     lifts = _counting(monkeypatch, cmlattice, "lattice_product")
     builds = _counting(monkeypatch, cmlattice, "from_generators")
-    compositions = _counting(monkeypatch, jacobians, "compose")
+    compositions = _compositions(monkeypatch)
     for x in wl.ops:
         wl.execute(x)
     got["jacobian-algebra ops"] = len(wl.ops)

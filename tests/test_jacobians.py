@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -147,6 +148,79 @@ def test_phi_is_surjective_sampled():
         target = {f.as_tuple() for f in enumerate_reduced(Order(field, c).discriminant)}
         image = {phi(e, c).form.as_tuple() for e in source}
         assert image == target
+
+
+def reduced_by_gauss(a, b, c):
+    """The reduced form properly equivalent to the positive definite (a, b, c)."""
+    D = b * b - 4 * a * c
+    while True:
+        b += 2 * a * ((a - b) // (2 * a))  # into (-a, a]
+        c = (b * b - D) // (4 * a)
+        if c >= a:
+            return (a, -b if c == a and b < 0 else b, c)
+        a, b, c = c, -b, a
+
+
+def phi_by_cox(form, k):
+    """phi on the class of a primitive form of discriminant k^2 D' into the
+    order of discriminant D', by Cox, Primes of the form x^2+ny^2, §7: an
+    ideal prime to k extends to the one of the same norm, so move to a form
+    whose leading A = form(x, y) is prime to k, and lift its middle term.
+    Integer arithmetic only: it shares no code with phi."""
+    a, b, c = form
+    D = (b * b - 4 * a * c) // (k * k)
+
+    def value(x, y):
+        return a * x * x + b * x * y + c * y * y
+
+    x, y = next(
+        (x, y)
+        for y in range(4 * k)
+        for x in range(-4 * k, 4 * k + 1)
+        if math.gcd(x, y) == 1 and math.gcd(value(x, y), k) == 1
+    )
+    A = value(x, y)
+    # a proper change of variables (x, r; y, s) puts A in front
+    s = x if y == 0 else pow(x, -1, y)
+    r = 0 if y == 0 else (x * s - 1) // y
+    b1 = 2 * a * x * r + b * (x * s + r * y) + 2 * c * y * s
+    # k B = b1 (mod 2A) and B = D (mod 2), so B^2 = D (mod 4A); when A is odd
+    # the parity fixes B modulo 2A, when A is even k is odd and it holds anyway
+    modulus = 2 * A if A % 2 == 0 else A
+    B = b1 * pow(k, -1, modulus) % modulus
+    if (B - D) % 2:
+        B += A
+    C, rest = divmod(B * B - D, 4 * A)
+    assert rest == 0
+    return reduced_by_gauss(A, B, C)
+
+
+def test_phi_matches_the_ideal_extension_of_cox():
+    pairs = 0
+    for D in range(-3, -2001, -1):
+        if D % 4 not in (0, 1):
+            continue
+        classes = classes_of(D)
+        f = classes[0].conductor
+        for c in (c for c in range(1, f + 1) if f % c == 0):
+            for e in classes:
+                assert phi(e, c).form.as_tuple() == phi_by_cox(e.form.as_tuple(), f // c), (e, c)
+            pairs += len(classes)
+    assert pairs == 19074
+
+
+def test_m_jacobian_from_the_ideal_extension_of_cox():
+    # the products of test_m_jacobian_agrees_with_lattice_route
+    rng = random.Random(73)
+    for _ in range(40):
+        x = random_product(rng, 1200, 4)
+        for m in range(2, x.n + 1):
+            factors = []
+            for subset in combinations(x.factors, m):
+                d = math.gcd(*(e.conductor for e in subset))
+                lifts = [Form(*phi_by_cox(e.form.as_tuple(), e.conductor // d)) for e in subset]
+                factors.append(CurveClass(Order(x.field, d), functools.reduce(compose, lifts)))
+            assert m_jacobian(x, m).factors == tuple(factors)
 
 
 def test_pair_jacobian_examples():
@@ -492,6 +566,24 @@ def test_is_isomorphic_examples():
         is_isomorphic(x, ProductAV((GEN_144,) * 3))
     with pytest.raises(FieldMismatch):
         is_isomorphic(x, ProductAV((GEN_108, GEN_108)))
+
+
+def test_guards_of_classes_and_products():
+    # a form of another discriminant than the order's
+    with pytest.raises(OrderMismatch):
+        CurveClass(Order(GAUSS, 6), Form(1, 0, 1))
+    with pytest.raises(DimensionTooSmall):
+        ProductAV(())
+    with pytest.raises(DimensionTooSmall):
+        n_decompose(ProductAV((GEN_144,)))
+    # one curve: isomorphic when the classes are equal
+    assert is_isomorphic(ProductAV((GEN_144,)), ProductAV((GEN_144,)))
+    assert not is_isomorphic(ProductAV((GEN_144,)), ProductAV((SQ_144,)))
+    with pytest.raises(FieldMismatch):
+        field_contains(CurveClass.principal(Order(EISEN, 2)), GEN_144)
+    # surface_decompose over two fields: ProductAV refuses them
+    with pytest.raises(FieldMismatch):
+        surface_decompose(GEN_144, GEN_108)
 
 
 def test_surface_isomorphism_matches_report_equality_exhaustive():

@@ -140,6 +140,12 @@ def test_field_mismatch_and_division_errors():
         q(1, 1) / q(0, 0)
 
 
+def test_division_by_a_rational_zero():
+    for zero in (0, F(0)):
+        with pytest.raises(DivisionByZero):
+            q(1, 1) / zero
+
+
 def test_minimal_polynomial_examples():
     assert q(0, 3).minimal_polynomial() == (1, 0, 9)
     # expand (3*tau - 1)^2 = -4 and normalize to a primitive triple
