@@ -1,16 +1,18 @@
 """High-precision j-invariants and Hilbert class polynomials.
 
-j is evaluated from the eta quotient (eta(tau)/eta(2 tau))^24, whose
-pentagonal series, powers and quotient run on fixed-point Gaussian integers,
-after exact fundamental-domain reduction of a lattice's period ratio (through
-binforms.reduce).  A Gaussian product takes three big-integer products and a
-square two, and one pass over the terms of E(q) also sums E(q^2) from their
-squares.  q = e^(2 pi i tau) is built on integers too: pi and log 2 come
+j is evaluated from the eta quotient (eta(tau)/eta(2 tau))^24 on fixed-point
+Gaussian integers, after exact fundamental-domain reduction of a lattice's
+period ratio (through binforms.reduce).  eta^3 comes from Jacobi's series
+S(q) = sum (-1)^n (2n + 1) q^(n(n+1)/2) = prod (1 - q^k)^3, and one pass over
+its terms also sums S(q^2) from their squares; their 8th powers take three
+squarings each.  A Gaussian product takes three big-integer products and a
+square two.  q = e^(2 pi i tau) is built on integers too: pi and log 2 come
 from Machin-type arctangent series, each memoised as one exact fixed-point
-int (_Constant), e^(2 pi Im tau) and the unit e^(2 pi i Re tau) from one
-even Taylor series with doubling (_cos_sin), and Re tau is reduced exactly
-by quarter turns (_unit).  Nothing in the j kernel reads libmp's
-process-wide memos, so no lock is taken anywhere.  The docstring of
+int (_Constant), e^(2 pi Im tau) from an even Taylor series with doubling
+(_cos_sin), and the unit e^(2 pi i Re tau) from _unit, whose memo holds exact
+floors keyed by Re tau alone.  Nothing in the j kernel reads libmp's
+process-wide memos, and no memo here takes a lock: each holds exact floors,
+so what it returns does not depend on what it held.  The docstring of
 j_of_lattice proves its error bound.  Class polynomials come from the real
 root product over conjugate pairs of reduced forms of the discriminant, one
 j per pair, at one precision: Enge's a-priori bound on the coefficient size
@@ -112,42 +114,32 @@ def _sqr(a: tuple[int, int], w: int) -> tuple[int, int]:
     return ((x + y) * (x - y)) >> w, (2 * x * y) >> w
 
 
-def _pow24(a: tuple[int, int], w: int) -> tuple[int, int]:
-    a2 = _sqr(a, w)
-    a4 = _sqr(a2, w)
-    a8 = _sqr(a4, w)
-    return _mul(_sqr(a8, w), a8, w)
-
-
-def _euler(
+def _jacobi(
     q: tuple[int, int], last: int, w: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """E(q) and E(q^2), where E(q) = 1 + sum over k >= 1 of
-    (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)), each over the exponents up to
-    last, in fixed point with w fraction bits.
+    """S(q) and S(q^2), where S(q) = sum over n >= 0 of (-1)^n (2n + 1)
+    q^(n(n+1)/2), each over the exponents up to last, in fixed point with w
+    fraction bits.
 
-    Every term q^(2g) of E(q^2) is _sqr of the term q^g of E(q) (2g <= last),
-    with the same sign, so E(q^2) needs no recurrence of its own.
+    Jacobi's identity makes S(q) = prod (1 - q^k)^3.  The term of S(q^2)
+    with exponent 2g <= last is _sqr of the power q^g of S(q), with the same
+    weight, so S(q^2) needs no recurrence of its own.  q^(n(n+1)/2) steps to
+    the next exponent by q^(n+1), itself stepped by q.
     """
-    q2 = _sqr(q, w)
-    q3 = _mul(q2, q, w)
-    # at step k: a = q^(k(3k-1)/2), b = q^(k(3k+1)/2), and the steps to k + 1
-    a, b, step_a, step_b = q, q2, _mul(q3, q, w), _mul(q3, q2, w)
     re, im = re2, im2 = 1 << w, 0
-    k, g, sign = 1, 1, -1
+    power = step = q  # q^g, g = n(n+1)/2, and q^n
+    n, g, sign = 1, 1, -1
     while g <= last:
-        for power, exponent in ((a, g), (b, g + k)):
-            if exponent > last:
-                break
-            re, im = re + sign * power[0], im + sign * power[1]
-            if 2 * exponent <= last:
-                square = _sqr(power, w)
-                re2, im2 = re2 + sign * square[0], im2 + sign * square[1]
-        g += 3 * k + 1
+        weight = sign * (2 * n + 1)
+        re, im = re + weight * power[0], im + weight * power[1]
+        if 2 * g <= last:
+            square = _sqr(power, w)
+            re2, im2 = re2 + weight * square[0], im2 + weight * square[1]
+        n, sign = n + 1, -sign
+        g += n
         if g <= last:
-            a, b = _mul(a, step_a, w), _mul(b, step_b, w)
-            step_a, step_b = _mul(step_a, q3, w), _mul(step_b, q3, w)
-        k, sign = k + 1, -sign
+            step = _mul(step, q, w)
+            power = _mul(power, step, w)
     return (re, im), (re2, im2)
 
 
@@ -178,15 +170,34 @@ def _arccot_sum(terms: tuple[tuple[int, int], ...], bits: int, hyperbolic: bool)
     return total, bound
 
 
+def _floors(approx, bits: int) -> tuple[int, ...]:
+    """floor(v 2^bits), exactly, for each real value v that approx estimates.
+
+    approx(b) returns integers, each off from its v 2^b by less than the
+    bound it returns with them.  At bits + g bits, when every x - bound and
+    x + bound floor to the same integer at bits (Ziv's test), v 2^(bits+g),
+    which lies strictly between them, floors to it too; else g grows by 32.
+    The test never passes when some v 2^bits is an integer, so a v with
+    finitely many bits needs an exact route of its own.
+    """
+    guard = 32
+    while True:
+        values, bound = approx(bits + guard)
+        floors = tuple((x - bound) >> guard for x in values)
+        if floors == tuple((x + bound) >> guard for x in values):
+            return floors
+        guard += 32
+
+
 class _Constant:
     """floor(c 2^p), exactly, for a constant c given by a Machin-type formula.
 
     The value is memoised as one immutable (bits, floor(c 2^bits)) pair, at
     the highest precision asked for so far (with a margin); a lower p shifts
     it down, which gives floor(c 2^p) again.  A new memo sums the series with
-    guard bits until both ends of its error bound floor to the same integer
-    (Ziv's test), so every thread computes the same value, and two threads
-    that race store equal pairs or a lower one: no lock is needed.
+    guard bits until its floor is certain (_floors), so every thread computes
+    the same value, and two threads that race store equal pairs or a lower
+    one: no lock is needed.
     """
 
     def __init__(self, terms: tuple[tuple[int, int], ...], hyperbolic: bool):
@@ -196,16 +207,15 @@ class _Constant:
     def __call__(self, p: int) -> int:
         bits, value = self._memo
         if p > bits:
-            bits, guard = p + (p >> 4) + 64, 32
-            while True:
-                total, bound = _arccot_sum(self._terms, bits + guard, self._hyperbolic)
-                value = (total - bound) >> guard
-                if value == (total + bound) >> guard:
-                    break
-                guard += 32
+            bits = p + (p >> 4) + 64
+            (value,) = _floors(self._sum, bits)
             if bits > self._memo[0]:
                 self._memo = bits, value
         return value >> (bits - p)
+
+    def _sum(self, bits: int) -> tuple[tuple[int], int]:
+        total, bound = _arccot_sum(self._terms, bits, self._hyperbolic)
+        return (total,), bound
 
 
 # Machin: pi = 16 arctan(1/5) - 4 arctan(1/239); ln 2 = 18 artanh(1/26) -
@@ -257,9 +267,9 @@ def _cos_sin(x: int, p: int, hyperbolic: bool) -> tuple[int, int]:
     return c >> g, s >> g
 
 
-def _unit(x: Fraction, p: int) -> tuple[int, int]:
+def _unit_near(x: Fraction, p: int) -> tuple[tuple[int, int], int]:
     """cos and sin of 2 pi x, as integers scaled by 2^p, each within 4 ulps,
-    and exact when 4x is an integer (the unit is then a power of i).
+    and that bound, for 4x not an integer.
 
     2 pi x = (pi/2)(k + f), k = floor(4x - 1/2), so 1/2 <= f < 3/2 and the
     unit is i^k times cos + i sin of pi f / 2 in [pi/4, 3 pi/4).  That angle,
@@ -269,13 +279,55 @@ def _unit(x: Fraction, p: int) -> tuple[int, int]:
     num, den = 4 * x.numerator, x.denominator
     k = (2 * num - den) // (2 * den)
     num -= k * den
-    if num == den:
-        c, s = 0, 1 << p
-    else:
-        c, s = _cos_sin(_PI(p) * num // (2 * den), p, hyperbolic=False)
+    c, s = _cos_sin(_PI(p) * num // (2 * den), p, hyperbolic=False)
     for _ in range(k % 4):
         c, s = -s, c
-    return c, s
+    return (c, s), 4
+
+
+def _twelfth(t: int, p: int) -> int:
+    """floor(cos(pi t / 6) 2^p), exactly, for an integer t: cos^2 is m/4 for
+    m = (4, 3, 1, 0, 1, 3)[t % 6], so the floor is a signed integer root."""
+    n = (4, 3, 1, 0, 1, 3)[t % 6] << (2 * p - 2)
+    root = math.isqrt(n)
+    return root if t % 12 in (0, 1, 2, 10, 11) else -root - (root * root != n)
+
+
+# Re tau -> (bits, floor(cos 2 pi Re tau 2^bits), floor(sin 2 pi Re tau 2^bits))
+_UNITS: dict[Fraction, tuple[int, int, int]] = {}
+_UNIT_SLOTS = 512
+
+
+def _unit(x: Fraction, p: int) -> tuple[int, int]:
+    """floor(cos(2 pi x) 2^p) and floor(sin(2 pi x) 2^p), exactly, so each
+    within 1 ulp and a function of (x, p) alone.
+
+    When 12x is an integer, cos and sin lie in {0, +-1/2, +-sqrt(3)/2, +-1}
+    (_twelfth).  Otherwise neither is a rational (Niven), so neither has
+    finitely many bits, and Ziv's test (_floors) settles on _unit_near.  The
+    floors are memoised in _UNITS, keyed by x, at the highest precision asked
+    for so far with a margin, as _Constant memoises pi; a lower p shifts them
+    down, which gives the floors at p again.  The memo holds at most
+    _UNIT_SLOTS entries (plus one per thread inserting at the same moment),
+    is emptied when full, and stores nothing asked for at a p above the one
+    j_of_lattice uses at the _PRECISION_CAP-bit cap, so at most 512 pairs of
+    69,772-bit floors, about 9 MB.  Threads that race compute equal floors
+    and at worst store a lower precision or lose an entry, which costs a
+    later call a recomputation and changes no value: no lock is needed.
+    """
+    t = 12 * x
+    if t.denominator == 1:
+        return _twelfth(int(t), p), _twelfth(int(t) - 3, p)
+    memo = _UNITS.get(x)
+    if memo is None or memo[0] < p:
+        bits = p + (p >> 4) + 64
+        memo = bits, *_floors(lambda b: _unit_near(x, b), bits)
+        if p <= _PRECISION_CAP + _FIXED_GUARD_BITS + 8:
+            if len(_UNITS) >= _UNIT_SLOTS:
+                _UNITS.clear()
+            _UNITS[x] = memo
+    bits, c, s = memo
+    return c >> (bits - p), s >> (bits - p)
 
 
 def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
@@ -283,27 +335,30 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
 
     tau is reduced exactly (fundamental_domain_exact), so Im tau >= sqrt(3)/2
     and q = e^(2 pi i tau) has |q| <= lam = e^(-pi sqrt 3) < 2^-7.85.  With
-    E(q) = prod (1 - q^n) = sum (-1)^k q^(k(3k-1)/2) (Euler's pentagonal
-    series), R = (E(q^2)/E(q))^24 and t = (eta(tau)/eta(2 tau))^24 = 1/(q R),
+    E(q) = prod (1 - q^k), R = (E(q^2)/E(q))^24 and t = (eta(tau)/eta(2 tau))^24
+    = 1/(q R),
         j = (t + 256)^3 / t^2 = q^-1 R^-1 (1 + 256 q R)^3 = q^-1 F,
-        F = U^3 / V,  U = A + 256 q B,  V = A^2 B,  A = E(q)^24,  B = E(q^2)^24.
-    F runs on Gaussian integers scaled by 2^W, W = prec + 64 (u = 2^-W is
-    one ulp).  q^(+-1) comes from integers at p = W + 8 fraction bits: Im tau
-    from tau embedded to W + e bits, where 2^e >= 8 Im tau, times pi; the
-    split 2 pi Im tau = n ln 2 + r, e^r from _cos_sin and the unit
-    e^(2 pi i Re tau) from the exact Re tau (_unit).  j = q^-1 F is an exact
-    integer product, rounded once to prec bits.  When Re tau is 0 or 1/2 (the
-    forms with b = 0 or b = a), _unit is exact with sin 0, so q is real, every
-    _mul takes its one-product case, and the imaginary part of j is exactly
-    0.  A prec below 64 raises ValueError on entry, before any of this.
+        F = U^3 / V,  U = A + 256 q B,  V = A^2 B,  A = E(q)^24,  B = E(q^2)^24,
+    and A = S(q)^8, B = S(q^2)^8 for Jacobi's series S(q) = E(q)^3 (_jacobi),
+    each by three squarings.  F runs on Gaussian integers scaled by 2^W,
+    W = prec + 64 (u = 2^-W is one ulp).  q^(+-1) comes from integers at
+    p = W + 8 fraction bits: Im tau from tau embedded to W + e bits, where
+    2^e >= 8 Im tau, times pi; the split 2 pi Im tau = n ln 2 + r, e^r from
+    _cos_sin and the unit e^(2 pi i Re tau) from the exact Re tau (_unit).
+    q is floored to W + 8 bits for 256 q, and that floor floored to W bits,
+    which is floor(q 2^W) again.  j = q^-1 F is an exact integer product,
+    rounded once to prec bits.  When Re tau is 0 or 1/2 (the forms with b = 0
+    or b = a), _unit is exact with sin 0, so q is real, every _mul takes its
+    one-product case, and the imaginary part of j is exactly 0.  A prec below
+    64 raises ValueError on entry, before any of this.
 
     Lemma.  The result j~ satisfies |j~ - j| <= 2^(1-prec) (1 + |j|), within
     the 2^(8-prec) (1 + |j|) that _expand_pairs and _is_real assume.
 
     Proof.  embed is within 2^(1-W-e) relative (its docstring; its square
-    root runs on math.isqrt and rounds exactly as libmp's mpf_sqrt), _PI and
-    _LN2 are exact floors and _cos_sin and _unit are within the ulps their
-    docstrings prove.  Errors below are in ulps u; a fixed-point product
+    root runs on math.isqrt and rounds exactly as libmp's mpf_sqrt), _PI,
+    _LN2 and _unit give exact floors, and _cos_sin is within the ulps its
+    docstring proves.  Errors below are in ulps u; a fixed-point product
     (_mul, _sqr) floors each component of the exact integer product, adding
     < 1 per component and < 1.5 in modulus.
     - q.  Im tau < 2^(e-3), so t = 2 pi Im tau < 2^(e-0.35) is off by
@@ -314,38 +369,48 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
       up to those ulps, is off by < 1.57 u + 2.4 2^-p < 1.6 u.  _cos_sin
       gives e^r = cosh r + sinh r (>= 2) within 4 2^-p, so e^(2 pi Im tau)
       = 2^n e^r and its reciprocal are within 1.7 u relative, and _unit gives
-      cos and sin within 4 2^-p = 2^-6 u.  So q = 2^-n (cos + i sin) / e^r
+      cos and sin within 1 ulp at p, 2^-8 u.  So q = 2^-n (cos + i sin) / e^r
       is within 1.8 u |q| before it is floored to W bits, so within 1.5 u,
       256 q (floored to W + 8 bits) within 256 lam 1.8 u + 1.5 u < 6 u, and
       G = q^-1 = 2^n e^r (cos - i sin) within 3 u |q^-1|.
-    - Series.  Every power q^g in E(q) is computed as a product of two powers
-      of modulus <= lam, each off by < 2 u, so it is off by < 4 lam + 1.5 < 2 u.
-      Each term q^(2g) of E(q^2), 2g <= N, is the square of the term q^g of
-      E(q), so it too is off by < 4 lam + 1.5 < 2 u.  The terms past the
-      exponent N are bounded by the tail |q|^(N+1) / (1 - |q|) < 0.51 u, with
-      N chosen so that |q|^N <= 2^(-W-1): |q| = 2^-L, L = t / ln 2, and
+    - Series.  S(q) = sum (-1)^n (2n + 1) q^(n(n+1)/2) over n >= 0.  Every
+      power q^n and q^(n(n+1)/2) that _jacobi steps through is a product of
+      two powers of modulus <= lam, each off by < 1.52 u, so it is off by
+      < 3.04 lam + 1.5 < 1.52 u; each power q^(n(n+1)) of S(q^2) is the
+      square of q^(n(n+1)/2), so it too is off by < 1.52 u.  Times its exact
+      weight, the term of n is off by < 1.52 (2n + 1) u.  The exponents stop
+      at N, chosen so that |q|^N <= 2^(-W-1): |q| = 2^-L, L = t / ln 2, and
       N = ceil((W + 1) 2^16 / (m - 1)) for the integer m = floor(2^16 t / ln 2)
-      computed from t, so (m - 1) 2^-16 < L and N L >= W + 1.  If E(q) has n
-      terms up to N, E(q^2) has at most n, E(q) and E(q^2) are off by
-      < (2n + 1) u, and their moduli lie in 1 -+ lam / (1 - lam), i.e. in
-      [0.9956, 1.0044].
+      computed from t, so (m - 1) 2^-16 < L and N L >= W + 1.  If S(q) has
+      the terms n = 1 .. K past its constant 1, S(q^2) has at most those.
+      The first term left out of either has weight <= 2K + 3 and modulus
+      <= |q|^(N+1) <= lam 2^(-W-1), and each later one is below lam times
+      the one before, so the tail is < 0.0022 (2K + 3) u <= 0.0055 (K + 1) u.
+      So S(q) and S(q^2) are off by < 1.52 ((K + 1)^2 - 1) + 0.0055 (K + 1)
+      < s = 2 (K + 1)^2 u, and their moduli lie within
+      3 lam + 5 lam^3 + ... < 0.01301 of 1.
     - The rule |d(xy)| <= |x| |dy| + |y| |dx| + 1.5 u then gives, for the
-      moduli and errors in units of u with c = 2n + 1:
-          A, B  <= 1.11 (and >= 0.90)     27 c + 40
-          U     <= 2.35                   60 c + 100
-          U^3   <= 13                     1020 c + 1705
-          V     in [0.73, 1.37]           100 c + 150
-          F     <= 17.6                   (1020 c + 1705 + 17.6 (100 c + 150)) / 0.73 + 1.5
+      moduli and errors in units of u:
+          S(q), S(q^2)  in [0.98699, 1.01301]  s
+          their squares <= 1.02619             2.0261 s + 1.5
+          their 4th     <= 1.05307             4.159 s + 4.58
+          A, B          in [0.9005, 1.109]     a = 8.76 s + 11.2
+          U             <= 2.34                2.11 a + 8.2
+          U^3           <= 12.9                34.7 a + 140
+          V             in [0.73, 1.37]        3.7 a + 3.2
+          F             <= 17.7                (34.7 a + 140 + 17.7 (3.7 a + 3.2)) / 0.73 + 1.5
       and floor((U^3 conj V) 2^W / |V|^2), exact up to that floor, puts F
-      within 3810 c + 5954 <= 2^13 (n + 2) u.
+      within 137.3 a + 271 = 1203 s + 1809 <= 2^12 (K + 1)^2 u, as K >= 1.
     - |q^-1| <= 2^10 (1 + |j|): for Im tau < 1, |q^-1| < e^(2 pi) < 536; for
       Im tau >= 1, |q| < 0.00187, |R^(+-1)| <= 1.047 and |1 + 256 q R| >= 0.499,
       so |F| >= 0.118 and |q^-1| = |j| / |F| < 8.5 |j|.
     - So the exact product G F is off by at most |q^-1| |dF| (1 + 3 u) + 3 u |j|
-      <= 2^24 (n + 2) u (1 + |j|) = 2^(-prec-40) (n + 2) (1 + |j|), and rounding
-      each component to prec bits adds at most 2^-prec |G F|.  n grows like
-      sqrt(prec) (n <= 41 at 4096 bits), so the total is below
-      2^-prec (1 + |j|) (1 + 2^-39 (n + 2)) <= 2^(1-prec) (1 + |j|).
+      <= 2^23 (K + 1)^2 u (1 + |j|) = 2^(-prec-41) (K + 1)^2 (1 + |j|), and
+      rounding each component to prec bits adds at most 2^-prec |G F|.  K
+      grows like sqrt(prec): K (K + 1) / 2 <= N <= (W + 1) / 7.84 + 1,
+      so K <= 32 at 4096 bits and K < 2^20 at any prec below 2^41, and the
+      total is below 2^-prec (1 + |j|) (1 + 2^-40 (K + 1)^2) <= 2^(1-prec)
+      (1 + |j|).
     """
     _require_prec(prec)
     tau = fundamental_domain_exact(lat.tau)
@@ -365,12 +430,13 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     cosh, sinh = _cos_sin(t - ((n * ln2) >> (e + 2)), p, hyperbolic=True)
     big = cosh + sinh
     c, s = _unit(tau.x, p)
-    # q = 2^-n (c + i s) / big, floored to w and to w + 8 bits
-    q = _shift(c, w - n) // big, _shift(s, w - n) // big
+    # q = 2^-n (c + i s) / big, floored to w + 8 bits, and that floored to w
     q256 = _shift(c, w + 8 - n) // big, _shift(s, w + 8 - n) // big
+    q = q256[0] >> 8, q256[1] >> 8
     last = -(-((w + 1) << 16) // (m - 1))
-    e1, e2 = _euler(q, last, w)
-    a, b = _pow24(e1, w), _pow24(e2, w)
+    a, b = _jacobi(q, last, w)
+    for _ in range(3):
+        a, b = _sqr(a, w), _sqr(b, w)
     qb = _mul(q256, b, w)
     u = a[0] + qb[0], a[1] + qb[1]
     u3 = _mul(_sqr(u, w), u, w)

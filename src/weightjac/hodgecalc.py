@@ -151,11 +151,11 @@ def split_h0(h: SyntheticHodge) -> tuple[SyntheticHodge, SyntheticHodge]:
     Returns (H0, H') with H0 of type (r, 0, ..., 0, r), rank 2r, and H' the
     complement with vanishing (0, m) piece; their sum restores the input.
     """
-    if discrepancy(h) != 0:
-        raise NoJacobian(f"discrepancy {discrepancy(h)} > 0")
     m, r = h.weight, h.h0m
     if m == 0:
         raise BadWeight("weight must be positive to split")
+    if discrepancy(h) != 0:
+        raise NoJacobian(f"discrepancy {discrepancy(h)} != 0")
     head = (r,) + (0,) * (m - 1) + (r,)
     rest = tuple(n - e for n, e in zip(h.numbers, head))
     return (

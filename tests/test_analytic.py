@@ -189,13 +189,26 @@ def test_fixed_point_routines_against_mpmath(p, share, x):
             exact = mpmath.mpf(y) / 2**p
             assert abs(c - _scaled(even(exact), p)) < 2 + slack, (p, hyperbolic)
             assert abs(s - _scaled(odd(exact), p)) < 2 + slack, (p, hyperbolic)
-        c, s = analytic._unit(x, p)
         angle = 2 * pi * mpmath.mpf(x.numerator) / x.denominator
-        if (4 * x).denominator == 1:  # a power of i, exactly
-            cos, sin = [(1, 0), (0, 1), (-1, 0), (0, -1)][int(4 * x) % 4]
-            assert (c, s) == (cos << p, sin << p)
-        assert abs(c - _scaled(mpmath.cos(angle), p)) < 4 + slack, (p, x)
-        assert abs(s - _scaled(mpmath.sin(angle), p)) < 4 + slack, (p, x)
+        for got, exact in zip(analytic._unit(x, p), (mpmath.cos(angle), mpmath.sin(angle))):
+            assert -slack < _scaled(exact, p) - got < 1 + slack, (p, x)  # floor(v 2^p)
+
+
+@pytest.mark.parametrize("p", [64, 65, 1001, 8192])
+def test_unit_is_exact_at_every_twelfth_of_a_turn(monkeypatch, p):
+    # cos and sin lie in {0, +-1/2, +-sqrt(3)/2, +-1}, where Ziv's test never
+    # settles on the rational ones: floor(v 2^p) exactly, and no memo entry
+    monkeypatch.setattr(analytic, "_UNITS", {})
+    with mp.workprec(p + 64):
+        for t in range(-24, 25):
+            floors = []
+            for f in (mpmath.cos, mpmath.sin):
+                scaled = _scaled(f(mpmath.pi * t / 6), p)
+                nearest = mpmath.nint(scaled)
+                exact = abs(scaled - nearest) < mpmath.mpf(2) ** -32
+                floors.append(int(nearest if exact else mpmath.floor(scaled)))
+            assert analytic._unit(F(t, 12), p) == tuple(floors), (p, t)
+    assert not analytic._UNITS
 
 
 def test_constant_memo_is_bit_identical_under_a_race(monkeypatch):
@@ -234,6 +247,71 @@ def test_constant_sums_again_until_its_floor_is_certain(monkeypatch):
     pi = analytic._Constant(((16, 5), (-4, 239)), hyperbolic=False)
     with mp.workprec(200):
         assert pi(100) == int(mpmath.floor(_scaled(mpmath.pi, 100)))
+    assert len(calls) == 2 and calls[1] == calls[0] + 32
+
+
+# Re tau = b / 2a of reduced forms, none with 12 Re tau an integer
+_UNIT_XS = [F(b, 2 * a) for a in (5, 7, 8, 9, 11, 13) for b in range(1 - a, a + 1, 3)
+            if (F(6 * b, a)).denominator != 1]
+
+
+def test_unit_memo_is_bit_identical_under_a_race(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    precs = list(range(64, 4000, 433))
+    jobs = [(x, p) for p in precs for x in _UNIT_XS]
+    monkeypatch.setattr(analytic, "_UNITS", {})
+    # a memo of a few slots is emptied again and again while the threads read it
+    monkeypatch.setattr(analytic, "_UNIT_SLOTS", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(lambda k: [analytic._unit(*job) for job in jobs[k:] + jobs[:k]], 7 * k)
+                for k in range(8)
+            ]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(analytic, "_UNIT_SLOTS", 512)
+    # cold and rising, cold and falling, and warm at the highest precision
+    analytic._UNITS.clear()
+    rising = [analytic._unit(*job) for job in jobs]
+    analytic._UNITS.clear()
+    falling = [analytic._unit(*job) for job in reversed(jobs)][::-1]
+    warm = [analytic._unit(*job) for job in jobs]
+    assert all(units == rising[7 * k:] + rising[:7 * k] for k, units in enumerate(threaded))
+    assert falling == rising and warm == rising
+    assert set(analytic._UNITS) == set(_UNIT_XS)
+    # and j: the memo, cold or warm, moves no bit
+    lats = [form_to_lattice(f) for f in (Form(5, 4, 8), Form(7, 6, 73), Form(13, 10, 41))]
+    analytic._UNITS.clear()
+    cold = [_bits(j_of_lattice(lat, 1024)) for lat in lats]
+    assert [_bits(j_of_lattice(lat, 1024)) for lat in lats] == cold
+    analytic._UNITS.clear()
+    [j_of_lattice(lat, 4096) for lat in lats]
+    assert [_bits(j_of_lattice(lat, 1024)) for lat in lats] == cold
+
+
+def test_unit_computes_again_until_its_floors_are_certain(monkeypatch):
+    calls = []
+    real = analytic._unit_near
+
+    def loose(x, p):
+        values, bound = real(x, p)
+        calls.append(p)
+        # the first bound straddles a multiple of 2^32, the first guard
+        return values, bound << 40 if len(calls) == 1 else bound
+
+    monkeypatch.setattr(analytic, "_unit_near", loose)
+    monkeypatch.setattr(analytic, "_UNITS", {})
+    x = F(2, 5)
+    c, s = analytic._unit(x, 100)
+    with mp.workprec(200):
+        angle = 2 * mpmath.pi * x.numerator / x.denominator
+        floors = (int(mpmath.floor(_scaled(f(angle), 100))) for f in (mpmath.cos, mpmath.sin))
+        assert (c, s) == tuple(floors)
     assert len(calls) == 2 and calls[1] == calls[0] + 32
 
 
@@ -276,22 +354,23 @@ def test_real_q_gives_j_with_zero_imaginary_part(prec):
         assert j.re != 0
 
 
-def _pentagonal_terms(last):
-    """Number of terms q^g, 1 <= g <= last, of Euler's pentagonal series."""
-    count, k = 0, 1
-    while k * (3 * k - 1) // 2 <= last:
-        count += 1 + (k * (3 * k + 1) // 2 <= last)
+def _triangular_terms(last):
+    """K, the number of terms q^g, 1 <= g <= last, of Jacobi's series:
+    the g = n(n+1)/2 with 1 <= n <= K."""
+    k = 0
+    while (k + 1) * (k + 2) // 2 <= last:
         k += 1
-    return count
+    return k
 
 
 @pytest.mark.parametrize("prec", [128, 1024, 4096])
 @pytest.mark.parametrize("log2_modulus", [None, -40])
 def test_euler_series_against_q_pochhammer(prec, log2_modulus):
-    # E(q) = (q; q)_inf = (1 - q) (q^2; q)_inf: mpmath.qp(q) would sum the
-    # pentagonal series, and qp(q^2, q) multiplies out the product instead.
-    # Each series must be within (2n + 1) u, the bound of j_of_lattice's lemma,
-    # at |q| = lam = e^(-pi sqrt 3), the largest the lemma allows, and a small |q|
+    # Jacobi's series is E(q)^3, where E(q) = (q; q)_inf = (1 - q) (q^2; q)_inf:
+    # mpmath.qp(q) would sum a series, and qp(q^2, q) multiplies out the
+    # product instead.  Each series must be within 2 (K + 1)^2 u, the bound
+    # of j_of_lattice's lemma, at |q| = lam = e^(-pi sqrt 3), the largest the
+    # lemma allows, and a small |q|
     w = prec + analytic._FIXED_GUARD_BITS
     with mp.workprec(2 * w):
         lam = mpmath.exp(-mpmath.pi * mpmath.sqrt(3))
@@ -301,9 +380,9 @@ def test_euler_series_against_q_pochhammer(prec, log2_modulus):
         exact_q = mpmath.mpc(*q) / 2**w
         bits = -mpmath.log(abs(exact_q), 2)
         last = int(mpmath.ceil((w + 1) / (bits * (1 - mpmath.mpf(2) ** -30))))
-        bound = (2 * _pentagonal_terms(last) + 1) * mpmath.mpf(2) ** -w
-        products = [(1 - x) * mpmath.qp(x * x, x) for x in (exact_q, exact_q**2)]
-        for series, exact in zip(analytic._euler(q, last, w), products):
+        bound = 2 * (_triangular_terms(last) + 1) ** 2 * mpmath.mpf(2) ** -w
+        products = [((1 - x) * mpmath.qp(x * x, x)) ** 3 for x in (exact_q, exact_q**2)]
+        for series, exact in zip(analytic._jacobi(q, last, w), products):
             assert abs(mpmath.mpc(*series) / 2**w - exact) < bound, (prec, log2_modulus)
 
 

@@ -147,14 +147,17 @@ def test_split_h0():
     h0, h0rest = split_h0(ZERO_W2)
     assert h0.total_rank == 0 and h0rest == ZERO_W2
 
-    with pytest.raises(NoJacobian):
+    with pytest.raises(NoJacobian, match="discrepancy 3 != 0"):
         split_h0(SyntheticHodge(2, (2, 5, 2), 7))
 
 
 def test_split_h0_refuses_weight_zero():
-    # discrepancy 0 at weight 0, so only the weight refuses it
-    with pytest.raises(BadWeight):
-        split_h0(SyntheticHodge(0, (0,), 0))
+    # discrepancy 0 at weight 0, so only the weight refuses it; and the weight
+    # is tested first, so a weight-0 discrepancy of -1 (rank below 2 h^{0,0},
+    # which only positive weight refuses) is refused for its weight too
+    for h in (SyntheticHodge(0, (0,), 0), SyntheticHodge(0, (1,), 1)):
+        with pytest.raises(BadWeight, match="weight must be positive"):
+            split_h0(h)
 
 
 def test_abelian_product_hodge_values():

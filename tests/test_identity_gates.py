@@ -25,7 +25,7 @@ from weightjac.cmlattice import form_to_lattice, parse_lattice
 # sha256 over "D:coefficients:prec" lines for every D with -2500 < D <= -3
 CLASS_POLYNOMIAL_SHA256 = "71e6ce88511ab40ca91f82fac2dfe65c124a97d4965dfb1ff7f9e71289b68210"
 # sha256 over the (sign, man, exp, bc) of .re and .im of j at each precision
-J_BITS_SHA256 = "94e577432defafce8f3f3fb0c3080e02b3b3efd6136907a54e92c8af76d05202"
+J_BITS_SHA256 = "f75bc8878781e56594b0c8b5dc852f8c0b4fe7d9b3c53b65437f5035cb383b22"
 
 
 def test_class_polynomial_golden_digest():
@@ -186,7 +186,7 @@ CLI_MIX_DIGESTS = {
     "hcp": "080cdfac9b2624a0768b5b8608ac2d1ded5ede318e1602f8b13644c1731f7c8c",
     "hodge": "673c62356db336db0502ea65649493e6610b0ed236080136a02b41109efa5219",
     "jacobian": "23eadc751602baa9a8a08e852a0e0dfa2b33ea0efc2c053fa11e6170473b0b9c",
-    "jinv": "e7da64fdd2ec3352f73c6255196346ea9e5f08131c3040799e52fc36c82529a6",
+    "jinv": "f3c25153fc2a7a66cc87004945953778278a9bf4a5ecce43f21a575f800ec2b7",
     "kummer": "b8ab6001b07c07b781f0e98f9fc245f4cdbcbfda9818cb5ddd8ec9579fd703c3",
     "latprod": "a97fc2dcae5f7c42253e7d362b7f536cd23011efd61a574e939cf02fda40c588",
     "orbit": "02c4ea5641b916d7a46b76da81c2ed88ac2e8824d6cc4022c0ec29847ad944d0",
