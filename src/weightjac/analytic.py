@@ -788,7 +788,13 @@ def appendix_fixtures() -> list[dict]:
 
 
 def verify_appendix(prec: int = 256) -> list[dict]:
-    """Check every golden fixture; returns one record per lattice."""
+    """Check every golden fixture; returns one record per lattice.
+
+    The thirteen fixtures are lattices of the orders Z[3i], Z[6i],
+    Z[3*sqrt(-3)] and Z[4*sqrt(-3)].  Each j is checked against its exact
+    algebraic expression, and its numeric reality against the criterion that
+    the class has order at most 2.
+    """
     results = []
     for rec in appendix_fixtures():
         lat = parse_lattice(rec["lattice"])

@@ -2,7 +2,8 @@
 
 Reduction, Gauss composition (Cohen's Algorithm 5.4.7), enumeration of the
 reduced primitive forms of a discriminant, and class-group structure.  The
-lattice a form stands for is built in cmlattice (form_to_lattice).
+lattice a form stands for is built in cmlattice (form_to_lattice), which
+imports this module; this module imports nothing of cmlattice.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ class Form:
 
 
 def parse_form(text: str) -> Form:
+    """The form "a,b,c", each coefficient read by parse_int (so "+5" is 5); a
+    non-primitive, non-positive or indefinite form is a ParseError."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError(f"form literal must be 'a,b,c': {text!r}")
@@ -139,7 +142,8 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def compose(f: Form, g: Form) -> Form:
     """Reduced Gauss composition (Cohen, A Course in Computational Algebraic
-    Number Theory, Algorithm 5.4.7) of two primitive forms of one discriminant.
+    Number Theory, Algorithm 5.4.7) of two primitive forms of one discriminant,
+    by two extended gcds.
 
     Cohen's special cases (a1 | a2, d | s) need no branch: _ext_gcd already
     returns his coefficients there, and any Bezout pair gives the same class.

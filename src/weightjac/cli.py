@@ -1,27 +1,19 @@
 """Batch command-line front end emitting JSON reports.
 
-One report object per invocation: {schema, command, input, result, timings}.
-Exit codes: 0 success, 2 input error (machine-readable error record on
-stdout), 1 internal failure.  The weightjac console script, python -m
+One report object per invocation: {schema, command, input, result, timings},
+where timings.import_ms is the wall time of this module's start-up imports
+and a command's own imports count in timings.total_ms.  Exit codes: 0
+success, 2 input error (machine-readable error record on stdout), 1 internal
+failure (a message on stderr).  The weightjac console script, python -m
 weightjac.cli and python -m weightjac all call run(); main(argv) runs the same
 command for tests and library callers, without exiting or touching the garbage
 collector.  A command is declared once, as one _COMMANDS entry: its handler,
 its help line and the names of the _OPTIONS it takes, so adding a command is
-adding one entry.  fixedpoint and decompose each decompose once: fixedpoint
-reads its verdict and decomposition from one jacobians._fixed_point call,
-decompose a same-order surface's verdict off the Jacobian it reports.  Each
-literal has one reader: a form, under --form, --forms or inside a curve class
-(D:a,b,c), is read by binforms.parse_form; a lattice by
-cmlattice.parse_lattices; every integer, in a literal or in -D, -m and --prec
-(read as strings, so a bad one is a ParseError), by quadfield.parse_int.  hcp
-uses the JSON-lines cache file named by --cache, keyed by D: _cached_hcp reads
-it and holds the one rule for serving a record, and _append_hcp adds a record
-per miss and never rewrites the file; classgroup accepts --cache and ignores
-it, and no other command takes it.  Python's int/str digit limit is kept, not
-lifted: hcp refuses a D whose coefficients it could not print, before any j
-evaluation or cache read.
-Under a limit below the default, a report that cannot print is an internal
-failure (exit 1), and an integer literal past the limit a ParseError.
+adding one entry.  hcp's --cache file is read by _cached_hcp, which holds the
+rule for serving a record, and appended to by _append_hcp.  Python's int/str
+digit limit is kept, not lifted: hcp refuses a D whose coefficients it could
+not print, before any j evaluation or cache read.  Under a limit below the
+default, a report that cannot print is an internal failure (exit 1).
 """
 
 from __future__ import annotations
@@ -175,7 +167,8 @@ def _cached_hcp(path: Path, D: int) -> list[int] | None:
 
 def _append_hcp(path: Path, rec: dict) -> None:
     """Append rec to the cache at path as one line, in one write under an
-    exclusive flock, so that concurrent appends never interleave."""
+    exclusive flock, so that concurrent appends never interleave.  hcp
+    appends one record per miss; nothing ever rewrites the file."""
     line = (json.dumps(rec, sort_keys=True) + "\n").encode()
     try:
         fh = path.open("a+b")
@@ -435,7 +428,7 @@ def _cmd_verify_appendix(args):
 
 
 # each command, in the order -h lists them: its handler, its help line and the
-# _OPTIONS it takes
+# _OPTIONS it takes; only hcp reads --cache, and classgroup takes it and ignores it
 _COMMANDS = {
     "classgroup": (_cmd_classgroup, "reduced forms and group structure", ("cache", "discriminant")),
     "reduce": (_cmd_reduce, "reduce a binary quadratic form", ("form",)),

@@ -12,10 +12,8 @@ Algebraic Number Theory, 2.4.2) run on integer rows (x, y) standing for
 (x + y*sqrt(d))/den; rational generators are first cleared to such rows over
 the lcm of their denominators.  The lattice product (additive span of pairwise
 element products), folded over wedge-image duals, is the lattice route to
-higher-weight Jacobians; until a forms-only phi lands, the class route shares
-lattice_product and ideal_class with it through phi's lifts of non-principal
-classes into orders of class number above one (any other lift returns the
-principal class directly).
+higher-weight Jacobians (jacobians.m_jacobian_lattice_route), the oracle of
+the class route.
 """
 
 from __future__ import annotations
@@ -75,7 +73,8 @@ class Order:
 
 @dataclass(frozen=True, slots=True)
 class CMLattice:
-    """Canonical basis <p/den, (q + r*sqrt(d))/den>; p, r > 0, 0 <= q < p."""
+    """Canonical basis <p/den, (q + r*sqrt(d))/den>; p, r > 0, 0 <= q < p,
+    all four of type int."""
 
     field: FieldTag
     den: int

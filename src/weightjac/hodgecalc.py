@@ -203,7 +203,11 @@ _HODGE_RE = re.compile(
 
 
 def parse_hodge(text: str) -> SyntheticHodge:
-    """Parse "weight m; h = [h^{m,0}, ..., h^{0,m}]; rankL = k"."""
+    """Parse "weight m; h = [h^{m,0}, ..., h^{0,m}]; rankL = k".
+
+    Every entry is read by parse_int, so an empty one, as in "h = [1,,1]", is
+    a ParseError.
+    """
     m = _HODGE_RE.match(text)
     if not m:
         raise ParseError(f"not a hodge data literal: {text!r}")

@@ -14,12 +14,11 @@ m-Jacobian is also computable from lattices through cmlattice.image_lattice_L,
 which the test suite uses as an oracle.  phi returns the principal class
 without lattice arithmetic when the source class is principal or the target
 order has class number one; every other lift is a lattice_product followed by
-ideal_class, so for those lifts the two routes still share these functions,
-until a forms-only phi lands.  The order a lift lands in, its lattice and its
-principal class are each built once per discriminant, in memos bounded by
-MEMO_SIZE; the source class's lattice is built once per form, in a memo bounded
-by the few classes one product lifts (_lattice).  The lift itself,
-lattice_product and ideal_class, runs on every call.
+ideal_class.  The order a lift lands in, its lattice and its principal class
+are each built once per discriminant, in memos bounded by MEMO_SIZE; the
+source class's lattice is built once per form, in a memo bounded by the few
+classes one product lifts (_lattice).  The lift itself, lattice_product and
+ideal_class, runs on every call.
 """
 
 from __future__ import annotations
@@ -298,7 +297,8 @@ def n_decompose(x: ProductAV) -> Decomposition:
     is where the surface rule applied pair by pair ends up.  The terminal
     class is the weight-n Jacobian, the composed lifts of all n classes to
     the order of conductor r_1.  The result is independent of the factor
-    order.
+    order.  There is no budget on n: _chain factors each distinct conductor
+    once and sorts one list of exponents per prime.
     """
     if x.n < 2:
         raise DimensionTooSmall("decomposition needs n >= 2")

@@ -6,7 +6,9 @@ part. Everything here is immutable and pure.  One regex reads an element
 literal, "x+y*sqrt(d)", "x" or "y*sqrt(d)" (parse_quadelem), and one function
 reads every integer of input text, there and in every other literal and CLI
 option (parse_int): a sign and ASCII digits, at most MAX_LITERAL_DIGITS, or
-fewer under a lowered int/str digit limit (digit_budget).
+fewer under a lowered int/str digit limit (digit_budget).  mpmath, imported
+at module level, serves QuadElem.embed and its _sqrt_nearest alone, so every
+importer of this module loads it.
 """
 
 from __future__ import annotations

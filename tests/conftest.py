@@ -1,8 +1,9 @@
-"""What the test modules share: a child process's environment, and the one
-loader of perfbench's modules."""
+"""What the test modules share: a child process's environment, the one
+loader of perfbench's modules, and README's code blocks."""
 
 import importlib.util
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -12,6 +13,15 @@ import weightjac
 
 SRC = str(Path(weightjac.__file__).resolve().parents[1])
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(language):
+    """The text of README.md's one code block fenced as ```language."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(rf"^```{language}\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 1, f"README.md has {len(blocks)} ```{language} blocks, not one"
+    return blocks[0]
 
 
 def child_env(*paths, **extra):
