@@ -2,25 +2,27 @@
 
 j is evaluated from the eta quotient (eta(tau)/eta(2 tau))^24 on fixed-point
 Gaussian integers, after exact fundamental-domain reduction of a lattice's
-period ratio (through binforms.reduce).  eta^3 comes from Jacobi's series
-S(q) = sum (-1)^n (2n + 1) q^(n(n+1)/2) = prod (1 - q^k)^3, and one pass over
-its terms also sums S(q^2) from their squares; their 8th powers take three
-squarings each.  A Gaussian product takes three big-integer products and a
-square two.  q = e^(2 pi i tau) is built on integers too: pi and log 2 come
-from Machin-type arctangent series, each memoised as one exact fixed-point
-int (_Constant), e^(2 pi Im tau) from an even Taylor series with doubling
-(_cos_sin), and the unit e^(2 pi i Re tau) from _unit, whose memo holds exact
-floors keyed by Re tau alone.  Nothing in the j kernel reads libmp's
+period ratio (through binforms.reduce).  With E(q) = prod (1 - q^k), the
+quotient is S^4 / (q P^12) for two series over the same powers
+q^(n(n+1)/2), summed in one pass: Jacobi's S(q) = sum (-1)^n (2n + 1)
+q^(n(n+1)/2) = E(q)^3 and Gauss's P(q) = sum q^(n(n+1)/2) = E(q^2)^2 / E(q).
+A Gaussian product takes three big-integer products and a square two.
+q = e^(2 pi i tau) is built on integers too: pi and log 2 come from
+Machin-type arctangent series, each memoised as one exact fixed-point int
+(_Constant), e^(2 pi Im tau) from an even Taylor series with doubling
+(_cos_sin), and the unit e^(2 pi i Re tau) from _unit, whose memo holds
+exact floors keyed by Re tau alone.  Nothing in the j kernel reads libmp's
 process-wide memos, and no memo here takes a lock: each holds exact floors,
 so what it returns does not depend on what it held.  The docstring of
 j_of_lattice proves its error bound.  Class polynomials come from the real
 root product over conjugate pairs of reduced forms of the discriminant, one
 j per pair, at one precision: Enge's a-priori bound on the coefficient size
 plus guard bits, which _expand_pairs proves always passes its a-posteriori
-error bound.  The expansion runs on fixed-point integers; the embedding of
-tau, the reality test, the size bound and the appendix check
-(evaluate_expression, _matches_exact) call libmp at explicit precisions and
-never mpmath's global context.
+error bound.  The expansion runs on fixed-point integers that keep, after
+each factor, only the fraction bits the later factors can amplify
+(_fixed_coefficients); the embedding of tau, the reality test, the size
+bound and the appendix check (evaluate_expression, _matches_exact) call
+libmp at explicit precisions and never mpmath's global context.
 """
 
 from __future__ import annotations
@@ -117,30 +119,29 @@ def _sqr(a: tuple[int, int], w: int) -> tuple[int, int]:
 def _jacobi(
     q: tuple[int, int], last: int, w: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """S(q) and S(q^2), where S(q) = sum over n >= 0 of (-1)^n (2n + 1)
-    q^(n(n+1)/2), each over the exponents up to last, in fixed point with w
-    fraction bits.
+    """S(q) = sum over n >= 0 of (-1)^n (2n + 1) q^(n(n+1)/2) and P(q) = sum
+    over n >= 0 of q^(n(n+1)/2), each over the exponents up to last, in fixed
+    point with w fraction bits.
 
-    Jacobi's identity makes S(q) = prod (1 - q^k)^3.  The term of S(q^2)
-    with exponent 2g <= last is _sqr of the power q^g of S(q), with the same
-    weight, so S(q^2) needs no recurrence of its own.  q^(n(n+1)/2) steps to
-    the next exponent by q^(n+1), itself stepped by q.
+    Jacobi's identity makes S(q) = E(q)^3, and Gauss's makes P(q) = E(q^2)^2
+    / E(q), for E(q) = prod (1 - q^k).  Both series run over the same powers
+    q^(n(n+1)/2), with weights (-1)^n (2n + 1) and 1, so P costs no product
+    of its own.  q^(n(n+1)/2) steps to the next exponent by q^(n+1), itself
+    stepped by q.
     """
-    re, im = re2, im2 = 1 << w, 0
+    re, im = pre, pim = 1 << w, 0
     power = step = q  # q^g, g = n(n+1)/2, and q^n
     n, g, sign = 1, 1, -1
     while g <= last:
         weight = sign * (2 * n + 1)
         re, im = re + weight * power[0], im + weight * power[1]
-        if 2 * g <= last:
-            square = _sqr(power, w)
-            re2, im2 = re2 + weight * square[0], im2 + weight * square[1]
+        pre, pim = pre + power[0], pim + power[1]
         n, sign = n + 1, -sign
         g += n
         if g <= last:
             step = _mul(step, q, w)
             power = _mul(power, step, w)
-    return (re, im), (re2, im2)
+    return (re, im), (pre, pim)
 
 
 def _shift(x: int, n: int) -> int:
@@ -337,20 +338,22 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     and q = e^(2 pi i tau) has |q| <= lam = e^(-pi sqrt 3) < 2^-7.85.  With
     E(q) = prod (1 - q^k), R = (E(q^2)/E(q))^24 and t = (eta(tau)/eta(2 tau))^24
     = 1/(q R),
-        j = (t + 256)^3 / t^2 = q^-1 R^-1 (1 + 256 q R)^3 = q^-1 F,
-        F = U^3 / V,  U = A + 256 q B,  V = A^2 B,  A = E(q)^24,  B = E(q^2)^24,
-    and A = S(q)^8, B = S(q^2)^8 for Jacobi's series S(q) = E(q)^3 (_jacobi),
-    each by three squarings.  F runs on Gaussian integers scaled by 2^W,
-    W = prec + 64 (u = 2^-W is one ulp).  q^(+-1) comes from integers at
-    p = W + 8 fraction bits: Im tau from tau embedded to W + e bits, where
-    2^e >= 8 Im tau, times pi; the split 2 pi Im tau = n ln 2 + r, e^r from
-    _cos_sin and the unit e^(2 pi i Re tau) from the exact Re tau (_unit).
-    q is floored to W + 8 bits for 256 q, and that floor floored to W bits,
-    which is floor(q 2^W) again.  j = q^-1 F is an exact integer product,
-    rounded once to prec bits.  When Re tau is 0 or 1/2 (the forms with b = 0
-    or b = a), _unit is exact with sin 0, so q is real, every _mul takes its
-    one-product case, and the imaginary part of j is exactly 0.  A prec below
-    64 raises ValueError on entry, before any of this.
+        j = (t + 256)^3 / t^2 = q^-1 R^-1 (1 + 256 q R)^3 = q^-1 F.
+    Jacobi's S(q) = E(q)^3 and Gauss's P(q) = E(q^2)^2 / E(q) (_jacobi) give
+    E(q)^24 = S^8 and E(q^2)^24 = P^12 S^4, so R = P^12 / S^4 and
+        F = U^3 / V,  U = S^4 + 256 q P^12,  V = S^8 P^12,
+    with S^4 and P^4 by two squarings each and P^12 = (P^4)^2 P^4.  F runs on
+    Gaussian integers scaled by 2^W, W = prec + 64 (u = 2^-W is one ulp).
+    q^(+-1) comes from integers at p = W + 8 fraction bits: Im tau from tau
+    embedded to W + e bits, where 2^e >= 8 Im tau, times pi; the split
+    2 pi Im tau = n ln 2 + r, e^r from _cos_sin and the unit e^(2 pi i Re
+    tau) from the exact Re tau (_unit).  q is floored to W + 8 bits for
+    256 q, and that floor floored to W bits, which is floor(q 2^W) again.
+    j = q^-1 F is an exact integer product, rounded once to prec bits.  When
+    Re tau is 0 or 1/2 (the forms with b = 0 or b = a), _unit is exact with
+    sin 0, so q is real, every _mul takes its one-product case, and the
+    imaginary part of j is exactly 0.  A prec below 64 raises ValueError on
+    entry, before any of this.
 
     Lemma.  The result j~ satisfies |j~ - j| <= 2^(1-prec) (1 + |j|), within
     the 2^(8-prec) (1 + |j|) that _expand_pairs and _is_real assume.
@@ -373,34 +376,42 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
       is within 1.8 u |q| before it is floored to W bits, so within 1.5 u,
       256 q (floored to W + 8 bits) within 256 lam 1.8 u + 1.5 u < 6 u, and
       G = q^-1 = 2^n e^r (cos - i sin) within 3 u |q^-1|.
-    - Series.  S(q) = sum (-1)^n (2n + 1) q^(n(n+1)/2) over n >= 0.  Every
-      power q^n and q^(n(n+1)/2) that _jacobi steps through is a product of
-      two powers of modulus <= lam, each off by < 1.52 u, so it is off by
-      < 3.04 lam + 1.5 < 1.52 u; each power q^(n(n+1)) of S(q^2) is the
-      square of q^(n(n+1)/2), so it too is off by < 1.52 u.  Times its exact
-      weight, the term of n is off by < 1.52 (2n + 1) u.  The exponents stop
-      at N, chosen so that |q|^N <= 2^(-W-1): |q| = 2^-L, L = t / ln 2, and
+    - Series.  S(q) = sum (-1)^n (2n + 1) q^(n(n+1)/2) and P(q) = sum
+      q^(n(n+1)/2) over n >= 0.  Every power q^n and q^(n(n+1)/2) that
+      _jacobi steps through is a product of two powers of modulus <= lam,
+      each off by < 1.52 u, so it is off by < 3.04 lam + 1.5 < 1.52 u.  Times
+      its exact weight, (-1)^n (2n + 1) in S and 1 in P, the term of n is off
+      by < 1.52 (2n + 1) u.  The exponents stop at N, chosen so that
+      |q|^N <= 2^(-W-1): |q| = 2^-L, L = t / ln 2, and
       N = ceil((W + 1) 2^16 / (m - 1)) for the integer m = floor(2^16 t / ln 2)
-      computed from t, so (m - 1) 2^-16 < L and N L >= W + 1.  If S(q) has
-      the terms n = 1 .. K past its constant 1, S(q^2) has at most those.
-      The first term left out of either has weight <= 2K + 3 and modulus
-      <= |q|^(N+1) <= lam 2^(-W-1), and each later one is below lam times
-      the one before, so the tail is < 0.0022 (2K + 3) u <= 0.0055 (K + 1) u.
-      So S(q) and S(q^2) are off by < 1.52 ((K + 1)^2 - 1) + 0.0055 (K + 1)
-      < s = 2 (K + 1)^2 u, and their moduli lie within
-      3 lam + 5 lam^3 + ... < 0.01301 of 1.
+      computed from t, so (m - 1) 2^-16 < L and N L >= W + 1.  Both series
+      have the terms n = 1 .. K past their constant 1.  The first term left
+      out has weight <= 2K + 3 and modulus <= |q|^(N+1) <= lam 2^(-W-1), and
+      each later one is below lam times the one before, so the tail is
+      < 0.0022 (2K + 3) u <= 0.0055 (K + 1) u.  So S and P are off by
+      < 1.52 ((K + 1)^2 - 1) + 0.0055 (K + 1) < s = 2 (K + 1)^2 u, and
+      |S - 1| <= 3 lam + 5 lam^3 + ... < 0.01301, |P - 1| <= lam + lam^3 +
+      ... < 0.00434.
     - The rule |d(xy)| <= |x| |dy| + |y| |dx| + 1.5 u then gives, for the
       moduli and errors in units of u:
-          S(q), S(q^2)  in [0.98699, 1.01301]  s
-          their squares <= 1.02619             2.0261 s + 1.5
-          their 4th     <= 1.05307             4.159 s + 4.58
-          A, B          in [0.9005, 1.109]     a = 8.76 s + 11.2
-          U             <= 2.34                2.11 a + 8.2
-          U^3           <= 12.9                34.7 a + 140
-          V             in [0.73, 1.37]        3.7 a + 3.2
-          F             <= 17.7                (34.7 a + 140 + 17.7 (3.7 a + 3.2)) / 0.73 + 1.5
+          S             in [0.98699, 1.01301]  s
+          S^2           <= 1.02619             2.0261 s + 1.5
+          S^4           <= 1.05307             4.159 s + 4.58
+          S^8           in [0.9005, 1.109]     8.76 s + 11.2
+          P             in [0.99566, 1.00434]  s
+          P^2           <= 1.0087              2.0087 s + 1.5
+          P^4           <= 1.01748             4.053 s + 4.53
+          P^8           <= 1.03527             8.248 s + 10.72
+          P^12          in [0.9491, 1.05337]   12.59 s + 17.1
+          256 q P^12    <= 1.1686              13.97 s + 26.8
+          U             <= 2.2217              18.13 s + 31.38
+          U^2           <= 4.936               80.56 s + 140.94
+          U^3           <= 10.967              268.5 s + 469.6
+          V             in [0.8546, 1.1682]    23.2 s + 32.3
+          F             <= 12.84
       and floor((U^3 conj V) 2^W / |V|^2), exact up to that floor, puts F
-      within 137.3 a + 271 = 1203 s + 1809 <= 2^12 (K + 1)^2 u, as K >= 1.
+      within (268.5 s + 469.6 + 12.84 (23.2 s + 32.3)) / 0.8546 + 1.5 =
+      662.8 s + 1036.3 <= 1585 (K + 1)^2 u < 2^12 (K + 1)^2 u, as K >= 1.
     - |q^-1| <= 2^10 (1 + |j|): for Im tau < 1, |q^-1| < e^(2 pi) < 536; for
       Im tau >= 1, |q| < 0.00187, |R^(+-1)| <= 1.047 and |1 + 256 q R| >= 0.499,
       so |F| >= 0.118 and |q^-1| = |j| / |F| < 8.5 |j|.
@@ -434,13 +445,14 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     q256 = _shift(c, w + 8 - n) // big, _shift(s, w + 8 - n) // big
     q = q256[0] >> 8, q256[1] >> 8
     last = -(-((w + 1) << 16) // (m - 1))
-    a, b = _jacobi(q, last, w)
-    for _ in range(3):
-        a, b = _sqr(a, w), _sqr(b, w)
-    qb = _mul(q256, b, w)
-    u = a[0] + qb[0], a[1] + qb[1]
+    # F = U^3 / V, U = S^4 + 256 q P^12, V = S^8 P^12
+    s1, p1 = _jacobi(q, last, w)
+    s4, p4 = _sqr(_sqr(s1, w), w), _sqr(_sqr(p1, w), w)
+    p12 = _mul(_sqr(p4, w), p4, w)
+    qp = _mul(q256, p12, w)
+    u = s4[0] + qp[0], s4[1] + qp[1]
     u3 = _mul(_sqr(u, w), u, w)
-    v = _mul(_sqr(a, w), b, w)
+    v = _mul(_sqr(s4, w), p12, w)
     norm = v[0] * v[0] + v[1] * v[1]
     f_re = ((u3[0] * v[0] + u3[1] * v[1]) << w) // norm
     f_im = ((u3[1] * v[0] - u3[0] * v[1]) << w) // norm
@@ -592,7 +604,8 @@ def _expand_pairs(roots: list[PrecComplex], paired: list[bool], prec: int) -> tu
     marks those whose conjugate is a root too, and h = len(roots) +
     sum(paired) is the degree.  Each j carries an error |dr| <= eps (1 + |r|)
     with eps = 2^(8-prec) (the lemma of j_of_lattice proves 2^(1-prec)).
-    Each check that fails raises RuntimeError naming it and prec.
+    Each check that fails raises RuntimeError naming it and prec; the first
+    two run in _fixed_coefficients, which expands the product.
     - The size bound.  Every coefficient is off by at most
       ((1+eps)^h - 1) prod(1 + |r_i|) <= 2 h eps prod(1 + |r_i|) over all h
       roots.  mag(prod) + ceil(log2 h) + 12 < prec puts that at or below
@@ -621,54 +634,92 @@ def _expand_pairs(roots: list[PrecComplex], paired: list[bool], prec: int) -> tu
     ambiguous j is real, so |Im r| <= 2^(1-P) (1 + |j|) <= 2^(1-P) (1 + |r|)
     (1 + 2^(2-P)), while 1 + |r|, rounded twice to nearest at P bits, is at
     least (1 + |r|)(1 - 2^-P)^2: the reality test passes with a margin of
-    2^15.  The size bound puts each fixed-point coefficient within 1/16 (times
-    1 + 2^-38, plus the expansion's floors below) of the true integer, so
-    the rounding test passes, 1/16 against 1/4.
+    2^15.  The size bound puts the coefficients of the product over the
+    roots as given within 1/16 (times 1 + 2^-38) of the true integers, and
+    _fixed_coefficients' theorem puts each fixed-point value within 2^-22 of
+    those, so the rounding test passes, 1/16 + 2^-22 against 1/4.
+    """
+    coeffs, g = _fixed_coefficients(roots, paired, prec)
+    half, quarter = 1 << (g - 1), 1 << (g - 2)
+    rounded = tuple((c + half) >> g for c in coeffs)
+    if any(abs(c - (n << g)) >= quarter for c, n in zip(coeffs, rounded)):
+        raise RuntimeError(f"class polynomial fails the rounding test at {prec} bits")
+    return rounded
 
-    The expansion runs on integers scaled by 2^W, W = prec + 48 (u = 2^-W).
-    The parts of each root are floored to W bits, so s = 2 Re r is off by
-    < 2u and p = |r|^2, floored once more, by < 3 (1 + |r|) u.  A factor
-    X - r or X^2 - sX + p updates every coefficient with one floored
-    product, which adds < 1 u, to partial coefficients of modulus at most
-    M = prod over the earlier factors of (1 + |r_j|) (times 1 + 2^-40).  So
-    one factor adds < (5 (1 + |r|) M + 1) u, which the later factors scale
-    by at most their (1 + |r_j|), and the floors put every coefficient off
-    by < 6 h u prod(1 + |r_i|) in all, 3 2^-56 of the root error term.
+
+def _fixed_coefficients(
+    roots: list[PrecComplex], paired: list[bool], prec: int
+) -> tuple[list[int], int]:
+    """The size bound and the reality test of _expand_pairs, then the
+    coefficients of prod (X - r) (X - conj r) over the paired roots times
+    prod (X - Re r) over the others, leading 1 first, each as an integer c
+    scaled by 2^g, and g = ceil(log2 h) + 24.
+
+    Theorem.  Each c 2^-g is within 2.01 h 2^-g <= 2^-22 of the coefficient
+    of that product over the roots as given, which are binary fractions.
+
+    Proof.  The factors are X - x for x = Re r and X^2 - sX + p for s = 2 Re r
+    and p = |r|^2, multiplied in turn.  The coefficients of a factor sum in
+    modulus to 1 + |x| <= 1 + |r| or 1 + |s| + |p| <= (1 + |r|)^2, which is
+    below 2^L for the L = mag of its 53-bit bound in the size bound, up to
+    that bound's roundings to nearest.  Those roundings, and the roots read
+    to the bits below in place of the exact ones, raise every product of
+    these bounds by a factor below 1 + 2^-23 over the n <= h < 5900 factors
+    under the cap (_expand_pairs' proof), which the constants below absorb.
+    Let L_k be the L of the k-th factor, S_k = L_1 + ... + L_(k-1) and T_k =
+    L_(k+1) + ... + L_n, so S_k + T_k = T_0 - L_k.  The product of the first
+    k - 1 factors has coefficients below 2^S_k, and the later factors scale
+    an error in a coefficient by at most 2^T_k in all.
+    - Floors.  After the k-th factor every coefficient is kept at T_k + g
+      fraction bits, the bits that the later factors can amplify, plus g.
+      It is one floor of an exact integer combination, so off by
+      < 2^-(T_k+g) more, which the later factors scale to < 2^-g.
+    - Roots.  Each root is read to a = T_0 - L_k + g fraction bits, by
+      floors (to_fixed).  For X - x that moves x by < 2^-a, so the
+      coefficients by < 2^(S_k - a), which the later factors scale to
+      < 2^-g.  For a pair, re and im floored to a bits put s within 2^(1-a),
+      and p, their squared modulus floored to a bits, within
+      (2 sqrt(2) |r| + 1 + 2^(1-a)) 2^-a: p = |r|^2 doubles an error in r by
+      2 |r|.  Both together are within 3.01 (1 + |r|) 2^-a, so a pair is read
+      to a + l + 2 bits instead, for the l = mag of its 53-bit 1 + |r|, and
+      moves the coefficients by < 0.76 2^-g after the later factors.
+    So each factor adds < 2.01 2^-g, and the n <= h factors < 2.01 h 2^-g <=
+    2.01 2^-24 < 2^-22.  A coefficient carries T_0 + g fraction and integer
+    bits in all, about mag(size) + g, where a fixed scale of 2^-prec would
+    carry up to twice that.
     """
     h = len(roots) + sum(paired)
     rnd = round_nearest  # libmp's default rounds down and can lower mag(size)
-    size = fone
+    size, factors = fone, []
     for r, pair in zip(roots, paired):
-        factor = mpf_add(fone, mpf_hypot(r.re._mpf_, r.im._mpf_, 53, rnd), 53, rnd)
-        if pair:
-            factor = mpf_mul(factor, factor, 53, rnd)
+        bound = mpf_add(fone, mpf_hypot(r.re._mpf_, r.im._mpf_, 53, rnd), 53, rnd)
+        factor = mpf_mul(bound, bound, 53, rnd) if pair else bound
         size = mpf_mul(size, factor, 53, rnd)
+        # L and l of the proof: the mags of factor and bound
+        factors.append((factor[2] + factor[3], bound[2] + bound[3], r, pair))
     _, _, exp, bc = size
     if exp + bc + (h - 1).bit_length() + 12 >= prec:
         raise RuntimeError(f"class polynomial fails the size bound at {prec} bits")
-    w = prec + _GUARD_BITS
-    coeffs = [1 << w]
-    for r, pair in zip(roots, paired):
+    g = (h - 1).bit_length() + 24
+    total = sum(factor[0] for factor in factors)
+    coeffs = [1 << (total + g)]
+    for mag, root_mag, r, pair in factors:
+        a = total - mag + g
         # int(): under mpmath's gmpy backend to_fixed returns a gmpy2.mpz
-        re = int(to_fixed(r.re._mpf_, w))
         if pair:
-            im = int(to_fixed(r.im._mpf_, w))
-            s, p = 2 * re, (re * re + im * im) >> w
-            coeffs += [0, 0]
-            for k in range(len(coeffs) - 1, 1, -1):
-                coeffs[k] += (p * coeffs[k - 2] - s * coeffs[k - 1]) >> w
-            coeffs[1] -= s
+            a += root_mag + 2
+            re, im = int(to_fixed(r.re._mpf_, a)), int(to_fixed(r.im._mpf_, a))
+            s, p = 2 * re, (re * re + im * im) >> a
+            coeffs = [
+                ((c << a) - s * c1 + p * c2) >> (a + mag)
+                for c, c1, c2 in zip(coeffs + [0, 0], [0, *coeffs, 0], [0, 0, *coeffs])
+            ]
         elif _is_real(r):
-            coeffs.append(0)
-            for k in range(len(coeffs) - 1, 0, -1):
-                coeffs[k] -= (re * coeffs[k - 1]) >> w
+            x = int(to_fixed(r.re._mpf_, a))
+            coeffs = [((c << a) - x * c1) >> (a + mag) for c, c1 in zip(coeffs + [0], [0, *coeffs])]
         else:
             raise RuntimeError(f"class polynomial fails the reality test at {prec} bits")
-    half, quarter = 1 << (w - 1), 1 << (w - 2)
-    rounded = tuple((c + half) >> w for c in coeffs)
-    if any(abs(c - (n << w)) >= quarter for c, n in zip(coeffs, rounded)):
-        raise RuntimeError(f"class polynomial fails the rounding test at {prec} bits")
-    return rounded
+    return coeffs, g
 
 
 _ALPHABET_RE = re.compile(r"(?:[0-9\s]|zeta3|sqrt|cbrt|root4|\*(?!\*)|[-+^()·])*")

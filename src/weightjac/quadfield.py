@@ -13,6 +13,7 @@ importer of this module loads it.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -246,6 +247,7 @@ class QuadElem:
         return f"QuadElem({self})"
 
 
+@functools.lru_cache(maxsize=32)
 def _sqrt_nearest(n: int, prec: int) -> tuple:
     """mpf_sqrt(from_int(n), prec, round_nearest), bit for bit, for squarefree n > 0.
 
@@ -257,6 +259,13 @@ def _sqrt_nearest(n: int, prec: int) -> tuple:
     on a nonzero remainder appends a sticky 1 bit, so that rounding to nearest
     never meets a false tie.  math.isqrt takes the place of libmp's
     pure-Python sqrtrem, the larger part of embed's time.
+
+    The roots are memoised by (n, prec), at most 32 of them, least recently
+    used first out, so the memo holds at most 32 times the largest root
+    asked for: the forms of one discriminant share n, and the j kernel asks
+    for a few precisions, one per bit length of 8 Im tau.  A root is an
+    immutable tuple that depends on (n, prec) alone, so a thread that reads
+    the memo gets the value it would compute.
     """
     shift = max(4, 2 * prec - n.bit_length() + 4)
     shift += shift & 1

@@ -366,11 +366,10 @@ def _triangular_terms(last):
 @pytest.mark.parametrize("prec", [128, 1024, 4096])
 @pytest.mark.parametrize("log2_modulus", [None, -40])
 def test_euler_series_against_q_pochhammer(prec, log2_modulus):
-    # Jacobi's series is E(q)^3, where E(q) = (q; q)_inf = (1 - q) (q^2; q)_inf:
-    # mpmath.qp(q) would sum a series, and qp(q^2, q) multiplies out the
-    # product instead.  Each series must be within 2 (K + 1)^2 u, the bound
-    # of j_of_lattice's lemma, at |q| = lam = e^(-pi sqrt 3), the largest the
-    # lemma allows, and a small |q|
+    # Jacobi's series is E(q)^3 and Gauss's is E(q^2)^2 / E(q), where E(q) =
+    # (q; q)_inf is mpmath.qp(q).  Each series must be within 2 (K + 1)^2 u,
+    # the bound of j_of_lattice's lemma, at |q| = lam = e^(-pi sqrt 3), the
+    # largest the lemma allows, and a small |q|
     w = prec + analytic._FIXED_GUARD_BITS
     with mp.workprec(2 * w):
         lam = mpmath.exp(-mpmath.pi * mpmath.sqrt(3))
@@ -381,7 +380,8 @@ def test_euler_series_against_q_pochhammer(prec, log2_modulus):
         bits = -mpmath.log(abs(exact_q), 2)
         last = int(mpmath.ceil((w + 1) / (bits * (1 - mpmath.mpf(2) ** -30))))
         bound = 2 * (_triangular_terms(last) + 1) ** 2 * mpmath.mpf(2) ** -w
-        products = [((1 - x) * mpmath.qp(x * x, x)) ** 3 for x in (exact_q, exact_q**2)]
+        euler = mpmath.qp(exact_q)
+        products = [euler**3, mpmath.qp(exact_q**2, exact_q**2) ** 2 / euler]
         for series, exact in zip(analytic._jacobi(q, last, w), products):
             assert abs(mpmath.mpc(*series) / 2**w - exact) < bound, (prec, log2_modulus)
 
@@ -733,6 +733,32 @@ def test_expand_pairs_decides_like_the_mpmath_size_test(D):
     with pytest.raises(RuntimeError, match=f"size bound at {threshold - 1} bits"):
         analytic._expand_pairs(roots, paired, threshold - 1)
     assert analytic._expand_pairs(roots, paired, threshold) == expected
+
+
+def test_fixed_point_expansion_is_within_its_theorem_of_the_exact_product():
+    # D = -2351 has h = 63, the largest h below |D| 2500.  The parts of its
+    # roots are binary fractions, x = m 2^-E and y = n 2^-E for integers m, n,
+    # so the factors 2^E X - m and 2^2E X^2 - 2^(E+1) m X + m^2 + n^2 multiply
+    # to 2^(E h) times the exact product over the roots as given.  Each
+    # fixed-point coefficient c 2^-g must lie within 2.01 h 2^-(ceil(log2 h)
+    # + 24) of it, the bound of _fixed_coefficients' theorem
+    roots, paired = _class_roots(-2351)
+    h = len(roots) + sum(paired)
+    assert h == 63
+    parts = [(r.re._mpf_, r.im._mpf_) if pair else (r.re._mpf_,) for r, pair in zip(roots, paired)]
+    e = max(-exp for mpfs in parts for _, _, exp, _ in mpfs)
+    exact = [1]
+    for mpfs in parts:
+        m, *n = (int((-1) ** sign * man) << (exp + e) for sign, man, exp, _ in mpfs)
+        factor = [1 << (2 * e), -m << (e + 1), m * m + n[0] ** 2] if n else [1 << e, -m]
+        exact = [
+            sum(exact[i - k] * c for k, c in enumerate(factor) if 0 <= i - k < len(exact))
+            for i in range(len(exact) + len(factor) - 1)
+        ]
+    coeffs, g = analytic._fixed_coefficients(roots, paired, roots[0].prec)
+    assert len(coeffs) == len(exact) == h + 1
+    gap = max(F(abs((c << (e * h)) - (x << g)), 1 << (e * h + g)) for c, x in zip(coeffs, exact))
+    assert 0 < gap <= F(201, 100) * h / 2 ** ((h - 1).bit_length() + 24)
 
 
 def test_expansion_and_embedding_take_no_lock():
