@@ -16,13 +16,15 @@ process-wide memos, and no memo here takes a lock: each holds exact floors,
 so what it returns does not depend on what it held.  The docstring of
 j_of_lattice proves its error bound.  Class polynomials come from the real
 root product over conjugate pairs of reduced forms of the discriminant, one
-j per pair, at one precision: Enge's a-priori bound on the coefficient size
-plus guard bits, which _expand_pairs proves always passes its a-posteriori
-error bound.  The expansion runs on fixed-point integers that keep, after
-each factor, only the fraction bits the later factors can amplify
-(_fixed_coefficients); the embedding of tau, the reality test, the size
-bound and the appendix check (evaluate_expression, _matches_exact) call
-libmp at explicit precisions and never mpmath's global context.
+j per pair, certified at one precision: Enge's a-priori bound on the
+coefficient size plus guard bits, which _expand_pairs proves always passes
+its a-posteriori error bound for roots evaluated 7 bits lower, and the j
+kernel works at the guard its lemma needs (_guard_bits).  The expansion
+runs on fixed-point integers that keep, after each factor, only the
+fraction bits the later factors can amplify (_fixed_coefficients); the
+embedding of tau, the reality test, the size bound and the appendix check
+(evaluate_expression, _matches_exact) call libmp at explicit precisions and
+never mpmath's global context.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .errors import DivisionByZero, LowerHalfPlane, ParseError, PrecisionExhaust
 from .quadfield import _MIN_PREC, QuadElem, _require_prec, factorize
 
 _GUARD_BITS = 48
-_FIXED_GUARD_BITS = 64
 _PRECISION_CAP = 1 << 16
 
 
@@ -312,7 +313,7 @@ def _unit(x: Fraction, p: int) -> tuple[int, int]:
     _UNIT_SLOTS entries (plus one per thread inserting at the same moment),
     is emptied when full, and stores nothing asked for at a p above the one
     j_of_lattice uses at the _PRECISION_CAP-bit cap, so at most 512 pairs of
-    69,772-bit floors, about 9 MB.  Threads that race compute equal floors
+    69,745-bit floors, about 9 MB.  Threads that race compute equal floors
     and at worst store a lower precision or lose an entry, which costs a
     later call a recomputation and changes no value: no lock is needed.
     """
@@ -323,12 +324,27 @@ def _unit(x: Fraction, p: int) -> tuple[int, int]:
     if memo is None or memo[0] < p:
         bits = p + (p >> 4) + 64
         memo = bits, *_floors(lambda b: _unit_near(x, b), bits)
-        if p <= _PRECISION_CAP + _FIXED_GUARD_BITS + 8:
+        if p <= _PRECISION_CAP + _guard_bits(_PRECISION_CAP) + 8:
             if len(_UNITS) >= _UNIT_SLOTS:
                 _UNITS.clear()
             _UNITS[x] = memo
     bits, c, s = memo
     return c >> (bits - p), s >> (bits - p)
+
+
+def _guard_bits(prec: int) -> int:
+    """g = 23 + 2 bitlen(K + 1), for a bound K on the number of terms of each
+    series that j_of_lattice sums at W = prec + g bits: the guard its lemma
+    needs, 31 bits at prec 384, 35 at 4096 and 39 at the _PRECISION_CAP cap.
+
+    The series stop at an exponent N <= (W + 1) / 7.84 + 1 (the lemma's
+    proof), and K (K + 1) / 2 <= N gives K <= isqrt(2 N).  N is bounded at
+    W' = prec + 23 + 2 bitlen(prec), which is at least W: W' <= 2 prec for
+    prec >= 64, so K <= sqrt(0.52 prec + 2.3) < prec, and g <= W' - prec.
+    """
+    w = prec + 23 + 2 * prec.bit_length()
+    k = math.isqrt(2 * ((w + 1) * 25 // 196 + 1))
+    return 23 + 2 * (k + 1).bit_length()
 
 
 def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
@@ -343,7 +359,8 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     E(q)^24 = S^8 and E(q^2)^24 = P^12 S^4, so R = P^12 / S^4 and
         F = U^3 / V,  U = S^4 + 256 q P^12,  V = S^8 P^12,
     with S^4 and P^4 by two squarings each and P^12 = (P^4)^2 P^4.  F runs on
-    Gaussian integers scaled by 2^W, W = prec + 64 (u = 2^-W is one ulp).
+    Gaussian integers scaled by 2^W, W = prec + g for the guard g =
+    _guard_bits(prec) (u = 2^-W is one ulp).
     q^(+-1) comes from integers at p = W + 8 fraction bits: Im tau from tau
     embedded to W + e bits, where 2^e >= 8 Im tau, times pi; the split
     2 pi Im tau = n ln 2 + r, e^r from _cos_sin and the unit e^(2 pi i Re
@@ -355,8 +372,10 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
     imaginary part of j is exactly 0.  A prec below 64 raises ValueError on
     entry, before any of this.
 
-    Lemma.  The result j~ satisfies |j~ - j| <= 2^(1-prec) (1 + |j|), within
-    the 2^(8-prec) (1 + |j|) that _expand_pairs and _is_real assume.
+    Lemma.  The result j~ satisfies |j~ - j| <= 2^(1-prec) (1 + |j|).
+    hilbert_class_polynomial evaluates its roots 7 bits below the precision
+    it certifies, where this is the 2^(8-prec) (1 + |j|) that _expand_pairs
+    assumes; _is_real allows 2^15 times it.
 
     Proof.  embed is within 2^(1-W-e) relative (its docstring; its square
     root runs on math.isqrt and rounds exactly as libmp's mpf_sqrt), _PI,
@@ -416,16 +435,17 @@ def j_of_lattice(lat: CMLattice, prec: int = 128) -> PrecComplex:
       Im tau >= 1, |q| < 0.00187, |R^(+-1)| <= 1.047 and |1 + 256 q R| >= 0.499,
       so |F| >= 0.118 and |q^-1| = |j| / |F| < 8.5 |j|.
     - So the exact product G F is off by at most |q^-1| |dF| (1 + 3 u) + 3 u |j|
-      <= 2^23 (K + 1)^2 u (1 + |j|) = 2^(-prec-41) (K + 1)^2 (1 + |j|), and
-      rounding each component to prec bits adds at most 2^-prec |G F|.  K
-      grows like sqrt(prec): K (K + 1) / 2 <= N <= (W + 1) / 7.84 + 1,
-      so K <= 32 at 4096 bits and K < 2^20 at any prec below 2^41, and the
-      total is below 2^-prec (1 + |j|) (1 + 2^-40 (K + 1)^2) <= 2^(1-prec)
-      (1 + |j|).
+      <= (1585 2^10 (K + 1)^2 (1 + 3 u) + 3) u (1 + |j|) < 2^21 (K + 1)^2 u
+      (1 + |j|).  K (K + 1) / 2 <= N <= (W + 1) / 7.84 + 1, as L >= pi sqrt 3
+      / ln 2 > 7.85 puts (m - 1) 2^-16 above 7.84, so K is at most the bound
+      of _guard_bits and (K + 1)^2 < 2^(g-23): G F is off by less than
+      2^(-prec-2) (1 + |j|).  Rounding each component to prec bits adds at
+      most 2^-prec |G F|, and the total is below 2^-prec (1 + |j|) (1 + 2^-2
+      + 2^(-prec-2)) < 2^(1-prec) (1 + |j|), at every prec.
     """
     _require_prec(prec)
     tau = fundamental_domain_exact(lat.tau)
-    w = prec + _FIXED_GUARD_BITS
+    w = prec + _guard_bits(prec)
     # (8 Im tau)^2 = 64 y^2 |d| <= 2^(2e)
     yn, yd = tau.y.numerator, tau.y.denominator
     e = ((-(64 * yn * yn * tau.field.d // (yd * yd))).bit_length() + 1) // 2
@@ -477,8 +497,11 @@ class ClassPolynomial:
     """Monic integer polynomial with the j-invariants of a discriminant as roots.
 
     Coefficients are listed from the leading 1 down to the constant term;
-    prec is the one precision in bits at which they were computed, the
-    precision hilbert_class_polynomial was given raised to start_precision(D).
+    prec is the precision in bits at which they were certified, by the size
+    bound and the rounding test of _expand_pairs: the precision
+    hilbert_class_polynomial was given raised to start_precision(D).  The
+    roots were evaluated 7 bits lower, where they carry the error that
+    certification at prec assumes.
     Irreducibility over Q holds classically but is not verified here.
     """
 
@@ -580,19 +603,24 @@ def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
     j is evaluated once per conjugate pair: for 0 < b < a < c the form
     (a, -b, c) is reduced too and its j is the conjugate of j(a, b, c), which
     gives the real factor X^2 - 2 Re(j) X + |j|^2; the ambiguous forms (b = 0,
-    b = a or a = c) have real j and give X - Re(j).  Every j is evaluated
-    once, at prec raised to start_precision(D), and expanded once:
-    _expand_pairs proves that this precision passes its three checks whenever
-    the lemma of j_of_lattice holds, so a failed check is a defect, raised as
-    RuntimeError, and the coefficients do not depend on prec.  A start above
-    the _PRECISION_CAP-bit cap is refused before any j is evaluated.
+    b = a or a = c) have real j and give X - Re(j).  The expansion is
+    certified at prec raised to start_precision(D), and every j is evaluated
+    once, 7 bits lower (at least _MIN_PREC), where the lemma of j_of_lattice
+    gives the error _expand_pairs assumes.  _expand_pairs proves that its
+    three checks then pass, so a failed check is a defect, raised as
+    RuntimeError, and the coefficients do not depend on prec.  A precision
+    above the _PRECISION_CAP-bit cap, asked for or needed, is refused before
+    any j is evaluated.
     """
     validate_discriminant(D)
     upper = [f for f in enumerate_reduced(D) if f.b >= 0]
-    prec = max(prec, start_precision(D))
+    start = start_precision(D)
     if prec > _PRECISION_CAP:
-        raise PrecisionExhausted(f"H_{D} needs {prec} bits, above the {_PRECISION_CAP}-bit cap")
-    roots = [j_of_lattice(form_to_lattice(f), prec) for f in upper]
+        raise PrecisionExhausted(f"{prec} bits asked for H_{D}, above the {_PRECISION_CAP}-bit cap")
+    if start > _PRECISION_CAP:
+        raise PrecisionExhausted(f"H_{D} needs {start} bits, above the {_PRECISION_CAP}-bit cap")
+    prec = max(prec, start)
+    roots = [j_of_lattice(form_to_lattice(f), max(prec - 7, _MIN_PREC)) for f in upper]
     paired = [0 < f.b < f.a < f.c for f in upper]
     return ClassPolynomial(D, _expand_pairs(roots, paired, prec), prec)
 
@@ -600,10 +628,11 @@ def hilbert_class_polynomial(D: int, prec: int = 128) -> ClassPolynomial:
 def _expand_pairs(roots: list[PrecComplex], paired: list[bool], prec: int) -> tuple[int, ...]:
     """Integer coefficients of prod (X - j), certified by three checks at prec.
 
-    roots are the j of the reduced forms with b >= 0 at prec bits, paired
-    marks those whose conjugate is a root too, and h = len(roots) +
-    sum(paired) is the degree.  Each j carries an error |dr| <= eps (1 + |r|)
-    with eps = 2^(8-prec) (the lemma of j_of_lattice proves 2^(1-prec)).
+    roots are the j of the reduced forms with b >= 0, paired marks those
+    whose conjugate is a root too, and h = len(roots) + sum(paired) is the
+    degree.  Each j carries an error |dr| <= eps (1 + |r|) with eps =
+    2^(8-prec): the lemma of j_of_lattice proves it for a root evaluated at
+    max(prec - 7, _MIN_PREC) bits or more, as hilbert_class_polynomial does.
     Each check that fails raises RuntimeError naming it and prec; the first
     two run in _fixed_coefficients, which expands the product.
     - The size bound.  Every coefficient is off by at most
@@ -617,27 +646,30 @@ def _expand_pairs(roots: list[PrecComplex], paired: list[bool], prec: int) -> tu
       the slack below 1/4 covers the 53-bit product.
 
     Theorem.  At any prec >= start_precision(D), roots computed by
-    j_of_lattice pass all three checks.
+    j_of_lattice at P' = max(prec - 7, _MIN_PREC) bits pass all three checks
+    at prec.
 
     Proof.  Let P = prec >= B + 48, B Enge's bound of start_precision (its
     floats move B by less than 2^-20 below the 2^16-bit cap).  Each form
     puts tau in the fundamental domain with |q|^-1 = e^x, x = pi sqrt|D| / a
     >= pi sqrt 3, and Enge bounds |j| <= e^x + 2079 there; (a, -b, c) has the
     same a, so each of the h roots has its own term in B, and h < 5900 under
-    the cap (each term is over 11 bits).  By the lemma 1 + |r_i| <=
-    (1 + |j_i|)(1 + 2^(1-P)), and 1 + |j_i| <= (e^x + 2079)(1 + 1/2309); the
-    at most 4h roundings of the 53-bit product raise it by a factor below
-    1 + 2^-38.  So log2 size <= B - log2 C(h, h//2) + h/1600 + 2^-19, and
-    mag(size) exceeds log2 size by at most 1.  Since ceil(log2 h) <=
+    the cap (each term is over 11 bits).  By the lemma at P', whose 2^(1-P')
+    is at most 2^(8-P), 1 + |r_i| <= (1 + |j_i|)(1 + 2^(8-P)), and 1 + |j_i|
+    <= (e^x + 2079)(1 + 1/2309); as P > 11 h + 48, the h factors 1 + 2^(8-P)
+    and the at most 4h roundings of the 53-bit product raise it by a factor
+    below 1 + 2^-38.  So log2 size <= B - log2 C(h, h//2) + h/1600 + 2^-19,
+    and mag(size) exceeds log2 size by at most 1.  Since ceil(log2 h) <=
     log2 C(h, h//2) + 1, mag(size) + ceil(log2 h) + 12 <= B + 14 + h/1600 +
     2^-19 < P - 30: the size bound passes with 30 bits to spare.  An
-    ambiguous j is real, so |Im r| <= 2^(1-P) (1 + |j|) <= 2^(1-P) (1 + |r|)
-    (1 + 2^(2-P)), while 1 + |r|, rounded twice to nearest at P bits, is at
-    least (1 + |r|)(1 - 2^-P)^2: the reality test passes with a margin of
-    2^15.  The size bound puts the coefficients of the product over the
-    roots as given within 1/16 (times 1 + 2^-38) of the true integers, and
-    _fixed_coefficients' theorem puts each fixed-point value within 2^-22 of
-    those, so the rounding test passes, 1/16 + 2^-22 against 1/4.
+    ambiguous j is real, so |Im r| <= 2^(1-P') (1 + |j|) <= 2^(1-P') (1 + |r|)
+    (1 + 2^(2-P')), while 1 + |r|, rounded twice to nearest at the root's own
+    P' bits, is at least (1 + |r|)(1 - 2^-P')^2: the reality test passes
+    with a margin of 2^15.  The size bound puts the coefficients of the
+    product over the roots as given within 1/16 (times 1 + 2^-38) of the
+    true integers, and _fixed_coefficients' theorem puts each fixed-point
+    value within 2^-22 of those, so the rounding test passes, 1/16 + 2^-22
+    against 1/4.
     """
     coeffs, g = _fixed_coefficients(roots, paired, prec)
     half, quarter = 1 << (g - 1), 1 << (g - 2)

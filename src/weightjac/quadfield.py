@@ -13,7 +13,6 @@ importer of this module loads it.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import sys
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_mul, mpf_pos, round_nearest
+from mpmath.libmp import fone, from_int, from_man_exp, mpf_div, mpf_mul, mpf_pos, round_nearest
 
 from .errors import DiscriminantTooLarge, DivisionByZero, FieldMismatch, ParseError, RationalInput
 
@@ -247,33 +246,46 @@ class QuadElem:
         return f"QuadElem({self})"
 
 
-@functools.lru_cache(maxsize=32)
+# n -> (k, floor(sqrt(n) 2^k)), at most _ROOT_SLOTS entries
+_ROOTS: dict[int, tuple[int, int]] = {}
+_ROOT_SLOTS = 32
+
+
 def _sqrt_nearest(n: int, prec: int) -> tuple:
     """mpf_sqrt(from_int(n), prec, round_nearest), bit for bit, for squarefree n > 0.
 
     libmp's steps on integers: from_int(n) strips n's trailing zero bits, at
     most one for squarefree n, and mpf_sqrt shifts an odd exponent back, so it
-    takes the mantissa n at exponent 0 (n = 1 takes a shortcut to 1, which the
-    steps below give too).  It then shifts n left by an even number of bits,
-    at least 4 and enough for prec + 2 bits of root, takes the floor root, and
-    on a nonzero remainder appends a sticky 1 bit, so that rounding to nearest
-    never meets a false tie.  math.isqrt takes the place of libmp's
-    pure-Python sqrtrem, the larger part of embed's time.
+    takes the mantissa n at exponent 0 (n = 1 takes a shortcut to 1, returned
+    here as it is).  It then shifts n left by an even number of bits 2s, at
+    least 4 and enough for prec + 2 bits of root, takes the floor root
+    floor(sqrt(n) 2^s), and on a nonzero remainder appends a sticky 1 bit, so
+    that rounding to nearest never meets a false tie.  For squarefree n > 1,
+    sqrt(n) is irrational, so the remainder is never 0 and the sticky bit is
+    always set.
 
-    The roots are memoised by (n, prec), at most 32 of them, least recently
-    used first out, so the memo holds at most 32 times the largest root
-    asked for: the forms of one discriminant share n, and the j kernel asks
-    for a few precisions, one per bit length of 8 Im tau.  A root is an
-    immutable tuple that depends on (n, prec) alone, so a thread that reads
-    the memo gets the value it would compute.
+    One floor root per n is memoised in _ROOTS, floor(sqrt(n) 2^k) by
+    math.isqrt at the highest s asked for so far with a margin, as analytic's
+    _Constant memoises pi; a lower s shifts it down, which gives floor(sqrt(n)
+    2^s) again.  So the forms of one field share one root at every precision
+    the j kernel asks for.  The memo holds at most _ROOT_SLOTS entries (plus
+    one per thread inserting at the same moment), each at most the largest
+    root asked for with its margin, and is emptied when full.  Threads that
+    race compute equal floors and at worst store a lower precision or lose
+    an entry, which costs a later call a recomputation and changes no value.
     """
-    shift = max(4, 2 * prec - n.bit_length() + 4)
-    shift += shift & 1
-    scaled = n << shift
-    root = math.isqrt(scaled)
-    if root * root != scaled:
-        root, shift = 2 * root + 1, shift + 2
-    return from_man_exp(root, -shift // 2, prec, round_nearest)
+    if n == 1:
+        return fone
+    s = (max(4, 2 * prec - n.bit_length() + 4) + 1) // 2
+    memo = _ROOTS.get(n)
+    if memo is None or memo[0] < s:
+        k = s + (s >> 4) + 64
+        memo = k, math.isqrt(n << 2 * k)
+        if len(_ROOTS) >= _ROOT_SLOTS:
+            _ROOTS.clear()
+        _ROOTS[n] = memo
+    k, root = memo
+    return from_man_exp(2 * (root >> (k - s)) + 1, -s - 1, prec, round_nearest)
 
 
 # x is taken only when a sign or the end follows it, so "12*sqrt(-1)" is 12i and

@@ -29,7 +29,7 @@ from weightjac.cmlattice import form_to_lattice, ideal_class, parse_lattice
 from weightjac.errors import DivisionByZero, LowerHalfPlane, ParseError
 from weightjac.quadfield import FieldTag, QuadElem
 
-from conftest import child_env
+from conftest import BENCH, child_env
 from test_identity_gates import J_FORMS
 
 GAUSS = FieldTag(-1)
@@ -370,7 +370,7 @@ def test_euler_series_against_q_pochhammer(prec, log2_modulus):
     # (q; q)_inf is mpmath.qp(q).  Each series must be within 2 (K + 1)^2 u,
     # the bound of j_of_lattice's lemma, at |q| = lam = e^(-pi sqrt 3), the
     # largest the lemma allows, and a small |q|
-    w = prec + analytic._FIXED_GUARD_BITS
+    w = prec + analytic._guard_bits(prec)
     with mp.workprec(2 * w):
         lam = mpmath.exp(-mpmath.pi * mpmath.sqrt(3))
         modulus = lam if log2_modulus is None else mpmath.mpf(2) ** log2_modulus
@@ -450,6 +450,19 @@ def test_hilbert_class_polynomial_at_default_precision_matches_digests():
         assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == expected, D
         assert is_plausible_class_polynomial(D, list(coeffs)), D
         assert not is_plausible_class_polynomial(D, [*coeffs[:-1], coeffs[-1] + 1]), D
+
+
+# the largest Enge bounds of perfbench's seed-0 classpoly pool (h 24 and 26, B
+# about 1356 to 1374), far past the |D| < 2500 of CLASS_POLYNOMIAL_SHA256
+BENCHMARK_SIZED_D = (-9672, -14260, -19915, -11499)
+
+
+def test_hilbert_class_polynomial_at_the_benchmark_sizes_matches_its_digests():
+    digests = json.loads((BENCH / "classpoly_digests.json").read_text(encoding="utf-8"))
+    for D in BENCHMARK_SIZED_D:
+        coeffs = hilbert_class_polynomial(D).coefficients
+        assert len(coeffs) in (25, 27), D
+        assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == digests[str(D)], D
 
 
 class _WideInt:
@@ -541,7 +554,7 @@ def test_hilbert_class_polynomial_rejects_nonreal_ambiguous_j(monkeypatch):
     prec = max(128, analytic.start_precision(-144))
     with pytest.raises(RuntimeError, match=f"reality test at {prec} bits"):
         hilbert_class_polynomial(-144, 128)
-    assert calls == [prec] * sum(f.b >= 0 for f in enumerate_reduced(-144))
+    assert calls == [prec - 7] * sum(f.b >= 0 for f in enumerate_reduced(-144))
 
 
 def _evaluate(poly, z):
@@ -573,9 +586,9 @@ def test_hilbert_class_polynomial_precision_exhausted(monkeypatch):
     from weightjac import analytic as analytic_module
     from weightjac.errors import PrecisionExhausted
 
-    # Enge's bound puts H_-1999 far above a 64-bit cap: it fails before any j
-    # is evaluated
-    monkeypatch.setattr(analytic_module, "_PRECISION_CAP", 64)
+    # a request above the cap is named as asked; Enge's bound puts H_-1999 far
+    # above a 64-bit cap, and that bound is named.  Both fail before any j is
+    # evaluated
     calls = []
     real_j = analytic_module.j_of_lattice
 
@@ -584,7 +597,12 @@ def test_hilbert_class_polynomial_precision_exhausted(monkeypatch):
         return real_j(*args)
 
     monkeypatch.setattr(analytic_module, "j_of_lattice", counted_j)
-    with pytest.raises(PrecisionExhausted, match="above the 64-bit cap"):
+    assert analytic_module.start_precision(-23) == 96
+    with pytest.raises(PrecisionExhausted, match="^70000 bits asked for H_-23, above the 65536-bit cap$"):
+        analytic_module.hilbert_class_polynomial(-23, 70000)
+    monkeypatch.setattr(analytic_module, "_PRECISION_CAP", 64)
+    start = analytic_module.start_precision(-1999)
+    with pytest.raises(PrecisionExhausted, match=f"^H_-1999 needs {start} bits, above the 64-bit cap$"):
         analytic_module.hilbert_class_polynomial(-1999, 64)
     assert calls == []
 

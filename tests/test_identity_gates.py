@@ -33,7 +33,7 @@ from conftest import readme_block
 # sha256 over "D:coefficients:prec" lines for every D with -2500 < D <= -3
 CLASS_POLYNOMIAL_SHA256 = "71e6ce88511ab40ca91f82fac2dfe65c124a97d4965dfb1ff7f9e71289b68210"
 # sha256 over the (sign, man, exp, bc) of .re and .im of j at each precision
-J_BITS_SHA256 = "1190b0f5f418bc25d5e861d13546a1100de778a96de4637610fe2bca51d32295"
+J_BITS_SHA256 = "d89094d06e7e5f6f96775bcb9415ed52efe8d46865d3f4a41ce7c6ce433ae5d2"
 
 
 def test_class_polynomial_golden_digest():
@@ -208,7 +208,7 @@ CLI_MIX_DIGESTS = {
     "hcp": "080cdfac9b2624a0768b5b8608ac2d1ded5ede318e1602f8b13644c1731f7c8c",
     "hodge": "673c62356db336db0502ea65649493e6610b0ed236080136a02b41109efa5219",
     "jacobian": "23eadc751602baa9a8a08e852a0e0dfa2b33ea0efc2c053fa11e6170473b0b9c",
-    "jinv": "7536ff8620b3bdd6867708dae8f67f0f6ee5da0a3702c5518e681733639199f9",
+    "jinv": "84b5522b245b3f2fee0c3171c7aa3209392273d48005640324b42b6131bdbb46",
     "kummer": "b8ab6001b07c07b781f0e98f9fc245f4cdbcbfda9818cb5ddd8ec9579fd703c3",
     "latprod": "a97fc2dcae5f7c42253e7d362b7f536cd23011efd61a574e939cf02fda40c588",
     "orbit": "02c4ea5641b916d7a46b76da81c2ed88ac2e8824d6cc4022c0ec29847ad944d0",
@@ -233,7 +233,7 @@ CLI_WORK = {
     "fixedpoint": (0, 2, 1, 0, 0),
     "fod": (0, 2, 0, 0, 0),
     "jinv": (0, 0, 0, 2, 384),
-    "hcp": (0, 0, 0, 17, 14474),
+    "hcp": (0, 0, 0, 17, 14355),
     "hodge": (0, 0, 0, 0, 0),
     "kummer": (0, 1, 0, 0, 0),
     "verify-appendix": (0, 0, 0, 13, 3536),
@@ -250,7 +250,7 @@ CLI_MIX_WORK = {
     "compose": (0, 18, 0, 0, 0),
     "decompose": (20, 35, 16, 0, 0),
     "fod": (0, 30, 0, 0, 0),
-    "hcp": (0, 0, 0, 53, 12994),
+    "hcp": (0, 0, 0, 53, 12623),
     "hodge": (0, 0, 0, 0, 0),
     "jacobian": (22, 59, 0, 0, 0),
     "jinv": (0, 0, 0, 16, 5248),
@@ -334,7 +334,7 @@ def test_frozen_cli_deck(name, tmp_path, monkeypatch):
 WORK_COUNTS = {
     "classpoly ops": 320,
     "j_of_lattice calls": 3140,
-    "j_of_lattice bits": 2842752,
+    "j_of_lattice bits": 2820772,
     "jacobian-algebra ops": 1200,
     "lattice_product calls": 5459,
     "form_to_lattice builds": 971,

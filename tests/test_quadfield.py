@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -255,6 +256,37 @@ def test_embed_square_root_is_libmp_mpf_sqrt_bit_for_bit(prec):
     for n in ns:
         oracle = mpf_sqrt(from_int(n), prec, round_nearest)
         assert quadfield._sqrt_nearest(n, prec) == oracle, (n, prec)
+    # the memo keeps one floor root per n, at the highest precision asked so
+    # far: from an empty memo, precisions descending from above prec, then one
+    # past the memo's margin and prec again, interleaved across two n
+    quadfield._ROOTS.clear()
+    for pair in ((1, 2), (2, 1), (3, 2), (2999, 3)):
+        for p in (prec + 1, prec, prec // 2 + 32, 64, 4 * prec, prec):
+            for n in pair:
+                oracle = mpf_sqrt(from_int(n), p, round_nearest)
+                assert quadfield._sqrt_nearest(n, p) == oracle, (pair, n, p)
+
+
+def test_square_root_memo_is_bit_identical_under_a_race(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    jobs = [(n, p) for p in range(64, 4000, 433) for n in (1, 2, 3, 5, 6, 7, 2999)]
+    monkeypatch.setattr(quadfield, "_ROOTS", {})
+    # a memo of a few slots is emptied again and again while the threads read it
+    monkeypatch.setattr(quadfield, "_ROOT_SLOTS", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(lambda k: [quadfield._sqrt_nearest(*job) for job in jobs[k:] + jobs[:k]], 5 * k)
+                for k in range(8)
+            ]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [mpf_sqrt(from_int(n), p, round_nearest) for n, p in jobs]
+    assert all(roots == expected[5 * k:] + expected[:5 * k] for k, roots in enumerate(threaded))
 
 
 def test_serialization_round_trip():
